@@ -5,6 +5,10 @@ Labels: NP / InvertedNP (dark states), P1 (homogeneous, ring only), P2
 chain), OTHER (fallback with a site-profile fingerprint).  Template
 matching uses eps_pattern for amplitude equality, and asserts a sign for
 Re a_j only when |Re a_j| > eps_pattern.
+
+stable_class_set is the one pipeline from roots to stable classes:
+verdict per root, keep Stable, canonicalize, dedup at CLASS_TOL, label.
+Sweep cells, order-parameter cuts and root dossiers all read its record.
 """
 
 from __future__ import annotations
@@ -15,14 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ZeroModeMismatch
 from .model import (BoundaryCondition, LatticeParams, MeanFieldState,
                     params_to_jsonable, state_to_jsonable, symmetry_orbit)
-from .steady_state import FixedPoint, RootSearchResult
-from .stability import (EPS_MARGINAL, EPS_ZERO, StabilityReport, Verdict,
-                        classify as stability_classify)
+from .steady_state import FixedPoint, RootSearchResult, _as_state
+from .stability import StabilityReport, Verdict, classify as stability_classify
 
 EPS_PATTERN = 1e-5
 CANON_TOL = 1e-7
+CLASS_TOL = 1e-5     # sup distance below which two canonical states are one class
 
 
 class PatternKind(enum.Enum):
@@ -44,12 +49,6 @@ class PatternLabel:
 
     def __str__(self):
         return self.kind.value
-
-
-def _as_state(fp) -> MeanFieldState:
-    if isinstance(fp, FixedPoint):
-        return fp.state
-    return fp
 
 
 def _fingerprint(a, eps):
@@ -159,30 +158,58 @@ def canonicalize(fp, params: LatticeParams, tol: float = CANON_TOL) -> MeanField
     return best
 
 
-def stable_class_set(roots, reports, params: LatticeParams, *,
-                     eps_pattern: float = EPS_PATTERN,
-                     dedup_tol: float = 1e-5,
-                     canon_tol: float = CANON_TOL) -> Counter:
-    """Multiset of pattern labels over the distinct stable orbit classes.
+@dataclass
+class StableClasses:
+    """What stable_class_set derived from one list of roots."""
 
-    roots and reports run in parallel; symmetry partners collapse onto one
-    canonical representative each, so a six-member broken-symmetry family
-    counts once.  Returns Counter {kind string: multiplicity}; its total
-    is 1 for monostable cells, 2 for bistable, 3 for tristable.
+    reports: list       # per root: StabilityReport, or the ZeroModeMismatch raised
+    classes: list       # distinct stable classes, first seen first: (kind, canonical state)
+    marginal: bool      # some root came out Marginal
+    n_dropped: int      # roots dropped for ZeroModeMismatch
+
+    @property
+    def counts(self) -> Counter:
+        """kind -> number of distinct stable classes of that kind."""
+        return Counter(kind for kind, _ in self.classes)
+
+    @property
+    def failure(self) -> str:
+        """Why the class set is empty when dropped roots could have filled it."""
+        if self.classes or not self.n_dropped:
+            return ""
+        return (f"ZeroModeMismatch: {self.n_dropped} roots dropped, "
+                "no stable class left")
+
+
+def stable_class_set(roots, params: LatticeParams) -> StableClasses:
+    """Stability verdict per root, then the distinct stable orbit classes.
+
+    Each root is classified once; a root whose zero modes do not close
+    (ZeroModeMismatch) is dropped from the class stage and counted.
+    Symmetry partners collapse onto one canonical representative each, so
+    a six-member broken-symmetry family counts once: the counts total 1
+    for monostable cells, 2 for bistable, 3 for tristable.
     """
-    classes = []   # (canonical packed vector, representative state)
-    for fp, rep in zip(roots, reports):
+    found = StableClasses(reports=[], classes=[], marginal=False, n_dropped=0)
+    seen = []      # canonical packed vectors of the classes kept
+    for fp in roots:
+        try:
+            rep = stability_classify(fp, params)
+        except ZeroModeMismatch as exc:
+            found.reports.append(exc)
+            found.n_dropped += 1
+            continue
+        found.reports.append(rep)
+        found.marginal = found.marginal or rep.verdict is Verdict.Marginal
         if rep.verdict is not Verdict.Stable:
             continue
-        canon = canonicalize(fp, params, tol=canon_tol)
+        canon = canonicalize(fp, params)
         y = canon.pack()
-        if any(np.max(np.abs(y - y0)) < dedup_tol for y0, _ in classes):
+        if any(np.max(np.abs(y - y0)) < CLASS_TOL for y0 in seen):
             continue
-        classes.append((y, canon))
-    out = Counter()
-    for _, canon in classes:
-        out[label(canon, params, eps_pattern).kind.value] += 1
-    return out
+        seen.append(y)
+        found.classes.append((label(canon, params).kind.value, canon))
+    return found
 
 
 # Letter names for the three-site phase regions.  The mapping below was
@@ -217,46 +244,30 @@ def phase_letter(class_counts: Counter, bc: BoundaryCondition):
 # ---------------------------------------------------------------------------
 # JSON-friendly root dossier
 
-def root_dossier(params: LatticeParams, result: RootSearchResult, *,
-                 eps_pattern: float = EPS_PATTERN,
-                 eps_marginal: float = EPS_MARGINAL,
-                 eps_zero: float = EPS_ZERO) -> dict:
+def root_dossier(params: LatticeParams, result: RootSearchResult) -> dict:
     """Full account of a root search: states, verdicts, labels, classes."""
+    found = stable_class_set(result.roots, params)
     entries = []
-    reports = []
-    for fp in result.roots:
-        try:
-            rep = stability_classify(fp, params, eps_marginal=eps_marginal,
-                                     eps_zero=eps_zero)
-            verdict = rep.verdict.value
-            abscissa = rep.spectral_abscissa
-        except Exception as exc:   # degenerate inputs stay visible, not fatal
-            rep = None
-            verdict = f"error: {exc}"
-            abscissa = None
-        reports.append(rep)
-        lab = label(fp, params, eps_pattern)
+    for fp, rep in zip(result.roots, found.reports):
+        ok = isinstance(rep, StabilityReport)
+        lab = label(fp, params)
         entries.append({
             "state": state_to_jsonable(fp.state),
             "residual": fp.residual,
             "converged": fp.converged,
             "seed_tag": fp.seed_tag,
-            "verdict": verdict,
-            "spectral_abscissa": abscissa,
+            "verdict": rep.verdict.value if ok else f"error: {rep}",
+            "spectral_abscissa": rep.spectral_abscissa if ok else None,
             "label": lab.kind.value,
             "label_detail": lab.detail,
         })
-
-    ok = [(fp, rep) for fp, rep in zip(result.roots, reports) if rep is not None]
-    counts = stable_class_set([fp for fp, _ in ok], [rep for _, rep in ok],
-                              params, eps_pattern=eps_pattern)
-    letter = phase_letter(counts, params.bc)
+    counts = found.counts
     return {
         "params": params_to_jsonable(params),
         "roots": entries,
         "stable_classes": dict(counts),
         "n_stable_classes": sum(counts.values()),
-        "phase_letter": letter,
+        "phase_letter": phase_letter(counts, params.bc),
         "letter_table": LETTER_TABLE_PROVENANCE,
         "seed_metadata": result.seed_metadata,
     }

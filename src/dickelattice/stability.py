@@ -22,10 +22,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .errors import BisectionFailure, DomainError, ShapeError, ZeroModeMismatch
+from .errors import BisectionFailure, ShapeError, ZeroModeMismatch
 from .dynamics import jacobian_packed
 from .model import LatticeParams, MeanFieldState, normal_state, validate
-from .steady_state import FixedPoint
+from .steady_state import _as_state
 
 EPS_MARGINAL = 1e-7
 EPS_ZERO = 1e-8
@@ -52,14 +52,6 @@ def jacobian(state: MeanFieldState, params: LatticeParams) -> np.ndarray:
         raise ShapeError(
             f"state has {state.n} sites, params expect {params.n_sites}")
     return jacobian_packed(state.pack(), params)
-
-
-def _as_state(fp) -> MeanFieldState:
-    if isinstance(fp, FixedPoint):
-        if not fp.converged:
-            raise DomainError("classify requires a converged fixed point")
-        return fp.state
-    return fp
 
 
 def classify(fp, params: LatticeParams, *, eps_marginal: float = EPS_MARGINAL,

@@ -38,6 +38,15 @@ class FixedPoint:
     seed_tag: str = "seed"
 
 
+def _as_state(fp) -> MeanFieldState:
+    """The state of a converged FixedPoint, or fp itself if it is a state."""
+    if isinstance(fp, FixedPoint):
+        if not fp.converged:
+            raise DomainError("requires a converged fixed point")
+        return fp.state
+    return fp
+
+
 class NoBranch:
     """Sentinel: the homogeneous branch does not exist at these parameters."""
 

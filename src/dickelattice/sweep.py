@@ -16,15 +16,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._version import __version__
-from .errors import NotSettled, ZeroModeMismatch
-from .classify import EPS_PATTERN, stable_class_set, label as pattern_label
+from .errors import DomainError, NotSettled
+# pattern_label and stability_classify are not called here; the tracer
+# self-test in benchmarks/test_benchmark.py expects both aliases in this
+# namespace, so they stay until that test drops them
+from .classify import label as pattern_label, stable_class_set  # noqa: F401
 from .dynamics import RTOL, ATOL, SETTLE_TOL, relax_to_steady
-from .model import (LatticeParams, MeanFieldState, params_to_jsonable,
-                    validate)
+from .model import LatticeParams, params_to_jsonable, validate
 from .spectrum import critical_coupling_np, xi_stability_window
-from .stability import EPS_MARGINAL, EPS_ZERO, Verdict, \
-    bisect_np_threshold, classify as stability_classify
-from .steady_state import DEDUP_TOL, N_RANDOM_SEEDS, find_all
+from .stability import bisect_np_threshold, \
+    classify as stability_classify  # noqa: F401
+from .steady_state import N_RANDOM_SEEDS, _dressed_seed, find_all
 
 BISECT_BRACKET = (0.05, 2.0)
 BISECT_TOL = 1e-6
@@ -54,10 +56,6 @@ class SweepSpec:
     g_grid: GridAxis
     rng_seed: int = 0
     n_random_seeds: int = N_RANDOM_SEEDS
-    dedup_tol: float = DEDUP_TOL
-    eps_pattern: float = EPS_PATTERN
-    eps_marginal: float = EPS_MARGINAL
-    eps_zero: float = EPS_ZERO
 
 
 @dataclass
@@ -86,28 +84,15 @@ def _compute_cell(job):
     params = replace(spec.params_base, xi=float(xi), g=float(g))
     try:
         result = find_all(params, n_random_seeds=spec.n_random_seeds,
-                          rng_seed=_cell_seed(spec.rng_seed, i, j),
-                          dedup_tol=spec.dedup_tol)
-        roots, reports = [], []
-        marginal = False
-        for fp in result.roots:
-            try:
-                rep = stability_classify(fp, params,
-                                         eps_marginal=spec.eps_marginal,
-                                         eps_zero=spec.eps_zero)
-            except ZeroModeMismatch:
-                continue     # drop degenerate roots from the verdict stage
-            marginal = marginal or rep.verdict is Verdict.Marginal
-            roots.append(fp)
-            reports.append(rep)
-        counts = stable_class_set(roots, reports, params,
-                                  eps_pattern=spec.eps_pattern)
+                          rng_seed=_cell_seed(spec.rng_seed, i, j))
+        found = stable_class_set(result.roots, params)
         return PhaseCell(xi=float(xi), g=float(g),
-                         stable_classes=dict(counts),
+                         stable_classes=dict(found.counts),
                          n_roots_total=len(result.roots),
-                         marginal_flag=marginal,
-                         no_stable_state=(sum(counts.values()) == 0),
-                         seed_metadata=result.seed_metadata)
+                         marginal_flag=found.marginal,
+                         no_stable_state=not found.classes,
+                         seed_metadata=result.seed_metadata,
+                         error=found.failure)
     except Exception as exc:    # record and keep sweeping
         return PhaseCell(xi=float(xi), g=float(g), stable_classes={},
                          n_roots_total=0, marginal_flag=False,
@@ -141,17 +126,13 @@ class CutRow:
 
 def order_parameter_cut(params_base: LatticeParams, xi: float, g_values, *,
                         rng_seed: int = 0,
-                        n_random_seeds: int = N_RANDOM_SEEDS,
-                        dedup_tol: float = DEDUP_TOL,
-                        eps_pattern: float = EPS_PATTERN):
+                        n_random_seeds: int = N_RANDOM_SEEDS):
     """Stable-branch amplitudes |a_j| along a fixed-xi cut.
 
     xi must sit inside the normal-state stability window.  Each row maps
     every stable class to the site amplitudes of its canonical
     representative, so multivalued (multistable) ranges stay visible.
     """
-    from .classify import canonicalize
-    from .errors import DomainError
     validate(params_base)
     lo, hi = xi_stability_window(params_base.n_sites, params_base.omega_c,
                                  params_base.bc)
@@ -163,30 +144,18 @@ def order_parameter_cut(params_base: LatticeParams, xi: float, g_values, *,
         params = replace(params_base, xi=float(xi), g=float(g))
         try:
             result = find_all(params, n_random_seeds=n_random_seeds,
-                              rng_seed=_cell_seed(rng_seed, 0, j),
-                              dedup_tol=dedup_tol)
+                              rng_seed=_cell_seed(rng_seed, 0, j))
+            found = stable_class_set(result.roots, params)
             branches = {}
-            seen = []
-            for fp in result.roots:
-                try:
-                    rep = stability_classify(fp, params)
-                except ZeroModeMismatch:
-                    continue
-                if rep.verdict is not Verdict.Stable:
-                    continue
-                canon = canonicalize(fp, params)
-                y = canon.pack()
-                if any(np.max(np.abs(y - y0)) < 1e-5 for y0 in seen):
-                    continue
-                seen.append(y)
-                kind = pattern_label(canon, params, eps_pattern).kind.value
+            for kind, canon in found.classes:
                 key = kind
                 k = 2
                 while key in branches:     # two distinct classes, same kind
                     key = f"{kind}#{k}"
                     k += 1
                 branches[key] = np.abs(canon.a)
-            rows.append(CutRow(g=float(g), branches=branches))
+            rows.append(CutRow(g=float(g), branches=branches,
+                               error=found.failure))
         except Exception as exc:
             rows.append(CutRow(g=float(g), branches={},
                                error=f"{type(exc).__name__}: {exc}"))
@@ -261,13 +230,7 @@ def site_profile(params_base: LatticeParams, g: float,
     """
     params = replace(params_base, g=float(g))
     validate(params)
-    n = params.n_sites
-    u = np.full(n, float(init_amplitude))
-    v = (params.kappa / params.omega_c) * u
-    z = -0.5 / np.sqrt(1.0 + 16.0 * params.g ** 2 * u ** 2 / params.omega_a ** 2)
-    p = 4.0 * params.g * u * z / params.omega_a
-    state0 = MeanFieldState(a=u + 1j * v, s=p.astype(complex), z=z)
-
+    state0 = _dressed_seed(np.ones(params.n_sites), init_amplitude, params)
     res = relax_to_steady(state0, params, t_max=t_end, settle_tol=settle_tol,
                           rtol=rtol, atol=atol)
     a = res.state.a

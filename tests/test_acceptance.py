@@ -24,10 +24,10 @@ from dickelattice import (BoundaryCondition, LatticeParams, NO_BRANCH,
                           relax_to_steady, rhs_packed, rhs_sup_norm,
                           site_profile, stable_class_set,
                           xi_stability_window)
-from dickelattice.errors import ZeroModeMismatch
 from dickelattice.steady_state import NEWTON_TOL, _augmented_jacobian
-from dickelattice.stability import Verdict, classify as stability_classify
-from dickelattice.stability import routh_verdict
+from dickelattice.stability import (StabilityReport, Verdict,
+                                    classify as stability_classify,
+                                    routh_verdict)
 
 PBC = BoundaryCondition.Periodic
 OBC = BoundaryCondition.Open
@@ -41,23 +41,23 @@ def _report(k, ok, detail):
     assert ok, line
 
 
+def _classified(params, rng_seed):
+    """Stable classes of find_all's roots, and (root, report) for every
+    root the pipeline did not drop for ZeroModeMismatch."""
+    roots = find_all(params, rng_seed=rng_seed).roots
+    found = stable_class_set(roots, params)
+    return found, [(fp, rep) for fp, rep in zip(roots, found.reports)
+                   if isinstance(rep, StabilityReport)]
+
+
 def _stable_info(params, rng_seed=0):
     """Stable-class multiset and the largest stable site amplitude."""
-    result = find_all(params, rng_seed=rng_seed)
-    roots, reports = [], []
-    for fp in result:
-        try:
-            rep = stability_classify(fp, params)
-        except ZeroModeMismatch:
-            continue
-        roots.append(fp)
-        reports.append(rep)
-    counts = stable_class_set(roots, reports, params)
+    found, classified = _classified(params, rng_seed)
     amp = 0.0
-    for fp, rep in zip(roots, reports):
+    for fp, rep in classified:
         if rep.verdict is Verdict.Stable:
             amp = max(amp, float(np.max(np.abs(fp.state.a))))
-    return counts, amp
+    return found.counts, amp
 
 
 def _newton_error_bound(state, params):
@@ -179,11 +179,8 @@ def test_criterion_05_no_homogeneous_srp_on_open_chain():
         assert witness.only_solution == "a = 0"
         assert len(witness.conditions()) == 2
 
-        for fp in find_all(params, rng_seed=int(rng.integers(2**31))):
-            try:
-                rep = stability_classify(fp, params)
-            except ZeroModeMismatch:
-                continue
+        _, classified = _classified(params, int(rng.integers(2**31)))
+        for fp, rep in classified:
             if rep.verdict is not Verdict.Stable:
                 continue
             if np.max(np.abs(fp.state.a)) <= 1e-5:
@@ -372,11 +369,8 @@ def test_criterion_10c_routh_hurwitz_agreement():
     mismatches = 0
     for bc, xi, g in points:
         params = LatticeParams(**BASE, g=g, xi=xi, bc=bc)
-        for fp in find_all(params, rng_seed=11):
-            try:
-                rep = stability_classify(fp, params)
-            except ZeroModeMismatch:
-                continue
+        _, classified = _classified(params, 11)
+        for fp, rep in classified:
             if rep.verdict is Verdict.Marginal:
                 continue
             verdict_rh, _ = routh_verdict(fp, params)

@@ -8,7 +8,6 @@ from dickelattice import (BoundaryCondition, LatticeParams, MeanFieldState,
                           homogeneous_srp_branch, label, normal_state,
                           inverted_normal_state, phase_letter, root_dossier,
                           stable_class_set, symmetry_orbit)
-from dickelattice.stability import classify as stability_classify
 
 PBC = BoundaryCondition.Periodic
 OBC = BoundaryCondition.Open
@@ -102,13 +101,11 @@ def test_canonicalize_idempotent_and_orbit_stable():
 
 def test_stable_class_sets_at_reference_points():
     result = find_all(P, rng_seed=0)
-    reports = [stability_classify(fp, P) for fp in result]
-    counts = stable_class_set(result.roots, reports, P)
+    counts = stable_class_set(result.roots, P).counts
     assert counts == Counter({"P1": 1})
 
     result_o = find_all(P_OPEN, rng_seed=0)
-    reports_o = [stability_classify(fp, P_OPEN) for fp in result_o]
-    counts_o = stable_class_set(result_o.roots, reports_o, P_OPEN)
+    counts_o = stable_class_set(result_o.roots, P_OPEN).counts
     assert counts_o == Counter({"O1": 1, "O3": 1, "O4": 1})
     assert sum(counts_o.values()) == 3   # tristable cell
 

@@ -1,17 +1,22 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dickelattice import (BoundaryCondition, GridAxis, LatticeParams,
-                          NotSettled, SweepSpec, critical_csv,
-                          critical_line_scan, cut_csv, homogeneous_srp_branch,
-                          order_parameter_cut, phase_diagram,
-                          phase_diagram_csv, profile_csv, site_profile)
+                          NotSettled, SweepSpec, critical_coupling_np,
+                          critical_csv, critical_line_scan, cut_csv,
+                          homogeneous_srp_branch, order_parameter_cut,
+                          phase_diagram, phase_diagram_csv, profile_csv,
+                          site_profile)
 from dickelattice.errors import DomainError
 
 PBC = BoundaryCondition.Periodic
 OBC = BoundaryCondition.Open
 
 BASE = LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.5, bc=PBC)
+DATA = Path(__file__).parent / "data"
 
 
 def test_grid_axis_values():
@@ -60,6 +65,33 @@ def test_phase_diagram_workers_bit_identical(tmp_path, small_spec, small_cells):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_phase_diagram_csv_matches_recorded_output(tmp_path, small_spec,
+                                                   small_cells):
+    # recorded output of this grid on both boundaries: a refactor of the
+    # root -> class pipeline must leave the bytes alone
+    open_spec = replace(small_spec, params_base=replace(BASE, bc=OBC))
+    for tag, spec, cells in (("pbc", small_spec, small_cells),
+                             ("obc", open_spec, phase_diagram(open_spec))):
+        path = tmp_path / f"phase_small_{tag}.csv"
+        phase_diagram_csv(cells, spec, path)
+        assert path.read_bytes() == (DATA / path.name).read_bytes()
+
+
+def test_dropped_roots_without_stable_class_are_an_error():
+    # just above the ring's onset at xi = 0.48 every lit root raises
+    # ZeroModeMismatch; the empty class set must not read as physics
+    params = replace(BASE, xi=0.48)
+    g = critical_coupling_np(params).g_c + 1e-5
+    spec = SweepSpec(params_base=params, xi_grid=GridAxis(0.48, 0.48, 1),
+                     g_grid=GridAxis(g, g, 1))
+    [cell] = phase_diagram(spec)
+    [row] = order_parameter_cut(params, 0.48, [g])
+    assert cell.stable_classes == {} and row.branches == {}
+    for error in (cell.error, row.error):
+        assert error.startswith("ZeroModeMismatch: ")
+        assert error.endswith(" roots dropped, no stable class left")
+
+
 def test_phase_diagram_csv_layout(tmp_path, small_spec, small_cells):
     path = tmp_path / "phase.csv"
     phase_diagram_csv(small_cells, small_spec, path)
@@ -99,6 +131,12 @@ def test_cut_branches_and_csv(tmp_path):
     row1 = dict(zip(header, lines[3].split(",")))
     assert row1["NP_abs_a_1"] == ""
     assert float(row1["P1_abs_a_1"]) == pytest.approx(np.abs(plus.state.a[0]))
+
+    # the tristable open-chain point of test_stable_class_sets_at_reference_points
+    [row_o] = order_parameter_cut(replace(BASE, bc=OBC), 0.2, [0.8],
+                                  n_random_seeds=16)
+    assert row_o.error == ""
+    assert set(row_o.branches) == {"O1", "O3", "O4"}
 
 
 def test_critical_line_scan_and_csv(tmp_path):

@@ -10,6 +10,7 @@ import os
 
 from dickelattice import (BoundaryCondition, GridAxis, LatticeParams,
                           SweepSpec, phase_diagram, phase_diagram_csv)
+from dickelattice._blas import one_thread
 
 
 def main():
@@ -20,18 +21,19 @@ def main():
     ap.add_argument("--out-dir", default=".")
     args = ap.parse_args()
 
-    for bc, name in [(BoundaryCondition.Periodic, "phase_pbc.csv"),
-                     (BoundaryCondition.Open, "phase_obc.csv")]:
-        spec = SweepSpec(
-            params_base=LatticeParams(n_sites=3, kappa=0.4, g=0.5, xi=0.2,
-                                      bc=bc),
-            xi_grid=GridAxis(0.0, 0.45, args.steps),
-            g_grid=GridAxis(0.3, 1.1, args.steps))
-        cells = phase_diagram(spec, workers=args.workers)
-        path = os.path.join(args.out_dir, name)
-        phase_diagram_csv(cells, spec, path)
-        n_err = sum(1 for c in cells if c.error)
-        print(f"{path}: {len(cells)} cells, {n_err} errors")
+    with one_thread():       # the library's calls run on one BLAS thread
+        for bc, name in [(BoundaryCondition.Periodic, "phase_pbc.csv"),
+                         (BoundaryCondition.Open, "phase_obc.csv")]:
+            spec = SweepSpec(
+                params_base=LatticeParams(n_sites=3, kappa=0.4, g=0.5, xi=0.2,
+                                          bc=bc),
+                xi_grid=GridAxis(0.0, 0.45, args.steps),
+                g_grid=GridAxis(0.3, 1.1, args.steps))
+            cells = phase_diagram(spec, workers=args.workers)
+            path = os.path.join(args.out_dir, name)
+            phase_diagram_csv(cells, spec, path)
+            n_err = sum(1 for c in cells if c.error)
+            print(f"{path}: {len(cells)} cells, {n_err} errors")
 
 
 if __name__ == "__main__":

@@ -184,24 +184,37 @@ class StableClasses:
 def stable_class_set(roots, params: LatticeParams) -> StableClasses:
     """Stability verdict per root, then the distinct stable orbit classes.
 
-    Each root is classified once; a root whose zero modes do not close
-    (ZeroModeMismatch) is dropped from the class stage and counted.
-    Symmetry partners collapse onto one canonical representative each, so
-    a six-member broken-symmetry family counts once: the counts total 1
-    for monostable cells, 2 for bistable, 3 for tristable.
+    Roots that find_all marked with one `orbit` are exact symmetry images
+    of one Newton root and share its spectrum, so the first of them is
+    classified and the rest reuse its report (or its ZeroModeMismatch);
+    any other root is classified on its own.  A root whose zero modes do
+    not close (ZeroModeMismatch) is dropped from the class stage and
+    counted.  Symmetry partners collapse onto one canonical representative
+    each, so a six-member broken-symmetry family counts once: the counts
+    total 1 for monostable cells, 2 for bistable, 3 for tristable.
     """
     found = StableClasses(reports=[], classes=[], marginal=False, n_dropped=0)
     seen = []      # canonical packed vectors of the classes kept
+    by_orbit = {}  # orbit -> report (or ZeroModeMismatch) of its first root
     for fp in roots:
-        try:
-            rep = stability_classify(fp, params)
-        except ZeroModeMismatch as exc:
-            found.reports.append(exc)
+        orbit = getattr(fp, "orbit", None)
+        repeat = orbit is not None and orbit in by_orbit
+        if repeat:
+            rep = by_orbit[orbit]
+        else:
+            try:
+                rep = stability_classify(fp, params)
+            except ZeroModeMismatch as exc:
+                rep = exc
+            if orbit is not None:
+                by_orbit[orbit] = rep
+        found.reports.append(rep)
+        if isinstance(rep, ZeroModeMismatch):
             found.n_dropped += 1
             continue
-        found.reports.append(rep)
         found.marginal = found.marginal or rep.verdict is Verdict.Marginal
-        if rep.verdict is not Verdict.Stable:
+        # an image canonicalizes onto its orbit's class, already counted
+        if repeat or rep.verdict is not Verdict.Stable:
             continue
         canon = canonicalize(fp, params)
         y = canon.pack()

@@ -18,6 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from ._blas import one_thread
 from ._version import __version__
 from .errors import (BisectionFailure, BoundaryError, DomainError,
                      NotConverged, NotSettled, ShapeError, SingularJacobian,
@@ -327,19 +328,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (DomainError, ShapeError, BoundaryError, UnstableWindowError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (StepFailure, NotConverged, SingularJacobian, ZeroModeMismatch,
-            NotSettled, BisectionFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    # one BLAS thread while the command runs; callers get their count back
+    with one_thread():
+        try:
+            return args.func(args)
+        except (DomainError, ShapeError, BoundaryError, UnstableWindowError,
+                json.JSONDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (StepFailure, NotConverged, SingularJacobian, ZeroModeMismatch,
+                NotSettled, BisectionFailure) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 4
 
 
 if __name__ == "__main__":

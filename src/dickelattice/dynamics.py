@@ -55,14 +55,15 @@ def rhs_packed(y, params: LatticeParams, t_hop=None) -> np.ndarray:
         raise ShapeError(f"expected packed length {5 * n}, got shape {y.shape}")
     if t_hop is None:
         t_hop = hop_matrix(params)
-    u, v, p, q, z = np.split(y, 5)
+    u, v, p, q, z = y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n:4 * n], y[4 * n:]
     wc, wa, g, kap = params.omega_c, params.omega_a, params.g, params.kappa
-    du = -kap * u + wc * v - t_hop @ v
-    dv = -kap * v - wc * u + t_hop @ u - 2.0 * g * p
-    dp = wa * q
-    dq = -wa * p + 4.0 * g * u * z
-    dz = -4.0 * g * u * q
-    return np.concatenate([du, dv, dp, dq, dz])
+    out = np.empty(5 * n)
+    out[:n] = -kap * u + wc * v - t_hop @ v
+    out[n:2 * n] = -kap * v - wc * u + t_hop @ u - 2.0 * g * p
+    out[2 * n:3 * n] = wa * q
+    out[3 * n:4 * n] = -wa * p + 4.0 * g * u * z
+    out[4 * n:] = -4.0 * g * u * q
+    return out
 
 
 def rhs(state: MeanFieldState, params: LatticeParams) -> MeanFieldState:
@@ -94,14 +95,18 @@ def jacobian_packed(y, params: LatticeParams, t_hop=None) -> np.ndarray:
     z = y[4 * n:5 * n]
     wc, wa, g, kap = params.omega_c, params.omega_a, params.g, params.kappa
     i_n = np.eye(n)
-    zero = np.zeros((n, n))
-    return np.block([
-        [-kap * i_n, wc * i_n - t_hop, zero, zero, zero],
-        [-wc * i_n + t_hop, -kap * i_n, -2.0 * g * i_n, zero, zero],
-        [zero, zero, zero, wa * i_n, zero],
-        [4.0 * g * np.diag(z), zero, -wa * i_n, zero, 4.0 * g * np.diag(u)],
-        [-4.0 * g * np.diag(q), zero, zero, -4.0 * g * np.diag(u), zero],
-    ])
+    j = np.zeros((5 * n, 5 * n))
+    # (block row, block column, value) of the nonzero n x n blocks
+    blocks = (
+        (0, 0, -kap * i_n), (0, 1, wc * i_n - t_hop),
+        (1, 0, -wc * i_n + t_hop), (1, 1, -kap * i_n), (1, 2, -2.0 * g * i_n),
+        (2, 3, wa * i_n),
+        (3, 0, 4.0 * g * np.diag(z)), (3, 2, -wa * i_n), (3, 4, 4.0 * g * np.diag(u)),
+        (4, 0, -4.0 * g * np.diag(q)), (4, 3, -4.0 * g * np.diag(u)),
+    )
+    for r, c, block in blocks:
+        j[r * n:(r + 1) * n, c * n:(c + 1) * n] = block
+    return j
 
 
 # ---------------------------------------------------------------------------

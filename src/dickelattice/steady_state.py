@@ -10,7 +10,8 @@ replaced equation is checked after convergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +37,9 @@ class FixedPoint:
     residual: float          # sup norm of the full flow at state
     converged: bool
     seed_tag: str = "seed"
+    # index of the converged Newton root (within one find_all) whose
+    # symmetry image this is; None for a point not produced by find_all
+    orbit: int | None = None
 
 
 def _as_state(fp) -> MeanFieldState:
@@ -161,7 +165,8 @@ def _augmented(y, params, t_hop):
     n = params.n_sites
     f = rhs_packed(y, params, t_hop)
     p, q, z = y[2 * n:3 * n], y[3 * n:4 * n], y[4 * n:5 * n]
-    return np.concatenate([f[:4 * n], p * p + q * q + z * z - 0.25])
+    f[4 * n:] = p * p + q * q + z * z - 0.25
+    return f
 
 
 def _augmented_jacobian(y, params, t_hop):
@@ -300,6 +305,34 @@ def _seed_list(params, n_random_seeds, rng):
     return seeds
 
 
+def _dedup(points, dedup_tol):
+    """Sort deterministically, then keep each point farther than dedup_tol
+    (sup norm) from every point kept before it.
+
+    The sort key starts with the first coordinate rounded to 1e-9, so
+    kept points come in ascending order of it, and a kept point within
+    dedup_tol of this one has a first key coordinate less than
+    dedup_tol + 1e-9 below this one's.  Only the kept points in that
+    window (plus slack) are compared, which keeps exactly the points the
+    all-pairs comparison keeps.
+    """
+    packs = [fp.state.pack() for fp in points]
+    keys = [tuple(np.round(y, 9)) for y in packs]
+    order = sorted(range(len(points)), key=keys.__getitem__)
+    window = dedup_tol + 1e-8
+    kept, kept_first, kept_packs = [], [], []
+    for i in order:
+        y = packs[i]
+        lo = bisect_left(kept_first, keys[i][0] - window)
+        if any(np.max(np.abs(y - kept_packs[m])) < dedup_tol
+               for m in range(lo, len(kept))):
+            continue
+        kept.append(points[i])
+        kept_first.append(keys[i][0])
+        kept_packs.append(y)
+    return kept
+
+
 @dataclass
 class RootSearchResult:
     """List of fixed points plus seed bookkeeping; iterates over roots."""
@@ -329,7 +362,9 @@ def find_all(params: LatticeParams, *, n_random_seeds: int = N_RANDOM_SEEDS,
     expanded by its full symmetry orbit (the images of an exact root are
     exact roots), then the list is sorted deterministically and
     de-duplicated at sup-norm distance dedup_tol.  The returned set is
-    therefore closed under the symmetry group within dedup_tol.
+    therefore closed under the symmetry group within dedup_tol.  Each
+    returned point's `orbit` is the index of the converged root it is an
+    image of, so points sharing it share one spectrum.
 
     Non-convergent seeds are dropped and counted in seed_metadata.
     """
@@ -349,21 +384,14 @@ def find_all(params: LatticeParams, *, n_random_seeds: int = N_RANDOM_SEEDS,
             n_failed += 1
 
     expanded = []
-    for fp in converged:
+    for k, fp in enumerate(converged):
         images = symmetry_orbit(fp.state, params.bc)
-        expanded.append(fp)                       # identity image keeps its tag
+        expanded.append(replace(fp, orbit=k))     # identity image keeps its tag
         for img in images[1:]:
             expanded.append(FixedPoint(state=img, residual=fp.residual,
-                                       converged=True, seed_tag="symmetry image"))
-
-    # deterministic reduction order, then greedy dedup of exact duplicates
-    expanded.sort(key=lambda fp: tuple(np.round(fp.state.pack(), 9)))
-    roots = []
-    for fp in expanded:
-        y = fp.state.pack()
-        if any(np.max(np.abs(y - kept.state.pack())) < dedup_tol for kept in roots):
-            continue
-        roots.append(fp)
+                                       converged=True, seed_tag="symmetry image",
+                                       orbit=k))
+    roots = _dedup(expanded, dedup_tol)
 
     meta = {
         "n_seeds": len(seeds),

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._blas import pin_one_thread
 from ._version import __version__
 from .errors import DomainError, NotSettled
 # pattern_label and stability_classify are not called here; the tracer
@@ -107,7 +108,9 @@ def phase_diagram(spec: SweepSpec, workers: int = 1):
             for i, xi in enumerate(spec.xi_grid.values())
             for j, g in enumerate(spec.g_grid.values())]
     if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # each worker runs BLAS on one thread; the pool is the parallelism
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=pin_one_thread) as pool:
             cells = list(pool.map(_compute_cell, jobs, chunksize=1))
     else:
         cells = [_compute_cell(job) for job in jobs]

@@ -1,13 +1,17 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dickelattice import (BoundaryCondition, LatticeParams, MeanFieldState,
-                          PatternKind, canonicalize, find_all,
+                          PatternKind, StabilityReport, ZeroModeMismatch,
+                          canonicalize, critical_coupling_np, find_all,
                           homogeneous_srp_branch, label, normal_state,
                           inverted_normal_state, phase_letter, root_dossier,
                           stable_class_set, symmetry_orbit)
+from dickelattice import classify as classify_module
+from dickelattice import stability
 
 PBC = BoundaryCondition.Periodic
 OBC = BoundaryCondition.Open
@@ -108,6 +112,58 @@ def test_stable_class_sets_at_reference_points():
     counts_o = stable_class_set(result_o.roots, P_OPEN).counts
     assert counts_o == Counter({"O1": 1, "O3": 1, "O4": 1})
     assert sum(counts_o.values()) == 3   # tristable cell
+
+
+# just above the ring's onset at xi = 0.48 every lit root raises
+# ZeroModeMismatch, so there the reused result is the exception
+P_ONSET = replace(P, xi=0.48,
+                  g=critical_coupling_np(replace(P, xi=0.48)).g_c + 1e-5)
+
+
+def _direct(fp, params):
+    try:
+        return stability.classify(fp, params)
+    except ZeroModeMismatch as exc:
+        return exc
+
+
+@pytest.mark.parametrize("params", [P, P_OPEN, P_ONSET],
+                         ids=["ring", "open", "ring-onset"])
+def test_stable_class_set_classifies_once_per_orbit(params, monkeypatch):
+    roots = find_all(params, rng_seed=0).roots
+    orbits = {fp.orbit for fp in roots}
+    assert None not in orbits and len(orbits) < len(roots)
+    calls = []
+
+    def counting(fp, p):
+        calls.append(fp)
+        return stability.classify(fp, p)
+
+    monkeypatch.setattr(classify_module, "stability_classify", counting)
+    found = stable_class_set(roots, params)
+    assert len(calls) == len(orbits)
+    n_raised = 0
+    for fp, rep in zip(roots, found.reports):
+        direct = _direct(fp, params)
+        if isinstance(direct, ZeroModeMismatch):
+            assert isinstance(rep, ZeroModeMismatch)
+            n_raised += 1
+            continue
+        assert isinstance(rep, StabilityReport)
+        assert rep.verdict is direct.verdict
+        assert abs(rep.spectral_abscissa - direct.spectral_abscissa) <= 1e-12
+    assert found.n_dropped == n_raised          # roots, not orbits
+    if params is P_ONSET:
+        assert n_raised > len({fp.orbit for fp, rep in zip(roots, found.reports)
+                               if isinstance(rep, ZeroModeMismatch)})
+
+    # points without an orbit are classified one by one
+    calls.clear()
+    bare = [MeanFieldState(a=fp.state.a, s=fp.state.s, z=fp.state.z)
+            for fp in roots]
+    again = stable_class_set(bare, params)
+    assert len(calls) == len(roots)
+    assert again.counts == found.counts and again.n_dropped == n_raised
 
 
 def test_phase_letters():

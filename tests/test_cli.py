@@ -1,7 +1,11 @@
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from dickelattice import (BoundaryCondition, DomainError, GridAxis,
+                          LatticeParams, SweepSpec, _blas, cli, phase_diagram,
+                          sweep)
 from dickelattice.cli import main
 
 
@@ -127,3 +131,52 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "dickelattice" in capsys.readouterr().out
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Both bundled OpenBLAS libraries at 2 threads; the old counts after."""
+    before = _blas.thread_counts()
+    if len(before) < 2:
+        pytest.skip("numpy and scipy do not both bundle OpenBLAS here")
+    _blas.set_thread_counts([2] * len(before))
+    yield [2] * len(before)
+    _blas.set_thread_counts(before)
+
+
+def test_main_runs_on_one_blas_thread_and_restores(two_blas_threads,
+                                                   monkeypatch, capsys):
+    seen = []
+
+    def probe(args):
+        seen.append(_blas.thread_counts())
+        if args.n == 1:
+            raise DomainError("probe failure")
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_dispersion", probe)
+    assert main(["dispersion"]) == 0
+    assert _blas.thread_counts() == two_blas_threads
+    assert main(["dispersion", "--n", "1"]) == 2      # an error exit restores too
+    assert _blas.thread_counts() == two_blas_threads
+    assert seen == [[1] * len(two_blas_threads)] * 2
+
+
+def test_phase_diagram_workers_run_on_one_blas_thread(two_blas_threads,
+                                                      monkeypatch):
+    seen = []
+
+    class ProbedPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen.append(self.submit(_blas.thread_counts).result(timeout=60))
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", ProbedPool)
+    spec = SweepSpec(params_base=LatticeParams(n_sites=3, kappa=0.4,
+                                               bc=BoundaryCondition.Periodic),
+                     xi_grid=GridAxis(0.2, 0.2, 1), g_grid=GridAxis(0.4, 0.6, 2),
+                     n_random_seeds=4)
+    cells = phase_diagram(spec, workers=2)
+    assert [c.error for c in cells] == ["", ""]
+    assert seen == [[1] * len(two_blas_threads)]
+    assert _blas.thread_counts() == two_blas_threads

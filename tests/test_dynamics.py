@@ -153,3 +153,57 @@ def test_perturbed_normal_state_properties():
     assert s1.spin_defect() < 1e-15
     s3 = perturbed_normal_state(4, rng_seed=10, scale=1e-3)
     assert not np.array_equal(s1.pack(), s3.pack())
+
+
+# ---------------------------------------------------------------------------
+# rhs_packed and jacobian_packed against the block formulas they replaced
+
+def _rhs_reference(y, params, t_hop):
+    u, v, p, q, z = np.split(y, 5)
+    wc, wa, g, kap = params.omega_c, params.omega_a, params.g, params.kappa
+    du = -kap * u + wc * v - t_hop @ v
+    dv = -kap * v - wc * u + t_hop @ u - 2.0 * g * p
+    dp = wa * q
+    dq = -wa * p + 4.0 * g * u * z
+    dz = -4.0 * g * u * q
+    return np.concatenate([du, dv, dp, dq, dz])
+
+
+def _jacobian_reference(y, params, t_hop):
+    n = params.n_sites
+    u, q, z = y[0:n], y[3 * n:4 * n], y[4 * n:5 * n]
+    wc, wa, g, kap = params.omega_c, params.omega_a, params.g, params.kappa
+    i_n = np.eye(n)
+    zero = np.zeros((n, n))
+    return np.block([
+        [-kap * i_n, wc * i_n - t_hop, zero, zero, zero],
+        [-wc * i_n + t_hop, -kap * i_n, -2.0 * g * i_n, zero, zero],
+        [zero, zero, zero, wa * i_n, zero],
+        [4.0 * g * np.diag(z), zero, -wa * i_n, zero, 4.0 * g * np.diag(u)],
+        [-4.0 * g * np.diag(q), zero, zero, -4.0 * g * np.diag(u), zero],
+    ])
+
+
+def _same_bits(x, ref):
+    return (x.shape == ref.shape and np.array_equal(x, ref)
+            and np.array_equal(np.signbit(x), np.signbit(ref)))
+
+
+@pytest.mark.parametrize("bc", [PBC, OBC])
+@pytest.mark.parametrize("n", [2, 3, 30])
+def test_packed_rhs_and_jacobian_match_block_formulas(bc, n):
+    rng = np.random.default_rng(n)
+    for g, kappa in ((0.6, 0.4), (0.0, 0.0), (1.3, 0.05)):
+        params = LatticeParams(n_sites=n, kappa=kappa, xi=0.2, g=g,
+                               omega_a=0.9, bc=bc)
+        t_hop = hop_matrix(params)
+        for _ in range(3):
+            y = _random_sphere_state(rng, n).pack()
+            assert _same_bits(rhs_packed(y, params),
+                              _rhs_reference(y, params, t_hop))
+            assert _same_bits(jacobian_packed(y, params),
+                              _jacobian_reference(y, params, t_hop))
+        y = normal_state(n).pack()
+        assert _same_bits(rhs_packed(y, params), _rhs_reference(y, params, t_hop))
+        assert _same_bits(jacobian_packed(y, params),
+                          _jacobian_reference(y, params, t_hop))

@@ -8,6 +8,7 @@ from dickelattice import (NO_BRANCH, BoundaryCondition, BoundaryError,
                           no_homogeneous_witness, normal_state,
                           inverted_normal_state, perturbed_normal_state,
                           rhs_sup_norm, symmetry_orbit)
+from dickelattice import _blas, steady_state
 from dickelattice.steady_state import DEDUP_TOL
 
 PBC = BoundaryCondition.Periodic
@@ -185,3 +186,39 @@ def test_find_all_open_chain_known_profiles(roots_open):
             for image in symmetry_orbit(fp.state, OBC):
                 best = min(best, np.max(np.abs(image.a.real - np.array(target))))
         assert best < 2e-3, f"no root realizes Re(a) profile {target}"
+
+
+def _dedup_quadratic(points, dedup_tol):
+    """The greedy keep-first dedup find_all used to run: every point is
+    compared with every point kept before it."""
+    points = sorted(points, key=lambda fp: tuple(np.round(fp.state.pack(), 9)))
+    kept = []
+    for fp in points:
+        y = fp.state.pack()
+        if any(np.max(np.abs(y - k.state.pack())) < dedup_tol for k in kept):
+            continue
+        kept.append(fp)
+    return kept
+
+
+@pytest.mark.parametrize("params", [
+    P,
+    LatticeParams(n_sites=6, kappa=0.4, xi=0.2, g=0.8, bc=PBC),
+    P_OPEN,
+    LatticeParams(n_sites=30, kappa=0.4, xi=0.2, g=0.8, bc=OBC),
+], ids=["ring-3", "ring-6", "open-3", "open-30"])
+def test_windowed_dedup_matches_quadratic_oracle(params, monkeypatch):
+    inputs = []
+    windowed = steady_state._dedup
+
+    def recording(points, dedup_tol):
+        inputs.append(list(points))
+        return windowed(points, dedup_tol)
+
+    monkeypatch.setattr(steady_state, "_dedup", recording)
+    with _blas.one_thread():
+        result = find_all(params, rng_seed=0)
+    [points] = inputs
+    oracle = _dedup_quadratic(points, DEDUP_TOL)
+    assert len(result.roots) == len(oracle) < len(points)
+    assert all(fp is want for fp, want in zip(result.roots, oracle))

@@ -2,20 +2,25 @@
 
 The 150 x 150 solves and eigendecompositions of a 30-site lattice run
 several times slower under OpenBLAS's default threading than on one
-thread, so the command line and the sweep pool workers pin the OpenBLAS
-builds bundled with numpy (ILP64, symbol suffix 64_) and scipy to one
-thread and take their parallelism from worker processes.  A missing
-library or symbol is skipped.  Nothing is loaded at import time.
+thread, so the command line, the sweep pool workers and
+steady_state.find_all's Newton solves pin the OpenBLAS builds bundled
+with numpy (ILP64, symbol suffix 64_) and scipy to one thread and take
+their parallelism from worker processes.  A missing library or symbol is
+skipped.  Nothing is loaded at import time; the libraries are looked up
+once, on first use.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import glob
 import os
+import threading
 
 
+@functools.cache
 def _openblas():
     """(set, get) thread-count functions of each bundled OpenBLAS found."""
     import numpy
@@ -56,12 +61,29 @@ def pin_one_thread() -> None:
         setter(1)
 
 
+# open one_thread blocks in this process, and the counts the first saw
+_pin = {"depth": 0, "before": []}
+_pin_lock = threading.Lock()
+
+
 @contextlib.contextmanager
 def one_thread():
-    """One BLAS thread inside the block; the previous counts after it."""
-    before = thread_counts()
-    pin_one_thread()
+    """One BLAS thread inside the block; the previous counts after it.
+
+    Blocks may nest and may be open in several Python threads at once:
+    the counts seen on entering the first open block are restored when
+    the last open block exits, so none runs on more than one thread.
+    Counts set by hand while a block is open are overwritten then.
+    """
+    with _pin_lock:
+        if not _pin["depth"]:
+            _pin["before"] = thread_counts()
+            pin_one_thread()
+        _pin["depth"] += 1
     try:
         yield
     finally:
-        set_thread_counts(before)
+        with _pin_lock:
+            _pin["depth"] -= 1
+            if not _pin["depth"]:
+                set_thread_counts(_pin["before"])

@@ -49,10 +49,14 @@ def hop_matrix(params: LatticeParams) -> np.ndarray:
 
 
 def rhs_packed(y, params: LatticeParams, t_hop=None) -> np.ndarray:
+    """The flow at one packed state y, or at each row of a stack y of
+    shape (S, 5N); each row gets exactly the bits of a one-state call."""
     y = np.asarray(y, dtype=float)
     n = params.n_sites
     if y.shape != (5 * n,):
-        raise ShapeError(f"expected packed length {5 * n}, got shape {y.shape}")
+        if y.ndim != 2 or y.shape[1] != 5 * n:
+            raise ShapeError(f"expected packed length {5 * n}, got shape {y.shape}")
+        return _rhs_rows(y, params, hop_matrix(params) if t_hop is None else t_hop)
     if t_hop is None:
         t_hop = hop_matrix(params)
     u, v, p, q, z = y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n:4 * n], y[4 * n:]
@@ -63,6 +67,27 @@ def rhs_packed(y, params: LatticeParams, t_hop=None) -> np.ndarray:
     out[2 * n:3 * n] = wa * q
     out[3 * n:4 * n] = -wa * p + 4.0 * g * u * z
     out[4 * n:] = -4.0 * g * u * q
+    return out
+
+
+def _rhs_rows(y, params, t_hop):
+    # rhs_packed's expressions on the rows of a stack, with t_hop applied
+    # to each row as its own matrix-vector product (one matrix-matrix
+    # product rounds differently).  One body for both shapes would need
+    # y[..., :n] slicing, which made each one-state call 5-9% slower at
+    # N = 3 and 50 (2-CPU x86-64, OpenBLAS on one thread), and time
+    # integration makes tens of thousands of those calls.
+    n = params.n_sites
+    u, v, p, q, z = (y[:, :n], y[:, n:2 * n], y[:, 2 * n:3 * n],
+                     y[:, 3 * n:4 * n], y[:, 4 * n:])
+    wc, wa, g, kap = params.omega_c, params.omega_a, params.g, params.kappa
+    out = np.empty(y.shape)
+    out[:, :n] = -kap * u + wc * v - np.matmul(t_hop, v[:, :, None])[:, :, 0]
+    out[:, n:2 * n] = (-kap * v - wc * u
+                       + np.matmul(t_hop, u[:, :, None])[:, :, 0] - 2.0 * g * p)
+    out[:, 2 * n:3 * n] = wa * q
+    out[:, 3 * n:4 * n] = -wa * p + 4.0 * g * u * z
+    out[:, 4 * n:] = -4.0 * g * u * q
     return out
 
 
@@ -82,6 +107,13 @@ def rhs_sup_norm(state: MeanFieldState, params: LatticeParams) -> float:
     return float(np.max(np.abs(rhs_packed(state.pack(), params))))
 
 
+# The entries of the Jacobian that depend on the state, one per site j on
+# the diagonal of an N x N block: (block row, block column, coefficient,
+# block of y), e.g. d(Im s_j)/d(Re a_j) = 4 g z_j.  Every other entry,
+# the signed zeros of these blocks included, is the same at every state.
+_BILINEAR = ((3, 0, 4.0, 4), (3, 4, 4.0, 0), (4, 0, -4.0, 3), (4, 3, -4.0, 0))
+
+
 def jacobian_packed(y, params: LatticeParams, t_hop=None) -> np.ndarray:
     """Analytic 5N x 5N derivative of rhs_packed at y."""
     y = np.asarray(y, dtype=float)
@@ -90,23 +122,37 @@ def jacobian_packed(y, params: LatticeParams, t_hop=None) -> np.ndarray:
         raise ShapeError(f"expected packed length {5 * n}, got shape {y.shape}")
     if t_hop is None:
         t_hop = hop_matrix(params)
-    u = y[0:n]
-    q = y[3 * n:4 * n]
-    z = y[4 * n:5 * n]
     wc, wa, g, kap = params.omega_c, params.omega_a, params.g, params.kappa
     i_n = np.eye(n)
     j = np.zeros((5 * n, 5 * n))
-    # (block row, block column, value) of the nonzero n x n blocks
+    # (block row, block column, value) of the state-independent blocks
     blocks = (
         (0, 0, -kap * i_n), (0, 1, wc * i_n - t_hop),
         (1, 0, -wc * i_n + t_hop), (1, 1, -kap * i_n), (1, 2, -2.0 * g * i_n),
-        (2, 3, wa * i_n),
-        (3, 0, 4.0 * g * np.diag(z)), (3, 2, -wa * i_n), (3, 4, 4.0 * g * np.diag(u)),
-        (4, 0, -4.0 * g * np.diag(q)), (4, 3, -4.0 * g * np.diag(u)),
+        (2, 3, wa * i_n), (3, 2, -wa * i_n),
     )
+    blocks += tuple((r, c, coef * g * np.zeros((n, n)))
+                    for r, c, coef, _ in _BILINEAR)
     for r, c, block in blocks:
         j[r * n:(r + 1) * n, c * n:(c + 1) * n] = block
-    return j
+    return jacobian_fill(j[None], y[None], params)[0]
+
+
+def jacobian_fill(jac, y, params: LatticeParams, row_blocks: int = 5):
+    """The Jacobians at the rows of the stack y (S, 5N), written into jac[:S].
+
+    jac is a stack of jacobian_packed results of these params, at any
+    states; only the entries that depend on the state are written, in the
+    first row_blocks blocks of N rows.  Each written matrix has exactly
+    the bits of jacobian_packed at its row of y.
+    """
+    n = params.n_sites
+    i = np.arange(n)
+    out = jac[:len(y)]
+    for r, c, coef, b in _BILINEAR:
+        if r < row_blocks:
+            out[:, r * n + i, c * n + i] = coef * params.g * y[:, b * n:(b + 1) * n]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._blas import one_thread
 from .errors import (BoundaryError, DomainError, NotConverged, ShapeError,
                      SingularJacobian, UnstableWindowError)
-from .dynamics import hop_matrix, jacobian_packed, rhs_packed
+from .dynamics import hop_matrix, jacobian_fill, jacobian_packed, rhs_packed
 from .model import (BoundaryCondition, LatticeParams, MeanFieldState,
                     inverted_normal_state, normal_state, symmetry_orbit,
                     validate)
@@ -161,26 +162,143 @@ def no_homogeneous_witness(params: LatticeParams) -> HomogeneityWitness:
 # ---------------------------------------------------------------------------
 # constrained Newton
 
+SEED_SPIN_TOL = 1e-3    # largest spin-sphere defect of a Newton seed
+
+# Jacobian bytes of one Newton stack (256 KiB): all ~100 seeds of a cell
+# at N = 3, 13 at N = 10, one from N = 26 up.  Larger lattices gain
+# nothing from stacking their BLAS-bound solves, and 2 MiB stacks raised
+# the peak resident memory of the large_n benchmark (N = 30 and 50) by
+# 0.5 MB.
+_STACK_BYTES = 2 ** 18
+
+
 def _augmented(y, params, t_hop):
+    """The flow at each row of the stack y, with the inversion-rate
+    components replaced by the spin constraint |s|^2 + z^2 - 1/4."""
     n = params.n_sites
     f = rhs_packed(y, params, t_hop)
-    p, q, z = y[2 * n:3 * n], y[3 * n:4 * n], y[4 * n:5 * n]
-    f[4 * n:] = p * p + q * q + z * z - 0.25
+    p, q, z = y[:, 2 * n:3 * n], y[:, 3 * n:4 * n], y[:, 4 * n:]
+    f[:, 4 * n:] = p * p + q * q + z * z - 0.25
     return f
 
 
-def _augmented_jacobian(y, params, t_hop):
+def _jacobian_stack(jac, y, params):
+    """The augmented Jacobians at the rows of y, written into jac[:len(y)]:
+    the flow's first 4N rows, then the gradient 2 (Re s, Im s, z) of the
+    spin constraint.  jac is a stack of augmented Jacobians of these
+    params, at any states; only the entries that depend on the state are
+    written."""
     n = params.n_sites
-    j = jacobian_packed(y, params, t_hop)
-    p, q, z = y[2 * n:3 * n], y[3 * n:4 * n], y[4 * n:5 * n]
-    grad = np.hstack([np.zeros((n, 2 * n)),
-                      np.diag(2.0 * p), np.diag(2.0 * q), np.diag(2.0 * z)])
-    return np.vstack([j[:4 * n], grad])
+    i = np.arange(n)
+    out = jacobian_fill(jac, y, params, row_blocks=4)
+    for b in (2, 3, 4):
+        out[:, 4 * n + i, b * n + i] = 2.0 * y[:, b * n:(b + 1) * n]
+    return out
 
 
-def newton_solve(seed: MeanFieldState, params: LatticeParams, *,
+def _augmented_jacobian(y, params, t_hop):
+    """The augmented Jacobian at one packed state y."""
+    n = params.n_sites
+    jac = jacobian_packed(np.zeros(5 * n), params, t_hop)
+    jac[4 * n:] = 0.0
+    return _jacobian_stack(jac[None], np.asarray(y, dtype=float)[None], params)[0]
+
+
+def _row_norms(f):
+    # the 2-norm of each row, rounded as np.linalg.norm rounds one vector
+    # (a dot product, then its square root); np.linalg.norm(f, axis=1)
+    # sums the squares in another order
+    return np.sqrt(np.matmul(f[:, None, :], f[:, :, None])[:, 0, 0])
+
+
+def _newton_stack(seeds, params, t_hop, jac, newton_tol, max_iter, damping):
+    """Newton iteration on a stack of (state, tag) seeds.
+
+    Returns one FixedPoint or exception per seed, in order.  Each step
+    makes one batched solve over the seeds still iterating, and each
+    seed backtracks on its own; a seed leaves the stack once it has
+    converged or failed.  jac holds at least len(seeds) augmented
+    Jacobians of params, overwritten in place.
+    """
+    n = params.n_sites
+    out = [None] * len(seeds)
+    live = np.arange(len(seeds))           # seed index of each stack row
+    y = np.array([state.pack() for state, _ in seeds])
+    f = _augmented(y, params, t_hop)
+    done = []                              # (seed indices, states) converged
+    for it in range(max(max_iter, 0) + 1):
+        res = np.max(np.abs(f), axis=1)
+        ok = res <= newton_tol
+        done.append((live[ok], y[ok]))
+        if it >= max_iter:
+            for k, r in zip(live[~ok], res[~ok]):
+                out[k] = NotConverged(f"residual {r:.3g} > {newton_tol:g} "
+                                      f"after {max_iter} iterations")
+            break
+        live, y, f = live[~ok], y[~ok], f[~ok]
+        if not live.size:
+            break
+        jf = _jacobian_stack(jac, y, params)
+        keep = np.ones(live.size, bool)     # rows that stay in the stack
+        try:
+            step = np.linalg.solve(jf, f[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            # find the singular matrices one at a time
+            step = np.full_like(f, np.nan)
+            for r in range(live.size):
+                try:
+                    step[r] = np.linalg.solve(jf[r], f[r])
+                except np.linalg.LinAlgError as exc:
+                    out[live[r]] = SingularJacobian(
+                        f"singular Newton matrix: {exc}",
+                        cond=float(np.linalg.cond(jf[r])))
+                    keep[r] = False
+        for r in np.flatnonzero(keep & ~np.isfinite(step).all(axis=1)):
+            out[live[r]] = SingularJacobian(
+                "non-finite Newton step", cond=float(np.linalg.cond(jf[r])))
+            keep[r] = False
+
+        # backtracking: halve the step of each seed whose residual 2-norm
+        # did not fall; the seeds still in trial share one step length
+        f_norm = _row_norms(f)
+        alpha = 1.0
+        trial = np.flatnonzero(keep)
+        for _ in range(damping + 1):
+            y_new = y[trial] - alpha * step[trial]
+            f_new = _augmented(y_new, params, t_hop)
+            down = _row_norms(f_new) < f_norm[trial]
+            y[trial[down]], f[trial[down]] = y_new[down], f_new[down]
+            trial = trial[~down]
+            if not trial.size:
+                break
+            alpha *= 0.5
+        for r in trial:
+            out[live[r]] = NotConverged(
+                "backtracking could not reduce the residual")
+        keep[trial] = False
+        live, y, f = live[keep], y[keep], f[keep]
+
+    # the replaced inversion equations must vanish on their own
+    converged = np.concatenate([k for k, _ in done])
+    y = np.concatenate([states for _, states in done])
+    full = rhs_packed(y, params, t_hop)
+    inversion = np.max(np.abs(full[:, 4 * n:]), axis=1)
+    residual = np.max(np.abs(full), axis=1)
+    for k, y_k, inv, res in zip(converged, y, inversion, residual):
+        if inv > newton_tol:
+            out[k] = NotConverged(
+                f"inversion-rate residual {inv:.3g} survives the constraint "
+                "substitution (z = 0 degeneracy)")
+        else:
+            out[k] = FixedPoint(state=MeanFieldState.from_packed(y_k.copy()),
+                                residual=float(res), converged=True,
+                                seed_tag=seeds[k][1])
+    return out
+
+
+def newton_solve(seed: MeanFieldState | list, params: LatticeParams, *,
                  newton_tol: float = NEWTON_TOL, max_iter: int = MAX_ITER,
-                 damping: int = DAMPING, seed_tag: str = "seed") -> FixedPoint:
+                 damping: int = DAMPING, seed_tag: str = "seed"):
     """Damped Newton iteration on the constraint-augmented 5N system.
 
     Per site the unknowns are (Re a, Im a, Re s, Im s, z) and the
@@ -188,57 +306,43 @@ def newton_solve(seed: MeanFieldState, params: LatticeParams, *,
     |s|^2 + z^2 - 1/4 = 0.  Backtracking halves the step up to `damping`
     times whenever the 2-norm of the residual fails to decrease.
 
-    Raises NotConverged (budget exhausted, step rejected, or the replaced
-    inversion equation fails the post-check) or SingularJacobian.
+    seed is one MeanFieldState, or a list of (MeanFieldState, tag) pairs
+    that are solved together, in stacks of at most 256 KiB of Jacobians;
+    each seed takes exactly the steps it would take alone.
+
+    For one state, returns its FixedPoint (tagged seed_tag) or raises
+    NotConverged (budget exhausted, step rejected, or the replaced
+    inversion equation fails the post-check) or SingularJacobian.  For a
+    list, returns one entry per seed, in order: its FixedPoint, or the
+    NotConverged or SingularJacobian it would have raised.  A seed of
+    the wrong size or off the spin sphere by more than SEED_SPIN_TOL
+    raises ShapeError or DomainError for the whole call.
     """
     validate(params)
-    if seed.n != params.n_sites:
-        raise ShapeError(f"seed has {seed.n} sites, params expect {params.n_sites}")
-    if seed.spin_defect() > 1e-3:
-        raise DomainError(
-            f"seed is off the spin sphere by {seed.spin_defect():.3g} (> 1e-3)")
-
+    single = isinstance(seed, MeanFieldState)
+    seeds = [(seed, seed_tag)] if single else list(seed)
     n = params.n_sites
-    t_hop = hop_matrix(params)
-    y = seed.pack()
-    f = _augmented(y, params, t_hop)
-    for _ in range(max_iter):
-        if np.max(np.abs(f)) <= newton_tol:
-            break
-        jf = _augmented_jacobian(y, params, t_hop)
-        try:
-            step = np.linalg.solve(jf, f)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(f"singular Newton matrix: {exc}",
-                                   cond=float(np.linalg.cond(jf))) from exc
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobian("non-finite Newton step",
-                                   cond=float(np.linalg.cond(jf)))
-        f_norm = np.linalg.norm(f)
-        alpha = 1.0
-        for _ in range(damping + 1):
-            y_new = y - alpha * step
-            f_new = _augmented(y_new, params, t_hop)
-            if np.linalg.norm(f_new) < f_norm:
-                break
-            alpha *= 0.5
-        else:
-            raise NotConverged("backtracking could not reduce the residual")
-        y, f = y_new, f_new
-    if np.max(np.abs(f)) > newton_tol:
-        raise NotConverged(
-            f"residual {np.max(np.abs(f)):.3g} > {newton_tol:g} "
-            f"after {max_iter} iterations")
+    for state, _ in seeds:
+        if state.n != n:
+            raise ShapeError(f"seed has {state.n} sites, params expect {n}")
+        defect = state.spin_defect()
+        if defect > SEED_SPIN_TOL:
+            raise DomainError(f"seed is off the spin sphere by {defect:.3g} "
+                              f"(> SEED_SPIN_TOL = {SEED_SPIN_TOL:g})")
 
-    # the replaced inversion equations must vanish on their own
-    full = rhs_packed(y, params, t_hop)
-    if np.max(np.abs(full[4 * n:])) > newton_tol:
-        raise NotConverged(
-            f"inversion-rate residual {np.max(np.abs(full[4 * n:])):.3g} "
-            "survives the constraint substitution (z = 0 degeneracy)")
-    return FixedPoint(state=MeanFieldState.from_packed(y),
-                      residual=float(np.max(np.abs(full))),
-                      converged=True, seed_tag=seed_tag)
+    t_hop = hop_matrix(params)
+    size = max(1, _STACK_BYTES // (8 * (5 * n) ** 2))
+    template = _augmented_jacobian(np.zeros(5 * n), params, t_hop)
+    jac = np.repeat(template[None], min(size, len(seeds)), axis=0)
+    out = []
+    for start in range(0, len(seeds), size):
+        out += _newton_stack(seeds[start:start + size], params, t_hop, jac,
+                             newton_tol, max_iter, damping)
+    if not single:
+        return out
+    if isinstance(out[0], Exception):
+        raise out[0]
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -366,22 +470,18 @@ def find_all(params: LatticeParams, *, n_random_seeds: int = N_RANDOM_SEEDS,
     returned point's `orbit` is the index of the converged root it is an
     image of, so points sharing it share one spectrum.
 
+    All seeds go to one newton_solve call, run with BLAS on one thread
+    whatever the caller's threading, so the roots do not depend on it.
     Non-convergent seeds are dropped and counted in seed_metadata.
     """
     validate(params)
     rng = np.random.default_rng(rng_seed)
     seeds = _seed_list(params, n_random_seeds, rng)
 
-    converged = []
-    n_failed = 0
-    for seed_state, tag in seeds:
-        try:
-            converged.append(newton_solve(seed_state, params,
-                                          newton_tol=newton_tol,
-                                          max_iter=max_iter, damping=damping,
-                                          seed_tag=tag))
-        except (NotConverged, SingularJacobian):
-            n_failed += 1
+    with one_thread():
+        results = newton_solve(seeds, params, newton_tol=newton_tol,
+                               max_iter=max_iter, damping=damping)
+    converged = [fp for fp in results if isinstance(fp, FixedPoint)]
 
     expanded = []
     for k, fp in enumerate(converged):
@@ -396,7 +496,7 @@ def find_all(params: LatticeParams, *, n_random_seeds: int = N_RANDOM_SEEDS,
     meta = {
         "n_seeds": len(seeds),
         "n_converged": len(converged),
-        "n_failed": n_failed,
+        "n_failed": len(seeds) - len(converged),
         "n_random_seeds": n_random_seeds,
         "rng_seed": rng_seed,
         "dedup_tol": dedup_tol,

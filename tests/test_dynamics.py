@@ -9,6 +9,7 @@ from dickelattice import (BoundaryCondition, DomainError, LatticeParams,
                           inverted_normal_state, perturbed_normal_state,
                           reflect, relax_to_steady, rhs, rhs_packed,
                           rhs_sup_norm, z2_flip)
+from dickelattice.dynamics import jacobian_fill
 
 PBC = BoundaryCondition.Periodic
 OBC = BoundaryCondition.Open
@@ -207,3 +208,32 @@ def test_packed_rhs_and_jacobian_match_block_formulas(bc, n):
         assert _same_bits(rhs_packed(y, params), _rhs_reference(y, params, t_hop))
         assert _same_bits(jacobian_packed(y, params),
                           _jacobian_reference(y, params, t_hop))
+
+
+@pytest.mark.parametrize("bc", [PBC, OBC])
+@pytest.mark.parametrize("n", [2, 3, 30])
+def test_stacked_rhs_and_jacobian_match_one_state_calls(bc, n):
+    rng = np.random.default_rng(100 + n)
+    rows = [_random_sphere_state(rng, n).pack() for _ in range(5)]
+    rows += [normal_state(n).pack(), np.zeros(5 * n), -np.zeros(5 * n)]
+    y = np.array(rows)
+    for g, kappa in ((0.6, 0.4), (0.0, 0.0), (1.3, 0.05)):
+        params = LatticeParams(n_sites=n, kappa=kappa, xi=0.2, g=g,
+                               omega_a=0.9, bc=bc)
+        flow = rhs_packed(y, params)
+        assert flow.shape == y.shape
+        # a stack that held Jacobians at other states
+        jac = np.array([jacobian_packed(y_k, params) for y_k in y[::-1]] * 2)
+        jacobians = jacobian_fill(jac, y, params)
+        assert jacobians.shape == (len(y), 5 * n, 5 * n)
+        for k, y_k in enumerate(y):
+            assert _same_bits(flow[k], rhs_packed(y_k, params))
+            assert _same_bits(jacobians[k], jacobian_packed(y_k, params))
+            assert _same_bits(jacobians[k], _jacobian_reference(
+                y_k, params, hop_matrix(params)))
+
+
+@pytest.mark.parametrize("shape", [(14,), (16,), (2, 14), (2, 3, 15), ()])
+def test_rhs_packed_rejects_other_shapes(shape):
+    with pytest.raises(ShapeError):
+        rhs_packed(np.zeros(shape), P)

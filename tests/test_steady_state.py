@@ -1,15 +1,20 @@
+import threading
+
 import numpy as np
 import pytest
 
 from dickelattice import (NO_BRANCH, BoundaryCondition, BoundaryError,
-                          DomainError, LatticeParams, UnstableWindowError,
-                          critical_coupling_np, find_all,
-                          homogeneous_srp_branch, newton_solve,
+                          DomainError, FixedPoint, LatticeParams,
+                          MeanFieldState, NotConverged, SingularJacobian,
+                          UnstableWindowError, critical_coupling_np, find_all,
+                          homogeneous_srp_branch, hop_matrix,
+                          jacobian_packed, newton_solve,
                           no_homogeneous_witness, normal_state,
                           inverted_normal_state, perturbed_normal_state,
-                          rhs_sup_norm, symmetry_orbit)
+                          rhs_packed, rhs_sup_norm, symmetry_orbit)
 from dickelattice import _blas, steady_state
-from dickelattice.steady_state import DEDUP_TOL
+from dickelattice.steady_state import (DEDUP_TOL, N_RANDOM_SEEDS,
+                                       _augmented_jacobian, _seed_list)
 
 PBC = BoundaryCondition.Periodic
 OBC = BoundaryCondition.Open
@@ -114,6 +119,13 @@ def test_newton_rejects_off_sphere_seed():
     bad = bad.__class__(a=bad.a, s=bad.s, z=np.full(3, -0.4))
     with pytest.raises(DomainError):
         newton_solve(bad, P)
+
+
+def test_newton_rejects_a_list_holding_an_off_sphere_seed():
+    bad = MeanFieldState(a=np.zeros(3, complex), s=np.zeros(3, complex),
+                         z=np.full(3, -0.4))
+    with pytest.raises(DomainError):
+        newton_solve([(normal_state(3), "good"), (bad, "bad")], P)
 
 
 # ---------------------------------------------------------------------------
@@ -222,3 +234,266 @@ def test_windowed_dedup_matches_quadratic_oracle(params, monkeypatch):
     oracle = _dedup_quadratic(points, DEDUP_TOL)
     assert len(result.roots) == len(oracle) < len(points)
     assert all(fp is want for fp, want in zip(result.roots, oracle))
+
+
+# ---------------------------------------------------------------------------
+# stacked Newton against the one-seed loop it replaced
+
+def _augmented_one(y, params, t_hop):
+    n = params.n_sites
+    f = rhs_packed(y, params, t_hop)
+    p, q, z = y[2 * n:3 * n], y[3 * n:4 * n], y[4 * n:5 * n]
+    f[4 * n:] = p * p + q * q + z * z - 0.25
+    return f
+
+
+def _augmented_jacobian_one(y, params, t_hop):
+    n = params.n_sites
+    j = jacobian_packed(y, params, t_hop)
+    p, q, z = y[2 * n:3 * n], y[3 * n:4 * n], y[4 * n:5 * n]
+    grad = np.hstack([np.zeros((n, 2 * n)),
+                      np.diag(2.0 * p), np.diag(2.0 * q), np.diag(2.0 * z)])
+    return np.vstack([j[:4 * n], grad])
+
+
+@pytest.mark.parametrize("bc", [PBC, OBC])
+@pytest.mark.parametrize("n", [2, 3, 30])
+def test_stacked_residual_and_jacobian_match_one_state(bc, n):
+    rng = np.random.default_rng(200 + n)
+    rows = [steady_state._random_seed(rng, n).pack() for _ in range(5)]
+    rows += [normal_state(n).pack(), np.zeros(5 * n), -np.zeros(5 * n)]
+    y = np.array(rows)
+    for g, kappa in ((0.6, 0.4), (0.0, 0.0), (1.3, 0.05)):
+        params = LatticeParams(n_sites=n, kappa=kappa, xi=0.2, g=g,
+                               omega_a=0.9, bc=bc)
+        t_hop = hop_matrix(params)
+        augmented = steady_state._augmented(y, params, t_hop)
+        # a stack that held other Jacobians: only the varying diagonals move
+        jac = np.repeat(_augmented_jacobian(np.zeros(5 * n), params, t_hop)[None],
+                        len(y) + 2, axis=0)
+        steady_state._jacobian_stack(jac, y[::-1], params)
+        jacobians = steady_state._jacobian_stack(jac, y, params)
+        assert augmented.shape == y.shape
+        assert jacobians.shape == (len(y), 5 * n, 5 * n)
+        for k, y_k in enumerate(y):
+            # tobytes compares every bit, the signs of zeros included
+            assert augmented[k].tobytes() == \
+                _augmented_one(y_k, params, t_hop).tobytes()
+            want = _augmented_jacobian_one(y_k, params, t_hop).tobytes()
+            assert jacobians[k].tobytes() == want
+            assert _augmented_jacobian(y_k, params, t_hop).tobytes() == want
+
+
+def _newton_solve_reference(seed, params, *, newton_tol=steady_state.NEWTON_TOL,
+                            max_iter=steady_state.MAX_ITER,
+                            damping=steady_state.DAMPING, seed_tag="seed"):
+    """The damped Newton iteration newton_solve used to run on one seed."""
+    n = params.n_sites
+    t_hop = hop_matrix(params)
+    y = seed.pack()
+    f = _augmented_one(y, params, t_hop)
+    for _ in range(max_iter):
+        if np.max(np.abs(f)) <= newton_tol:
+            break
+        jf = _augmented_jacobian_one(y, params, t_hop)
+        try:
+            step = np.linalg.solve(jf, f)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobian(f"singular Newton matrix: {exc}",
+                                   cond=float(np.linalg.cond(jf))) from exc
+        if not np.all(np.isfinite(step)):
+            raise SingularJacobian("non-finite Newton step",
+                                   cond=float(np.linalg.cond(jf)))
+        f_norm = np.linalg.norm(f)
+        alpha = 1.0
+        for _ in range(damping + 1):
+            y_new = y - alpha * step
+            f_new = _augmented_one(y_new, params, t_hop)
+            if np.linalg.norm(f_new) < f_norm:
+                break
+            alpha *= 0.5
+        else:
+            raise NotConverged("backtracking could not reduce the residual")
+        y, f = y_new, f_new
+    if np.max(np.abs(f)) > newton_tol:
+        raise NotConverged(
+            f"residual {np.max(np.abs(f)):.3g} > {newton_tol:g} "
+            f"after {max_iter} iterations")
+    full = rhs_packed(y, params, t_hop)
+    if np.max(np.abs(full[4 * n:])) > newton_tol:
+        raise NotConverged(
+            f"inversion-rate residual {np.max(np.abs(full[4 * n:])):.3g} "
+            "survives the constraint substitution (z = 0 degeneracy)")
+    return FixedPoint(state=MeanFieldState.from_packed(y),
+                      residual=float(np.max(np.abs(full))),
+                      converged=True, seed_tag=seed_tag)
+
+
+def _reference_outcomes(seeds, params, **kw):
+    out = []
+    for state, tag in seeds:
+        try:
+            out.append(_newton_solve_reference(state, params, seed_tag=tag, **kw))
+        except (NotConverged, SingularJacobian) as exc:
+            out.append(exc)
+    return out
+
+
+def _assert_same_outcomes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        if isinstance(w, FixedPoint):
+            assert g.state.pack().tobytes() == w.state.pack().tobytes()
+            assert (g.residual, g.seed_tag) == (w.residual, w.seed_tag)
+            assert g.converged and g.orbit is None
+        else:
+            assert str(g) == str(w)
+            if isinstance(w, SingularJacobian):
+                assert g.cond == w.cond
+
+
+def _oracle_params():
+    grid = [LatticeParams(n_sites=3, kappa=0.4, xi=xi, g=g, bc=bc)
+            for bc in (PBC, OBC)
+            for xi in np.linspace(0.0, 0.45, 4)
+            for g in np.linspace(0.3, 1.1, 4)]
+    return grid + [LatticeParams(n_sites=6, kappa=0.4, xi=0.2, g=0.8, bc=PBC),
+                   LatticeParams(n_sites=30, kappa=0.4, xi=0.2, g=0.8, bc=OBC)]
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """Every seed find_all starts from on the 4 x 4 three-site grid of
+    both boundary conditions, ring N = 6 and open chain N = 30, with the
+    one-seed loop's outcome for each."""
+    with _blas.one_thread():
+        cases = []
+        for params in _oracle_params():
+            seeds = _seed_list(params, N_RANDOM_SEEDS, np.random.default_rng(0))
+            cases.append((params, seeds, _reference_outcomes(seeds, params)))
+    return cases
+
+
+@pytest.mark.parametrize("stack_bytes", [steady_state._STACK_BYTES, 2 ** 21, 1],
+                         ids=["default", "2MiB", "one-seed-stacks"])
+def test_stacked_newton_matches_one_seed_loop(oracle_cases, stack_bytes,
+                                             monkeypatch):
+    monkeypatch.setattr(steady_state, "_STACK_BYTES", stack_bytes)
+    kinds = set()
+    with _blas.one_thread():
+        for params, seeds, want in oracle_cases:
+            _assert_same_outcomes(newton_solve(seeds, params), want)
+            kinds |= {type(w) for w in want}
+    # the grid reaches converged roots and both kinds of NotConverged
+    assert {FixedPoint, NotConverged} <= kinds
+
+
+@pytest.mark.parametrize("max_iter, damping", [(-1, 30), (0, 30), (3, 30),
+                                               (100, 0), (6, 1)])
+def test_stacked_newton_budgets_match_one_seed_loop(max_iter, damping):
+    params = LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.8, bc=PBC)
+    seeds = _seed_list(params, 16, np.random.default_rng(1))
+    with _blas.one_thread():
+        want = _reference_outcomes(seeds, params, max_iter=max_iter,
+                                   damping=damping)
+        got = newton_solve(seeds, params, max_iter=max_iter, damping=damping)
+    _assert_same_outcomes(got, want)
+    assert any(isinstance(w, NotConverged) for w in want)
+
+
+def test_one_state_newton_returns_or_raises_like_one_seed_loop(oracle_cases):
+    params, seeds, want = next(c for c in oracle_cases if c[0].n_sites == 6)
+    with _blas.one_thread():
+        for (state, tag), w in zip(seeds, want):
+            try:
+                got = newton_solve(state, params, seed_tag=tag)
+            except (NotConverged, SingularJacobian) as exc:
+                got = exc
+            _assert_same_outcomes([got], [w])
+
+
+def test_stacked_newton_isolates_singular_seeds():
+    # at g = 0 the spin block of the augmented Jacobian has determinant
+    # 2 omega_a^2 z per site, so a seed with a site on the equator is singular
+    params = LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.0, bc=PBC)
+    equator = MeanFieldState(a=np.full(3, 0.1 + 0j),
+                             s=np.array([0.5, 0.3 + 0.4j, 0.3j]),
+                             z=np.array([0.0, 0.0, -0.4]))
+    rng = np.random.default_rng(5)
+    seeds = [(normal_state(3), "normal"), (equator, "equator")]
+    seeds += [(steady_state._random_seed(rng, 3), f"random {i}") for i in range(4)]
+    with _blas.one_thread():
+        want = _reference_outcomes(seeds, params)
+        got = newton_solve(seeds, params)
+        with pytest.raises(SingularJacobian) as exc:
+            newton_solve(equator, params)
+    assert isinstance(want[1], SingularJacobian)
+    assert sum(isinstance(w, FixedPoint) for w in want) >= 1
+    _assert_same_outcomes(got, want)
+    _assert_same_outcomes([exc.value], [want[1]])
+
+
+def test_find_all_runs_newton_on_one_blas_thread(two_blas_threads):
+    params = LatticeParams(n_sites=30, kappa=0.4, xi=0.2, g=0.8, bc=OBC)
+    at_two = find_all(params, rng_seed=0)
+    with _blas.one_thread():
+        at_one = find_all(params, rng_seed=0)
+    assert _blas.thread_counts() == two_blas_threads
+    assert at_two.seed_metadata == at_one.seed_metadata
+    assert [fp.state.pack().tobytes() for fp in at_two] == \
+        [fp.state.pack().tobytes() for fp in at_one]
+    assert [(fp.residual, fp.seed_tag, fp.orbit) for fp in at_two] == \
+        [(fp.residual, fp.seed_tag, fp.orbit) for fp in at_one]
+
+
+def test_one_thread_blocks_open_in_two_threads(two_blas_threads):
+    # thread a enters, thread b enters, a leaves while b is still inside:
+    # b must stay on one thread, and the counts come back when b leaves
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = []
+
+    def a():
+        with _blas.one_thread():
+            a_in.set()
+            b_in.wait(60)
+        a_out.set()
+
+    def b():
+        a_in.wait(60)
+        with _blas.one_thread():
+            b_in.set()
+            a_out.wait(60)
+            seen.append(_blas.thread_counts())
+
+    threads = [threading.Thread(target=a), threading.Thread(target=b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+    assert seen == [[1] * len(two_blas_threads)]
+    assert _blas.thread_counts() == two_blas_threads
+
+
+def test_find_all_from_two_threads(two_blas_threads):
+    cells = [LatticeParams(n_sites=3, kappa=0.4, xi=xi, g=g, bc=bc)
+             for bc in (PBC, OBC) for xi, g in ((0.1, 0.5), (0.3, 0.9))]
+    with _blas.one_thread():
+        want = [[fp.state.pack().tobytes() for fp in find_all(c, rng_seed=0)]
+                for c in cells]
+    got = {}
+    start = threading.Barrier(2)
+
+    def run(k):
+        start.wait(60)
+        for _ in range(3):
+            got[k] = [[fp.state.pack().tobytes() for fp in find_all(c, rng_seed=0)]
+                      for c in cells]
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(120)
+    assert got == {0: want, 1: want}
+    assert _blas.thread_counts() == two_blas_threads

@@ -1,0 +1,48 @@
+"""Projected one-core time of the 140 x 140 three-site phase diagram.
+
+Times a 400-cell sample of the full grid (xi 0-0.45, g 0.3-1.1, kappa
+0.4): every 7th xi index from 3 and every 7th g index from 5, per
+boundary condition.  Each cell runs serially through the sweep's own cell
+function with the sweep's own per-cell seed and BLAS on one thread, so
+the mean time per cell times 140 x 140 projects the diagram's one-core
+wall time.
+
+    PYTHONPATH=src python3 scripts/cell_sample.py
+"""
+
+import argparse
+import time
+
+from dickelattice import BoundaryCondition, GridAxis, LatticeParams, SweepSpec
+from dickelattice._blas import one_thread
+from dickelattice.sweep import DEFAULT_STEPS, _compute_cell
+
+STRIDE = 7
+XI_START, G_START = 3, 5
+
+
+def main():
+    argparse.ArgumentParser(description=__doc__).parse_args()
+
+    steps = DEFAULT_STEPS
+    with one_thread():
+        for bc in (BoundaryCondition.Periodic, BoundaryCondition.Open):
+            spec = SweepSpec(
+                params_base=LatticeParams(n_sites=3, kappa=0.4, g=0.5, xi=0.2,
+                                          bc=bc),
+                xi_grid=GridAxis(0.0, 0.45, steps),
+                g_grid=GridAxis(0.3, 1.1, steps))
+            xi, g = spec.xi_grid.values(), spec.g_grid.values()
+            jobs = [(spec, i, j, xi[i], g[j])
+                    for i in range(XI_START, steps, STRIDE)
+                    for j in range(G_START, steps, STRIDE)]
+            start = time.perf_counter()
+            errors = sum(bool(_compute_cell(job).error) for job in jobs)
+            ms = 1e3 * (time.perf_counter() - start) / len(jobs)
+            print(f"{bc.value:>8}: {len(jobs)} cells, {errors} errors, "
+                  f"{ms:.1f} ms/cell; {steps} x {steps} on one core: "
+                  f"{ms * steps * steps / 60e3:.1f} min")
+
+
+if __name__ == "__main__":
+    main()

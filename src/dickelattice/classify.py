@@ -21,8 +21,9 @@ import numpy as np
 
 from .errors import ZeroModeMismatch
 from .model import (BoundaryCondition, LatticeParams, MeanFieldState,
-                    params_to_jsonable, state_to_jsonable, symmetry_orbit)
-from .steady_state import FixedPoint, RootSearchResult, _as_state
+                    orbit_image, params_to_jsonable, state_to_jsonable,
+                    symmetry_orbit)
+from .steady_state import RootSearchResult, _as_state
 from .stability import StabilityReport, Verdict, classify as stability_classify
 
 EPS_PATTERN = 1e-5
@@ -140,22 +141,15 @@ def _lex_less(x, y, tol):
 
 
 def canonicalize(fp, params: LatticeParams, tol: float = CANON_TOL) -> MeanFieldState:
-    """Smallest orbit member under a fixed coordinate-wise total order.
-
-    The orbit is sign flip x cyclic shifts (ring) or sign flip x
-    reflection (open chain); orbit members of one numeric root are exact
-    images, so the minimum is well defined up to tol.
-    """
-    if isinstance(fp, FixedPoint) and not fp.converged:
-        raise ValueError("canonicalize requires a converged fixed point")
+    """Smallest member of the symmetry_orbit under a fixed coordinate-wise
+    total order; orbit members of one numeric root are exact images, so
+    the minimum is well defined up to tol."""
     state = _as_state(fp)
-    best = state
-    best_y = state.pack()
-    for cand in symmetry_orbit(state, params.bc)[1:]:
-        y = cand.pack()
-        if _lex_less(y, best_y, tol):
-            best, best_y = cand, y
-    return best
+    images, best = symmetry_orbit(state.pack()[None], params.bc), 0
+    for k in range(1, len(images)):
+        if _lex_less(images[k], images[best], tol):
+            best = k
+    return orbit_image(state, best, params.bc)
 
 
 @dataclass

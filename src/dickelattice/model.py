@@ -10,6 +10,7 @@ anywhere in the package.  Physical spin states live on the sphere
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +112,7 @@ class MeanFieldState:
         y = np.asarray(y, dtype=float)
         if y.ndim != 1 or y.size % 5 != 0:
             raise ShapeError(f"packed vector must have length 5N, got shape {y.shape}")
-        u, v, p, q, z = np.split(y, 5)
+        u, v, p, q, z = y.reshape(5, -1)
         return cls(a=u + 1j * v, s=p + 1j * q, z=z)
 
     def spin_defect(self) -> float:
@@ -139,34 +140,45 @@ def inverted_normal_state(n_sites: int) -> MeanFieldState:
 # ---------------------------------------------------------------------------
 # symmetry operations
 
-def z2_flip(state: MeanFieldState) -> MeanFieldState:
-    """(a, s, z) -> (-a, -s, z), the broken symmetry of the superradiant onset."""
-    return MeanFieldState(a=-state.a, s=-state.s, z=state.z)
+@functools.cache
+def symmetry_group(n_sites: int, bc: BoundaryCondition):
+    """The sign flip times the lattice symmetry group as signed
+    permutations of the packed 5N vector, y -> y[perm[k]] * sign[k]: the
+    cyclic shifts by 0..N-1 sites (ring) or identity and reflection (open
+    chain), then each of them times the flip (a, s) -> (-a, -s).  The
+    identity comes first; perm and sign are read-only, of shape (G, 5N)."""
+    sites = np.arange(n_sites)
+    spatial = ([np.roll(sites, r) for r in range(n_sites)]
+               if bc is BoundaryCondition.Periodic else [sites, sites[::-1]])
+    perm = np.tile(spatial * 2, 5) + np.arange(5 * n_sites) // n_sites * n_sites
+    sign = np.ones(perm.shape)
+    sign[len(spatial):, :4 * n_sites] = -1.0
+    perm.flags.writeable = sign.flags.writeable = False
+    return perm, sign
 
 
-def cyclic_shift(state: MeanFieldState, r: int = 1) -> MeanFieldState:
-    """Shift site j to site j+r (ring geometry)."""
-    return MeanFieldState(
-        a=np.roll(state.a, r), s=np.roll(state.s, r), z=np.roll(state.z, r))
+def orbit_image(state: MeanFieldState, k: int, bc: BoundaryCondition):
+    """The image of state under element k of symmetry_group."""
+    perm, sign = symmetry_group(state.n, bc)
+    site, a, s = perm[k, :state.n], state.a, state.s
+    if sign[k, 0] < 0:
+        a, s = -a, -s
+    return MeanFieldState(a=a[site], s=s[site], z=state.z[site])
 
 
-def reflect(state: MeanFieldState) -> MeanFieldState:
-    """Reverse the site order, j -> N+1-j."""
-    return MeanFieldState(a=state.a[::-1], s=state.s[::-1], z=state.z[::-1])
-
-
-def symmetry_orbit(state: MeanFieldState, bc: BoundaryCondition):
-    """All images of state under the sign flip times the lattice symmetry group.
-
-    Ring: flip x cyclic shifts, 2N images.  Open chain: flip x reflection,
-    4 images.  The identity image comes first; duplicates are not removed
-    (symmetric states produce coinciding images).
-    """
-    if bc is BoundaryCondition.Periodic:
-        spatial = [cyclic_shift(state, r) for r in range(state.n)]
-    else:
-        spatial = [state, reflect(state)]
-    return spatial + [z2_flip(x) for x in spatial]
+def symmetry_orbit(state, bc: BoundaryCondition):
+    """All images of state under symmetry_group, identity first: for a
+    MeanFieldState the image states, for a stack of packed states of shape
+    (R, 5N) the (R G, 5N) image rows, root by root.  Ring: 2N images, open
+    chain: 4.  Symmetric states have coinciding images, all kept."""
+    if isinstance(state, MeanFieldState):
+        return [orbit_image(state, k, bc)
+                for k in range(len(symmetry_group(state.n, bc)[0]))]
+    y = np.asarray(state, dtype=float)
+    if y.ndim != 2 or y.shape[1] % 5:
+        raise ShapeError(f"packed stack must have shape (R, 5N), got {y.shape}")
+    perm, sign = symmetry_group(y.shape[1] // 5, bc)
+    return (y[:, perm] * sign).reshape(-1, y.shape[1])
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from .errors import (BoundaryError, DomainError, NotConverged, ShapeError,
                      SingularJacobian, UnstableWindowError)
 from .dynamics import hop_matrix, jacobian_fill, jacobian_packed, rhs_packed
 from .model import (BoundaryCondition, LatticeParams, MeanFieldState,
-                    inverted_normal_state, normal_state, symmetry_orbit,
-                    validate)
+                    inverted_normal_state, normal_state, orbit_image,
+                    symmetry_group, symmetry_orbit, validate)
 
 NEWTON_TOL = 1e-11
 MAX_ITER = 100
@@ -409,31 +409,30 @@ def _seed_list(params, n_random_seeds, rng):
     return seeds
 
 
-def _dedup(points, dedup_tol):
-    """Sort deterministically, then keep each point farther than dedup_tol
-    (sup norm) from every point kept before it.
-
-    The sort key starts with the first coordinate rounded to 1e-9, so
-    kept points come in ascending order of it, and a kept point within
-    dedup_tol of this one has a first key coordinate less than
-    dedup_tol + 1e-9 below this one's.  Only the kept points in that
-    window (plus slack) are compared, which keeps exactly the points the
-    all-pairs comparison keeps.
-    """
-    packs = [fp.state.pack() for fp in points]
-    keys = [tuple(np.round(y, 9)) for y in packs]
-    order = sorted(range(len(points)), key=keys.__getitem__)
-    window = dedup_tol + 1e-8
-    kept, kept_first, kept_packs = [], [], []
-    for i in order:
-        y = packs[i]
-        lo = bisect_left(kept_first, keys[i][0] - window)
-        if any(np.max(np.abs(y - kept_packs[m])) < dedup_tol
-               for m in range(lo, len(kept))):
+def _dedup(rows, dedup_tol):
+    """Keep-first dedup: sort the rows by their coordinates rounded to 1e-9,
+    keep each row farther than dedup_tol (sup norm) from every row kept
+    before it, and return the kept indices.  Only kept rows whose first
+    rounded coordinate is at most dedup_tol + 1e-8 below this row's are
+    searched, after the kept first row of its run of equal rounded rows."""
+    keys = np.round(rows, 9)
+    order = np.lexsort(keys.T[::-1])
+    # whether each row is within dedup_tol of its run's first row
+    head = np.r_[True, (keys[order[1:]] != keys[order[:-1]]).any(axis=1)]
+    first = order[np.maximum.accumulate(np.where(head, np.arange(len(order)), 0))]
+    near = np.abs(rows[order] - rows[first]).max(axis=1) < dedup_tol
+    kept, kept_first = [], []
+    for i, i_head, i_near in zip(order.tolist(), head.tolist(), near.tolist()):
+        if i_head:
+            head_kept = False
+        elif head_kept and i_near:
             continue
-        kept.append(points[i])
-        kept_first.append(keys[i][0])
-        kept_packs.append(y)
+        lo = bisect_left(kept_first, keys[i, 0] - (dedup_tol + 1e-8))
+        if (np.abs(rows[kept[lo:]] - rows[i]).max(axis=1) < dedup_tol).any():
+            continue
+        head_kept |= i_head
+        kept.append(i)
+        kept_first.append(keys[i, 0])
     return kept
 
 
@@ -475,30 +474,25 @@ def find_all(params: LatticeParams, *, n_random_seeds: int = N_RANDOM_SEEDS,
     Non-convergent seeds are dropped and counted in seed_metadata.
     """
     validate(params)
-    rng = np.random.default_rng(rng_seed)
-    seeds = _seed_list(params, n_random_seeds, rng)
-
+    seeds = _seed_list(params, n_random_seeds, np.random.default_rng(rng_seed))
     with one_thread():
         results = newton_solve(seeds, params, newton_tol=newton_tol,
                                max_iter=max_iter, damping=damping)
     converged = [fp for fp in results if isinstance(fp, FixedPoint)]
 
-    expanded = []
-    for k, fp in enumerate(converged):
-        images = symmetry_orbit(fp.state, params.bc)
-        expanded.append(replace(fp, orbit=k))     # identity image keeps its tag
-        for img in images[1:]:
-            expanded.append(FixedPoint(state=img, residual=fp.residual,
-                                       converged=True, seed_tag="symmetry image",
-                                       orbit=k))
-    roots = _dedup(expanded, dedup_tol)
+    # every image of every root as a row, root by root, identity first
+    n, group = params.n_sites, len(symmetry_group(params.n_sites, params.bc)[0])
+    packs = np.array([fp.state.pack() for fp in converged]).reshape(-1, 5 * n)
+    roots = []
+    for i in _dedup(symmetry_orbit(packs, params.bc), dedup_tol):
+        k, g = divmod(i, group)
+        fp = replace(converged[k], orbit=k)     # the root keeps its own tag
+        roots.append(fp if g == 0 else replace(
+            fp, state=orbit_image(fp.state, g, params.bc),
+            seed_tag="symmetry image"))
 
-    meta = {
-        "n_seeds": len(seeds),
-        "n_converged": len(converged),
-        "n_failed": len(seeds) - len(converged),
-        "n_random_seeds": n_random_seeds,
-        "rng_seed": rng_seed,
-        "dedup_tol": dedup_tol,
-    }
+    meta = dict(n_seeds=len(seeds), n_converged=len(converged),
+                n_failed=len(seeds) - len(converged),
+                n_random_seeds=n_random_seeds, rng_seed=rng_seed,
+                dedup_tol=dedup_tol)
     return RootSearchResult(roots=roots, seed_metadata=meta)

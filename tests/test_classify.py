@@ -12,6 +12,7 @@ from dickelattice import (BoundaryCondition, LatticeParams, MeanFieldState,
                           stable_class_set, symmetry_orbit)
 from dickelattice import classify as classify_module
 from dickelattice import stability
+from symmetry_reference import orbit_by_elementary_ops
 
 PBC = BoundaryCondition.Periodic
 OBC = BoundaryCondition.Open
@@ -101,6 +102,28 @@ def test_canonicalize_idempotent_and_orbit_stable():
         for image in symmetry_orbit(fp.state, PBC):
             from_image = canonicalize(image, P)
             assert np.max(np.abs(from_image.pack() - canon.pack())) < 1e-9
+
+
+def _canonicalize_by_scan(state, params):
+    """The smallest orbit member under classify's tolerant
+    lexicographic order, scanning the image states one by one."""
+    best = state
+    for cand in orbit_by_elementary_ops(state, params.bc)[1:]:
+        if classify_module._lex_less(cand.pack(), best.pack(),
+                                     classify_module.CANON_TOL):
+            best = cand
+    return best
+
+
+@pytest.mark.parametrize("params", [P, P_OPEN], ids=["ring", "open"])
+def test_canonicalize_matches_orbit_scan(params):
+    result = find_all(params, rng_seed=1, n_random_seeds=8)
+    for fp in result:
+        for image in orbit_by_elementary_ops(fp.state, params.bc):
+            got = canonicalize(image, params)
+            want = _canonicalize_by_scan(image, params)
+            assert (got.a.tobytes(), got.s.tobytes(), got.z.tobytes()) == \
+                (want.a.tobytes(), want.s.tobytes(), want.z.tobytes())
 
 
 def test_stable_class_sets_at_reference_points():

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from dickelattice import (BoundaryCondition, DomainError, LatticeParams,
-                          MeanFieldState, ShapeError, cyclic_shift, hop_matrix,
-                          integrate, jacobian_packed, normal_state,
-                          inverted_normal_state, perturbed_normal_state,
-                          reflect, relax_to_steady, rhs, rhs_packed,
-                          rhs_sup_norm, z2_flip)
+                          MeanFieldState, ShapeError, hop_matrix, integrate,
+                          jacobian_packed, normal_state, inverted_normal_state,
+                          perturbed_normal_state, relax_to_steady, rhs,
+                          rhs_packed, rhs_sup_norm)
 from dickelattice.dynamics import jacobian_fill
+from symmetry_reference import cyclic_shift, reflect, z2_flip
 
 PBC = BoundaryCondition.Periodic
 OBC = BoundaryCondition.Open

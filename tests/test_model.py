@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dickelattice import (BoundaryCondition, DomainError, LatticeParams,
-                          MeanFieldState, ShapeError, cyclic_shift,
-                          inverted_normal_state, normal_state, reflect,
-                          symmetry_orbit, validate, z2_flip)
-from dickelattice.model import (params_from_jsonable, params_to_jsonable,
-                                state_from_jsonable, state_to_jsonable)
+                          MeanFieldState, ShapeError, inverted_normal_state,
+                          normal_state, symmetry_orbit, validate)
+from dickelattice.model import (orbit_image, params_from_jsonable,
+                                params_to_jsonable, state_from_jsonable,
+                                state_to_jsonable, symmetry_group)
+from symmetry_reference import (cyclic_shift, orbit_by_elementary_ops, reflect,
+                                z2_flip)
 
 PBC = BoundaryCondition.Periodic
 OBC = BoundaryCondition.Open
@@ -103,6 +105,50 @@ def test_orbit_sizes_and_identity_first():
     assert len(ring) == 8 and len(chain) == 4
     assert np.array_equal(ring[0].pack(), state.pack())
     assert np.array_equal(chain[0].pack(), state.pack())
+
+
+def _signed_zero_state(rng, n):
+    """A random state whose a, s and z hold +0.0 and -0.0 entries."""
+    parts = rng.normal(size=(5, n))
+    parts[rng.random((5, n)) < 0.4] = 0.0
+    parts *= np.where(rng.random((5, n)) < 0.5, -1.0, 1.0)
+    a, s = np.empty(n, complex), np.empty(n, complex)
+    a.real, a.imag, s.real, s.imag = parts[:4]
+    return MeanFieldState(a=a, s=s, z=parts[4])
+
+
+def _bytes(state):
+    return (state.a.tobytes(), state.s.tobytes(), state.z.tobytes())
+
+
+@pytest.mark.parametrize("bc", [PBC, OBC])
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+def test_symmetry_table_matches_elementary_ops(bc, n):
+    rng = np.random.default_rng(n)
+    states = [_signed_zero_state(rng, n) for _ in range(3)]
+    packed = np.array([st.pack() for st in states])
+    assert np.signbit(packed[packed == 0.0]).any()
+    assert not np.signbit(packed[packed == 0.0]).all()
+    perm, sign = symmetry_group(n, bc)
+    group = 2 * n if bc is PBC else 4
+    assert perm.shape == sign.shape == (group, 5 * n)
+    assert np.array_equal(perm[0], np.arange(5 * n)) and np.all(sign[0] == 1.0)
+    assert not (perm.flags.writeable or sign.flags.writeable)
+    rows = symmetry_orbit(packed, bc)
+    assert rows.shape == (len(states) * group, 5 * n)
+    for r, state in enumerate(states):
+        want = orbit_by_elementary_ops(state, bc)
+        got = symmetry_orbit(state, bc)
+        assert len(want) == len(got) == group
+        for k, w in enumerate(want):
+            assert _bytes(got[k]) == _bytes(orbit_image(state, k, bc)) == _bytes(w)
+            assert rows[r * group + k].tobytes() == w.pack().tobytes()
+
+
+def test_symmetry_orbit_rejects_a_bad_stack():
+    for bad in (np.zeros(15), np.zeros((2, 14)), np.zeros((2, 3, 15))):
+        with pytest.raises(ShapeError):
+            symmetry_orbit(bad, PBC)
 
 
 def test_jsonable_roundtrips():

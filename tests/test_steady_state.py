@@ -1,4 +1,6 @@
 import threading
+from bisect import bisect_left
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from dickelattice import (NO_BRANCH, BoundaryCondition, BoundaryError,
 from dickelattice import _blas, steady_state
 from dickelattice.steady_state import (DEDUP_TOL, N_RANDOM_SEEDS,
                                        _augmented_jacobian, _seed_list)
+from symmetry_reference import orbit_by_elementary_ops
 
 PBC = BoundaryCondition.Periodic
 OBC = BoundaryCondition.Open
@@ -200,16 +203,16 @@ def test_find_all_open_chain_known_profiles(roots_open):
         assert best < 2e-3, f"no root realizes Re(a) profile {target}"
 
 
-def _dedup_quadratic(points, dedup_tol):
-    """The greedy keep-first dedup find_all used to run: every point is
-    compared with every point kept before it."""
-    points = sorted(points, key=lambda fp: tuple(np.round(fp.state.pack(), 9)))
+def _dedup_quadratic(rows, dedup_tol):
+    """The greedy keep-first dedup find_all used to run, on packed rows:
+    sort by the rounded coordinates as tuples, then compare every row with
+    every row kept before it.  Returns the kept indices."""
+    order = sorted(range(len(rows)), key=lambda i: tuple(np.round(rows[i], 9)))
     kept = []
-    for fp in points:
-        y = fp.state.pack()
-        if any(np.max(np.abs(y - k.state.pack())) < dedup_tol for k in kept):
+    for i in order:
+        if any(np.max(np.abs(rows[i] - rows[k])) < dedup_tol for k in kept):
             continue
-        kept.append(fp)
+        kept.append(i)
     return kept
 
 
@@ -223,17 +226,117 @@ def test_windowed_dedup_matches_quadratic_oracle(params, monkeypatch):
     inputs = []
     windowed = steady_state._dedup
 
-    def recording(points, dedup_tol):
-        inputs.append(list(points))
-        return windowed(points, dedup_tol)
+    def recording(rows, dedup_tol):
+        inputs.append(rows.copy())
+        kept = windowed(rows, dedup_tol)
+        inputs.append(kept)
+        return kept
 
     monkeypatch.setattr(steady_state, "_dedup", recording)
     with _blas.one_thread():
         result = find_all(params, rng_seed=0)
-    [points] = inputs
-    oracle = _dedup_quadratic(points, DEDUP_TOL)
-    assert len(result.roots) == len(oracle) < len(points)
-    assert all(fp is want for fp, want in zip(result.roots, oracle))
+    [rows, kept] = inputs
+    oracle = _dedup_quadratic(rows, DEDUP_TOL)
+    assert kept == oracle
+    assert len(result.roots) == len(oracle) < len(rows)
+    assert [fp.state.pack().tobytes() for fp in result.roots] == \
+        [rows[i].tobytes() for i in oracle]
+
+
+@pytest.mark.parametrize("dedup_tol", [DEDUP_TOL, 3e-9, 1e-9, 1e-10, 0.0])
+def test_windowed_dedup_matches_quadratic_oracle_near_its_tolerance(dedup_tol):
+    # clusters of rows spread over about dedup_tol, some sharing rounded
+    # coordinates and some not, with signed zeros and exact repeats
+    rng = np.random.default_rng(7)
+    centres = np.round(rng.normal(size=(12, 15)), 2)
+    centres[:, 0] = np.round(centres[:, 0], 1)      # shared first keys
+    rows = np.repeat(centres, 25, axis=0)
+    spread = rng.choice([0.0, 0.3, 0.9, 1.1, 3.0], len(rows))[:, None]
+    rows += (dedup_tol or 1e-9) * spread * rng.uniform(-1.0, 1.0, rows.shape)
+    rows[rng.random(rows.shape) < 0.05] *= -0.0
+    rows = rows[rng.permutation(len(rows))]
+    keys = np.round(rows, 9)
+    assert len(np.unique(keys, axis=0)) < len(rows)    # runs of equal keys
+    kept = steady_state._dedup(rows, dedup_tol)
+    assert kept == _dedup_quadratic(rows, dedup_tol)
+    assert len(centres) < len(kept) < len(rows) or dedup_tol == 0.0
+    assert len(kept) == len(rows) or dedup_tol > 0.0     # 0 < 0 is false
+
+
+def test_dedup_searches_a_run_whose_first_row_was_dropped():
+    # first coordinates around the rounding boundary 1 + 5e-10: row 0
+    # rounds down, rows 1-3 round up to one run.  Row 1 is within 1e-10 of
+    # row 0 and dropped; rows 2 and 3 are farther from both kept rows, so
+    # row 3 is kept although it is within 1e-10 of its run's first row.
+    rows = np.zeros((4, 15))
+    rows[:, 0] = 1.0000000005 + np.array([-3e-11, 3e-11, 4e-10, 1e-10])
+    assert _dedup_quadratic(rows, 1e-10) == [0, 2, 3]
+    assert steady_state._dedup(rows, 1e-10) == [0, 2, 3]
+    assert steady_state._dedup(rows[:0], 1e-10) == []
+
+
+def _dedup_reference(points, dedup_tol):
+    """The windowed keep-first dedup find_all ran on FixedPoint objects."""
+    packs = [fp.state.pack() for fp in points]
+    keys = [tuple(np.round(y, 9)) for y in packs]
+    order = sorted(range(len(points)), key=keys.__getitem__)
+    window = dedup_tol + 1e-8
+    kept, kept_first, kept_packs = [], [], []
+    for i in order:
+        y = packs[i]
+        lo = bisect_left(kept_first, keys[i][0] - window)
+        if any(np.max(np.abs(y - kept_packs[m])) < dedup_tol
+               for m in range(lo, len(kept))):
+            continue
+        kept.append(points[i])
+        kept_first.append(keys[i][0])
+        kept_packs.append(y)
+    return kept
+
+
+def _expand_dedup_reference(converged, params):
+    """The object path find_all took after Newton: every image of every
+    converged root as a FixedPoint, then _dedup_reference."""
+    expanded = []
+    for k, fp in enumerate(converged):
+        expanded.append(replace(fp, orbit=k))     # identity image keeps its tag
+        for img in orbit_by_elementary_ops(fp.state, params.bc)[1:]:
+            expanded.append(FixedPoint(state=img, residual=fp.residual,
+                                       converged=True, seed_tag="symmetry image",
+                                       orbit=k))
+    return _dedup_reference(expanded, DEDUP_TOL)
+
+
+def test_array_expansion_matches_object_path(monkeypatch):
+    newton, solve = [], steady_state.newton_solve
+
+    def recording(seeds, params, **kw):
+        newton.append(solve(seeds, params, **kw))
+        return newton[-1]
+
+    monkeypatch.setattr(steady_state, "newton_solve", recording)
+    cases = _oracle_params() + [
+        LatticeParams(n_sites=10, kappa=0.4, xi=0.2, g=0.8, bc=PBC)]
+    n_roots = n_signed_zeros = 0
+    with _blas.one_thread():
+        for params in cases:
+            got = find_all(params, rng_seed=0).roots
+            converged = [fp for fp in newton.pop() if isinstance(fp, FixedPoint)]
+            want = _expand_dedup_reference(converged, params)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert (g.state.a.tobytes(), g.state.s.tobytes(),
+                        g.state.z.tobytes()) == \
+                    (w.state.a.tobytes(), w.state.s.tobytes(),
+                     w.state.z.tobytes())
+                assert (g.seed_tag, g.residual, g.orbit, g.converged) == \
+                    (w.seed_tag, w.residual, w.orbit, w.converged)
+                assert type(g.orbit) is int
+                y = g.state.pack()
+                n_signed_zeros += int(np.signbit(y[y == 0.0]).sum())
+            n_roots += len(got)
+    # the roots carry negative zeros, so their signs are checked too
+    assert n_roots > 1000 and n_signed_zeros > 0
 
 
 # ---------------------------------------------------------------------------
@@ -497,3 +600,65 @@ def test_find_all_from_two_threads(two_blas_threads):
         t.join(120)
     assert got == {0: want, 1: want}
     assert _blas.thread_counts() == two_blas_threads
+
+
+def test_inversion_post_check_rejects_converged_seeds(monkeypatch):
+    # offset every inversion rate by 1e-3: the constraint-substituted
+    # system never sees it and converges as before, the post-check does
+    params = LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.8, bc=PBC)
+    seeds = _seed_list(params, 8, np.random.default_rng(2))
+    with _blas.one_thread():
+        clean = newton_solve(seeds, params)
+    flow = steady_state.rhs_packed
+
+    def offset(y, params, t_hop=None):
+        f = flow(y, params, t_hop)
+        f[..., 4 * params.n_sites:] += 1e-3
+        return f
+
+    monkeypatch.setattr(steady_state, "rhs_packed", offset)
+    message = ("inversion-rate residual 0.001 survives the constraint "
+               "substitution (z = 0 degeneracy)")
+    with _blas.one_thread():
+        got = newton_solve(seeds, params)
+        with pytest.raises(NotConverged) as exc:
+            newton_solve(normal_state(3), params)
+    assert str(exc.value) == message
+    assert sum(isinstance(c, FixedPoint) for c in clean) >= 10
+    for g, c in zip(got, clean, strict=True):
+        if isinstance(c, FixedPoint):
+            assert type(g) is NotConverged and str(g) == message
+        else:
+            assert type(g) is type(c) and str(g) == str(c)
+
+
+def test_non_finite_step_is_a_singular_jacobian(monkeypatch):
+    # an infinite residual at one seed's start makes its Newton step
+    # non-finite while its Jacobian stays regular
+    params = LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.8, bc=PBC)
+    marked = MeanFieldState(a=np.full(3, 0.1234567 + 0.05j),
+                            s=np.full(3, 0.3 + 0j), z=np.full(3, -0.4))
+    seeds = [(normal_state(3), "normal"), (marked, "marked")]
+    seeds += _seed_list(params, 4, np.random.default_rng(3))[2:]
+    with _blas.one_thread():
+        clean = newton_solve(seeds, params)
+    augmented = steady_state._augmented
+
+    def poisoned(y, params, t_hop):
+        f = augmented(y, params, t_hop)
+        f[y[:, 0] == 0.1234567] = np.inf
+        return f
+
+    monkeypatch.setattr(steady_state, "_augmented", poisoned)
+    with _blas.one_thread():
+        got = newton_solve(seeds, params)
+        with pytest.raises(SingularJacobian) as exc:
+            newton_solve(marked, params, seed_tag="marked")
+        cond = float(np.linalg.cond(_augmented_jacobian(
+            marked.pack(), params, hop_matrix(params))))
+    for err in (got[1], exc.value):
+        assert type(err) is SingularJacobian
+        assert str(err) == "non-finite Newton step"
+        assert err.cond == cond and np.isfinite(cond)
+    assert isinstance(clean[1], FixedPoint)
+    _assert_same_outcomes(got[:1] + got[2:], clean[:1] + clean[2:])

@@ -1,8 +1,8 @@
 """Mean-field simulator and phase-diagram engine for a driven-dissipative
 cavity lattice: coupled photon-spin equations of motion, exhaustive
-steady-state search, linear stability with conservation-law zero modes
-removed, pattern classification, and (xi, g) grid sweeps under periodic
-or open boundary conditions.
+steady-state search, linear stability on the spin-sphere tangent space,
+pattern classification, and (xi, g) grid sweeps under periodic or open
+boundary conditions.
 """
 
 from ._version import __version__
@@ -25,9 +25,8 @@ from .steady_state import (NO_BRANCH, FixedPoint, HomogeneityWitness,
 # the stability-report op stays at stability.classify: the top-level name
 # `classify` belongs to the pattern-label module
 from .stability import (StabilityReport, Verdict, bisect_np_threshold,
-                        char_poly, eigenvalue_csv, jacobian,
-                        normal_state_abscissa, projected_jacobian,
-                        routh_rhp_count, routh_verdict, tangent_basis)
+                        eigenvalue_csv, jacobian, normal_state_abscissa,
+                        projected_jacobian, tangent_basis)
 from .classify import (PatternKind, PatternLabel, canonicalize, label,
                        phase_letter, root_dossier, stable_class_set)
 from .sweep import (CriticalPoint, CutRow, GridAxis, PhaseCell, SiteProfile,

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroModeMismatch
 from .model import (BoundaryCondition, LatticeParams, MeanFieldState,
                     orbit_image, params_to_jsonable, state_to_jsonable,
                     symmetry_orbit)
 from .steady_state import RootSearchResult, _as_state
-from .stability import StabilityReport, Verdict, classify as stability_classify
+from .stability import Verdict, classify as stability_classify
 
 EPS_PATTERN = 1e-5
 CANON_TOL = 1e-7
@@ -156,23 +155,14 @@ def canonicalize(fp, params: LatticeParams, tol: float = CANON_TOL) -> MeanField
 class StableClasses:
     """What stable_class_set derived from one list of roots."""
 
-    reports: list       # per root: StabilityReport, or the ZeroModeMismatch raised
+    reports: list       # per root: its StabilityReport
     classes: list       # distinct stable classes, first seen first: (kind, canonical state)
     marginal: bool      # some root came out Marginal
-    n_dropped: int      # roots dropped for ZeroModeMismatch
 
     @property
     def counts(self) -> Counter:
         """kind -> number of distinct stable classes of that kind."""
         return Counter(kind for kind, _ in self.classes)
-
-    @property
-    def failure(self) -> str:
-        """Why the class set is empty when dropped roots could have filled it."""
-        if self.classes or not self.n_dropped:
-            return ""
-        return (f"ZeroModeMismatch: {self.n_dropped} roots dropped, "
-                "no stable class left")
 
 
 def stable_class_set(roots, params: LatticeParams) -> StableClasses:
@@ -180,32 +170,25 @@ def stable_class_set(roots, params: LatticeParams) -> StableClasses:
 
     Roots that find_all marked with one `orbit` are exact symmetry images
     of one Newton root and share its spectrum, so the first of them is
-    classified and the rest reuse its report (or its ZeroModeMismatch);
-    any other root is classified on its own.  A root whose zero modes do
-    not close (ZeroModeMismatch) is dropped from the class stage and
-    counted.  Symmetry partners collapse onto one canonical representative
-    each, so a six-member broken-symmetry family counts once: the counts
-    total 1 for monostable cells, 2 for bistable, 3 for tristable.
+    classified and the rest reuse its report; any other root is
+    classified on its own.  Symmetry partners collapse onto one canonical
+    representative each, so a six-member broken-symmetry family counts
+    once: the counts total 1 for monostable cells, 2 for bistable, 3 for
+    tristable.
     """
-    found = StableClasses(reports=[], classes=[], marginal=False, n_dropped=0)
+    found = StableClasses(reports=[], classes=[], marginal=False)
     seen = []      # canonical packed vectors of the classes kept
-    by_orbit = {}  # orbit -> report (or ZeroModeMismatch) of its first root
+    by_orbit = {}  # orbit -> report of its first root
     for fp in roots:
         orbit = getattr(fp, "orbit", None)
         repeat = orbit is not None and orbit in by_orbit
         if repeat:
             rep = by_orbit[orbit]
         else:
-            try:
-                rep = stability_classify(fp, params)
-            except ZeroModeMismatch as exc:
-                rep = exc
+            rep = stability_classify(fp, params)
             if orbit is not None:
                 by_orbit[orbit] = rep
         found.reports.append(rep)
-        if isinstance(rep, ZeroModeMismatch):
-            found.n_dropped += 1
-            continue
         found.marginal = found.marginal or rep.verdict is Verdict.Marginal
         # an image canonicalizes onto its orbit's class, already counted
         if repeat or rep.verdict is not Verdict.Stable:
@@ -256,15 +239,14 @@ def root_dossier(params: LatticeParams, result: RootSearchResult) -> dict:
     found = stable_class_set(result.roots, params)
     entries = []
     for fp, rep in zip(result.roots, found.reports):
-        ok = isinstance(rep, StabilityReport)
         lab = label(fp, params)
         entries.append({
             "state": state_to_jsonable(fp.state),
             "residual": fp.residual,
             "converged": fp.converged,
             "seed_tag": fp.seed_tag,
-            "verdict": rep.verdict.value if ok else f"error: {rep}",
-            "spectral_abscissa": rep.spectral_abscissa if ok else None,
+            "verdict": rep.verdict.value,
+            "spectral_abscissa": rep.spectral_abscissa,
             "label": lab.kind.value,
             "label_detail": lab.detail,
         })

@@ -39,7 +39,7 @@ class SingularJacobian(RuntimeError):
 
 
 class ZeroModeMismatch(RuntimeError):
-    """Structural zero-mode count differs from the number of sites."""
+    """A site's spin vanished (no tangent plane)."""
 
 
 class NotSettled(RuntimeError):

@@ -454,9 +454,8 @@ class RootSearchResult:
 
 
 def find_all(params: LatticeParams, *, n_random_seeds: int = N_RANDOM_SEEDS,
-             rng_seed: int = 0, dedup_tol: float = DEDUP_TOL,
-             newton_tol: float = NEWTON_TOL, max_iter: int = MAX_ITER,
-             damping: int = DAMPING) -> RootSearchResult:
+             rng_seed: int = 0,
+             dedup_tol: float = DEDUP_TOL) -> RootSearchResult:
     """Multistart enumeration of fixed points.
 
     Seeds: the two dark states, the homogeneous branch pair (ring), a set
@@ -476,8 +475,7 @@ def find_all(params: LatticeParams, *, n_random_seeds: int = N_RANDOM_SEEDS,
     validate(params)
     seeds = _seed_list(params, n_random_seeds, np.random.default_rng(rng_seed))
     with one_thread():
-        results = newton_solve(seeds, params, newton_tol=newton_tol,
-                               max_iter=max_iter, damping=damping)
+        results = newton_solve(seeds, params)
     converged = [fp for fp in results if isinstance(fp, FixedPoint)]
 
     # every image of every root as a row, root by root, identity first

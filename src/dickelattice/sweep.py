@@ -92,8 +92,7 @@ def _compute_cell(job):
                          n_roots_total=len(result.roots),
                          marginal_flag=found.marginal,
                          no_stable_state=not found.classes,
-                         seed_metadata=result.seed_metadata,
-                         error=found.failure)
+                         seed_metadata=result.seed_metadata)
     except Exception as exc:    # record and keep sweeping
         return PhaseCell(xi=float(xi), g=float(g), stable_classes={},
                          n_roots_total=0, marginal_flag=False,
@@ -157,8 +156,7 @@ def order_parameter_cut(params_base: LatticeParams, xi: float, g_values, *,
                     key = f"{kind}#{k}"
                     k += 1
                 branches[key] = np.abs(canon.a)
-            rows.append(CutRow(g=float(g), branches=branches,
-                               error=found.failure))
+            rows.append(CutRow(g=float(g), branches=branches))
         except Exception as exc:
             rows.append(CutRow(g=float(g), branches={},
                                error=f"{type(exc).__name__}: {exc}"))

@@ -25,9 +25,8 @@ from dickelattice import (BoundaryCondition, LatticeParams, NO_BRANCH,
                           site_profile, stable_class_set,
                           xi_stability_window)
 from dickelattice.steady_state import NEWTON_TOL, _augmented_jacobian
-from dickelattice.stability import (StabilityReport, Verdict,
-                                    classify as stability_classify,
-                                    routh_verdict)
+from dickelattice.stability import Verdict, classify as stability_classify
+from routh_reference import routh_verdict
 
 PBC = BoundaryCondition.Periodic
 OBC = BoundaryCondition.Open
@@ -43,11 +42,10 @@ def _report(k, ok, detail):
 
 def _classified(params, rng_seed):
     """Stable classes of find_all's roots, and (root, report) for every
-    root the pipeline did not drop for ZeroModeMismatch."""
+    root."""
     roots = find_all(params, rng_seed=rng_seed).roots
     found = stable_class_set(roots, params)
-    return found, [(fp, rep) for fp, rep in zip(roots, found.reports)
-                   if isinstance(rep, StabilityReport)]
+    return found, list(zip(roots, found.reports))
 
 
 def _stable_info(params, rng_seed=0):
@@ -230,9 +228,10 @@ def test_criterion_07_ring_transition_sequences_and_onset():
 
     # Continuous onset: the order parameter is a pitchfork, |a| ~ sqrt(dg).
     # Below g_c only NP is stable; above it only the first lit class, so a
-    # lit root that classify drops fails here instead of reading as |a| = 0.
-    # dg stops at 1e-4: at dg = 1e-5 every lit root on the xi = 0.48 cut
-    # raises ZeroModeMismatch and the stable-class set comes back empty.
+    # lit root that is not Stable fails here instead of reading as |a| = 0.
+    # dg stops at 1e-4: at dg = 1e-5 the lit P2 root on the xi = 0.48 cut
+    # is Marginal (its leading eigenvalue within EPS_MARGINAL of 0), so
+    # the stable-class set there is empty.
     deltas = (1e-2, 1e-3, 1e-4)
     onset_ok, amps, slopes = True, {}, {}
     worst_dev, worst_ratio = 0.0, 0.0

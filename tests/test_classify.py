@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dickelattice import (BoundaryCondition, LatticeParams, MeanFieldState,
-                          PatternKind, StabilityReport, ZeroModeMismatch,
+                          PatternKind, StabilityReport, Verdict,
                           canonicalize, critical_coupling_np, find_all,
                           homogeneous_srp_branch, label, normal_state,
                           inverted_normal_state, phase_letter, root_dossier,
@@ -137,17 +137,10 @@ def test_stable_class_sets_at_reference_points():
     assert sum(counts_o.values()) == 3   # tristable cell
 
 
-# just above the ring's onset at xi = 0.48 every lit root raises
-# ZeroModeMismatch, so there the reused result is the exception
+# just above the ring's onset at xi = 0.48 the lit roots sit on the
+# pitchfork: their leading physical eigenvalue is within EPS_MARGINAL of 0
 P_ONSET = replace(P, xi=0.48,
                   g=critical_coupling_np(replace(P, xi=0.48)).g_c + 1e-5)
-
-
-def _direct(fp, params):
-    try:
-        return stability.classify(fp, params)
-    except ZeroModeMismatch as exc:
-        return exc
 
 
 @pytest.mark.parametrize("params", [P, P_OPEN, P_ONSET],
@@ -165,20 +158,16 @@ def test_stable_class_set_classifies_once_per_orbit(params, monkeypatch):
     monkeypatch.setattr(classify_module, "stability_classify", counting)
     found = stable_class_set(roots, params)
     assert len(calls) == len(orbits)
-    n_raised = 0
     for fp, rep in zip(roots, found.reports):
-        direct = _direct(fp, params)
-        if isinstance(direct, ZeroModeMismatch):
-            assert isinstance(rep, ZeroModeMismatch)
-            n_raised += 1
-            continue
+        direct = stability.classify(fp, params)
         assert isinstance(rep, StabilityReport)
         assert rep.verdict is direct.verdict
         assert abs(rep.spectral_abscissa - direct.spectral_abscissa) <= 1e-12
-    assert found.n_dropped == n_raised          # roots, not orbits
     if params is P_ONSET:
-        assert n_raised > len({fp.orbit for fp, rep in zip(roots, found.reports)
-                               if isinstance(rep, ZeroModeMismatch)})
+        lit = [rep for fp, rep in zip(roots, found.reports)
+               if label(fp, params).kind is PatternKind.P2]
+        assert lit and all(rep.verdict is Verdict.Marginal for rep in lit)
+        assert found.marginal
 
     # points without an orbit are classified one by one
     calls.clear()
@@ -186,7 +175,7 @@ def test_stable_class_set_classifies_once_per_orbit(params, monkeypatch):
             for fp in roots]
     again = stable_class_set(bare, params)
     assert len(calls) == len(roots)
-    assert again.counts == found.counts and again.n_dropped == n_raised
+    assert again.counts == found.counts and again.marginal == found.marginal
 
 
 def test_phase_letters():

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from dickelattice import (BisectionFailure, BoundaryCondition, DomainError,
-                          LatticeParams, Verdict, bisect_np_threshold,
-                          char_poly, critical_coupling_np, eigenvalue_csv,
-                          find_all, homogeneous_srp_branch, normal_state,
-                          normal_state_abscissa, projected_jacobian,
-                          routh_rhp_count, routh_verdict, tangent_basis)
+                          LatticeParams, MeanFieldState, Verdict,
+                          bisect_np_threshold, critical_coupling_np,
+                          eigenvalue_csv, find_all, homogeneous_srp_branch,
+                          jacobian, normal_state, normal_state_abscissa,
+                          projected_jacobian, tangent_basis)
+from dickelattice._blas import one_thread
 from dickelattice.errors import ZeroModeMismatch
 from dickelattice.stability import classify
 from dickelattice.steady_state import FixedPoint
+import stability_reference
+from routh_reference import char_poly, routh_rhp_count, routh_verdict
 
 PBC = BoundaryCondition.Periodic
 OBC = BoundaryCondition.Open
@@ -32,11 +35,15 @@ def test_dark_state_verdict_flips_at_threshold(bc):
 
 
 def test_structural_zero_count_and_sorting():
+    # the verdict reads the 4N physical eigenvalues; the N structural
+    # zeros of the full 5N x 5N Jacobian never enter
     rep = classify(normal_state(3), _params(0.3))
-    assert rep.n_structural_zeros == 3
-    assert rep.eigenvalues.size == 15
+    assert rep.eigenvalues.size == 12
     assert np.all(np.diff(rep.eigenvalues.real) <= 1e-12)
-    assert int(rep.structural.sum()) == 3
+    full = np.linalg.eigvals(jacobian(normal_state(3), _params(0.3)))
+    assert int(np.sum(np.abs(full) < 1e-12)) == 3
+    assert rep.spectral_abscissa == pytest.approx(
+        np.max(full[np.abs(full) >= 1e-12].real), abs=1e-12)
     # conjugate-closed spectrum (real matrix)
     w = np.sort_complex(rep.eigenvalues)
     wc = np.sort_complex(rep.eigenvalues.conj())
@@ -48,8 +55,11 @@ def test_branch_point_spectrum_matches_projection():
     plus, _ = homogeneous_srp_branch(p)
     rep = classify(plus, p)
     assert rep.verdict is Verdict.Stable
-    w_phys = rep.eigenvalues[~rep.structural]
-    w_proj = np.linalg.eigvals(projected_jacobian(plus.state, p))
+    # the full spectrum is the physical one plus N zeros
+    w_full = np.linalg.eigvals(jacobian(plus.state, p))
+    w_phys = w_full[np.argsort(np.abs(w_full))[3:]]
+    w_proj = rep.eigenvalues
+    assert w_proj.size == 12
     key = lambda w: sorted(zip(np.round(w.real, 7), np.round(w.imag, 7)))
     for (ra, ia), (rb, ib) in zip(key(w_phys), key(w_proj)):
         assert ra == pytest.approx(rb, abs=1e-6)
@@ -70,6 +80,82 @@ def test_tangent_basis_annihilates_constraint_gradients():
     assert np.max(np.abs(b.T @ grad)) < 1e-12
 
 
+def _constraint_gradients(state):
+    """Unit gradients of the N spin lengths |s_j|^2 + z_j^2, 5N x N."""
+    n = state.n
+    grad = np.zeros((5 * n, n))
+    k = np.arange(n)
+    grad[2 * n + k, k] = state.s.real
+    grad[3 * n + k, k] = state.s.imag
+    grad[4 * n + k, k] = state.z
+    return grad / np.linalg.norm(grad, axis=0)
+
+
+def _sphere_state(n, rng):
+    """Random state on the spin spheres with one site near the Re s axis
+    and one at a pole, so both tangent seeds and the dark limit occur."""
+    v = rng.normal(size=(n, 3))
+    v[0] = (0.95, np.sqrt(1 - 0.95 ** 2), 0.0)
+    v[1] = (0.0, 0.0, -1.0)
+    v = 0.5 * v / np.linalg.norm(v, axis=1)[:, None]
+    a = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return MeanFieldState(a=a, s=v[:, 0] + 1j * v[:, 1], z=v[:, 2])
+
+
+@pytest.mark.parametrize("bc", [PBC, OBC])
+@pytest.mark.parametrize("n", [3, 30, 50])
+def test_tangent_basis_is_orthonormal_and_tangent(n, bc):
+    p = _params(0.8, bc=bc, n=n)
+    state = _sphere_state(n, np.random.default_rng(n))
+    assert np.max(np.abs(state.s.real)) / 0.5 >= 0.9   # the e_y seed runs
+    assert np.min(np.abs(state.s.real)) / 0.5 < 0.9    # and the e_x seed
+    roots = {fp.orbit: fp.state
+             for fp in find_all(p, rng_seed=0, n_random_seeds=0)}
+    for k, x in enumerate([state, *roots.values()]):
+        b = tangent_basis(x)
+        assert b.shape == (5 * n, 4 * n)
+        assert np.max(np.abs(b.T @ b - np.eye(4 * n))) <= 1e-14
+        assert np.max(np.abs(b.T @ _constraint_gradients(x))) <= 1e-14
+        # the per-site loop it replaced, up to rounding in the vector norms
+        loop = stability_reference.tangent_basis(x)
+        assert np.max(np.abs(b - loop)) <= 4 * np.finfo(float).eps
+        if k:
+            # at a fixed point the Jacobian maps the tangent space into
+            # itself, which is why the projected spectrum is the physical one
+            j = jacobian(x, p)
+            assert np.max(np.abs(j @ b - b @ (b.T @ j @ b))) <= 1e-9
+
+
+# the five reference points of the three-site diagrams, then larger lattices
+REFERENCE_POINTS = [(PBC, 3, 0.2, 0.8), (PBC, 3, 0.48, 0.8),
+                    (OBC, 3, 0.2, 0.8), (OBC, 3, 0.67, 0.9),
+                    (OBC, 3, 0.3, 0.5), (PBC, 6, 0.2, 0.8),
+                    (OBC, 30, 0.2, 0.8)]
+
+
+@pytest.mark.parametrize("bc, n, xi, g", REFERENCE_POINTS)
+def test_tangent_verdict_matches_zero_mode_reference(bc, n, xi, g):
+    # the left-eigenvector route excludes N matched zero modes from the
+    # 5N x 5N spectrum; wherever that matching closes, the tangent-space
+    # spectrum must give the same verdict and abscissa
+    p = _params(g, xi=xi, bc=bc, n=n)
+    roots = find_all(p, rng_seed=0).roots
+    compared = 0
+    with one_thread():     # the left eigensolve is slow on two threads
+        for fp in roots:
+            try:
+                want = stability_reference.classify(fp, p)
+            except ZeroModeMismatch:
+                continue
+            got = classify(fp, p)
+            assert got.verdict is want.verdict
+            assert abs(got.spectral_abscissa
+                       - want.spectral_abscissa) <= 1e-10
+            assert got.eigenvalues.size == 4 * n
+            compared += 1
+    assert compared == len(roots) > 0
+
+
 def test_classify_rejects_unconverged_fixed_point():
     fp = FixedPoint(state=normal_state(3), residual=1.0, converged=False)
     with pytest.raises(DomainError):
@@ -77,7 +163,7 @@ def test_classify_rejects_unconverged_fixed_point():
 
 
 def test_classify_zero_mode_mismatch_on_degenerate_spin():
-    # s = z = 0 has no constraint gradient; the mode count cannot close
+    # s = z = 0 has no spin sphere, hence no tangent plane
     state = normal_state(3)
     bad = state.__class__(a=state.a, s=state.s, z=np.zeros(3))
     with pytest.raises(ZeroModeMismatch):
@@ -98,10 +184,10 @@ def test_eigenvalue_csv(tmp_path):
     path = tmp_path / "eigs.csv"
     eigenvalue_csv(rep, path)
     rows = path.read_text().strip().split("\n")
-    assert rows[0] == "re_lambda,im_lambda,structural_zero"
-    assert len(rows) == 16
-    flags = [int(r.split(",")[2]) for r in rows[1:]]
-    assert sum(flags) == 3
+    assert rows[0] == "re_lambda,im_lambda"
+    assert len(rows) == 13
+    assert [complex(float(re), float(im)) for re, im in
+            (r.split(",") for r in rows[1:])] == list(rep.eigenvalues)
 
 
 # ---------------------------------------------------------------------------

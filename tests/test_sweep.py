@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from dickelattice import (BoundaryCondition, GridAxis, LatticeParams,
-                          NotSettled, SweepSpec, critical_coupling_np,
-                          critical_csv, critical_line_scan, cut_csv,
-                          homogeneous_srp_branch, order_parameter_cut,
+                          NotSettled, PatternKind, SweepSpec, Verdict,
+                          critical_coupling_np, critical_csv,
+                          critical_line_scan, cut_csv, find_all,
+                          homogeneous_srp_branch, label, order_parameter_cut,
                           phase_diagram, phase_diagram_csv, profile_csv,
-                          site_profile)
+                          site_profile, stable_class_set)
 from dickelattice.errors import DomainError
+from dickelattice.sweep import _cell_seed
 
 PBC = BoundaryCondition.Periodic
 OBC = BoundaryCondition.Open
@@ -77,9 +79,10 @@ def test_phase_diagram_csv_matches_recorded_output(tmp_path, small_spec,
         assert path.read_bytes() == (DATA / path.name).read_bytes()
 
 
-def test_dropped_roots_without_stable_class_are_an_error():
-    # just above the ring's onset at xi = 0.48 every lit root raises
-    # ZeroModeMismatch; the empty class set must not read as physics
+def test_onset_cell_is_marginal_not_an_error():
+    # just above the ring's onset at xi = 0.48 the lit P2 roots are
+    # Marginal: every root gets a verdict, none is dropped, and the empty
+    # stable-class set is physics (a marginal cell), not a failure
     params = replace(BASE, xi=0.48)
     g = critical_coupling_np(params).g_c + 1e-5
     spec = SweepSpec(params_base=params, xi_grid=GridAxis(0.48, 0.48, 1),
@@ -87,9 +90,15 @@ def test_dropped_roots_without_stable_class_are_an_error():
     [cell] = phase_diagram(spec)
     [row] = order_parameter_cut(params, 0.48, [g])
     assert cell.stable_classes == {} and row.branches == {}
-    for error in (cell.error, row.error):
-        assert error.startswith("ZeroModeMismatch: ")
-        assert error.endswith(" roots dropped, no stable class left")
+    assert cell.marginal_flag and cell.no_stable_state
+    assert cell.error == "" and row.error == ""
+    at = replace(params, g=g)
+    roots = find_all(at, rng_seed=_cell_seed(0, 0, 0)).roots
+    found = stable_class_set(roots, at)
+    assert len(found.reports) == len(roots) == cell.n_roots_total
+    lit = [rep for fp, rep in zip(roots, found.reports)
+           if label(fp, at).kind is PatternKind.P2]
+    assert lit and all(rep.verdict is Verdict.Marginal for rep in lit)
 
 
 def test_phase_diagram_csv_layout(tmp_path, small_spec, small_cells):

@@ -9,9 +9,9 @@ from ._version import __version__
 from .errors import (BisectionFailure, BoundaryError, DomainError,
                      NotConverged, NotSettled, ShapeError, SingularJacobian,
                      StepFailure, UnstableWindowError, ZeroModeMismatch)
-from .model import (EPS_SPIN, BoundaryCondition, LatticeParams,
-                    MeanFieldState, inverted_normal_state, normal_state,
-                    symmetry_orbit, validate)
+from .model import (BoundaryCondition, LatticeParams, MeanFieldState,
+                    inverted_normal_state, normal_state, symmetry_orbit,
+                    validate)
 from .spectrum import (ModeFrequencies, NPCritical, critical_coupling_hsrp,
                        critical_coupling_np, critical_coupling_np_infinite,
                        mode_frequencies, xi_stability_window)

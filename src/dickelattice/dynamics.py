@@ -11,8 +11,7 @@ blocks of N.  In these variables, with T the hopping matrix,
 
 The spin length |s_j|^2 + z_j^2 is conserved exactly by this flow, so its
 drift along a numerical trajectory measures integrator error; it is
-reported, not projected away (projection is available as an option for
-very long runs).
+reported, not projected away.
 """
 
 from __future__ import annotations
@@ -189,19 +188,9 @@ class Trajectory:
                 writer.writerow(row)
 
 
-def _project_spin(y, n):
-    # renormalize (Re s, Im s, z) onto the radius-1/2 sphere, site by site
-    out = y.copy()
-    p, q, z = out[2 * n:3 * n], out[3 * n:4 * n], out[4 * n:5 * n]
-    r = np.sqrt(p * p + q * q + z * z)
-    scale = 0.5 / np.where(r > 0, r, 1.0)
-    out[2 * n:] *= np.concatenate([scale, scale, scale])
-    return out
-
-
 def integrate(state0: MeanFieldState, params: LatticeParams, t_end: float, *,
-              rtol: float = RTOL, atol: float = ATOL, max_step: float = np.inf,
-              record_every: float = 1.0, project_spin: bool = False) -> Trajectory:
+              rtol: float = RTOL, atol: float = ATOL,
+              record_every: float = 1.0) -> Trajectory:
     """Adaptive explicit integration of the mean-field flow.
 
     Parameters
@@ -212,9 +201,6 @@ def integrate(state0: MeanFieldState, params: LatticeParams, t_end: float, *,
         Final time, > 0.
     record_every : float
         Cadence of recorded samples; t_end itself is always recorded.
-    project_spin : bool
-        If True, renormalize the spin sector onto the sphere at every
-        recorded sample (off by default so drift stays observable).
 
     Returns
     -------
@@ -243,34 +229,18 @@ def integrate(state0: MeanFieldState, params: LatticeParams, t_end: float, *,
     if t_eval.size == 0 or t_eval[-1] < t_end:
         t_eval = np.append(t_eval, t_end)
 
-    n = params.n_sites
     y0 = state0.pack()
-    if not project_spin:
-        sol = solve_ivp(f, (0.0, t_end), y0, method="RK45", rtol=rtol,
-                        atol=atol, max_step=max_step, t_eval=t_eval)
-        if not sol.success:
-            t_last = float(sol.t[-1]) if sol.t.size else 0.0
-            y_last = sol.y[:, -1] if sol.t.size else y0
-            raise StepFailure(f"integration failed at t={t_last:.6g}: {sol.message}",
-                              t=t_last, state=MeanFieldState.from_packed(y_last))
-        times = sol.t
-        ys = [sol.y[:, i] for i in range(sol.t.size)]
-    else:
-        times = t_eval
-        ys = [y0]
-        y = y0
-        for t0, t1 in zip(t_eval[:-1], t_eval[1:]):
-            sol = solve_ivp(f, (t0, t1), y, method="RK45", rtol=rtol,
-                            atol=atol, max_step=max_step, t_eval=[t1])
-            if not sol.success:
-                raise StepFailure(f"integration failed near t={t0:.6g}: {sol.message}",
-                                  t=float(t0), state=MeanFieldState.from_packed(y))
-            y = _project_spin(sol.y[:, -1], n)
-            ys.append(y)
+    sol = solve_ivp(f, (0.0, t_end), y0, method="RK45", rtol=rtol, atol=atol,
+                    t_eval=t_eval)
+    if not sol.success:
+        t_last = float(sol.t[-1]) if sol.t.size else 0.0
+        y_last = sol.y[:, -1] if sol.t.size else y0
+        raise StepFailure(f"integration failed at t={t_last:.6g}: {sol.message}",
+                          t=t_last, state=MeanFieldState.from_packed(y_last))
 
-    states = [MeanFieldState.from_packed(y) for y in ys]
+    states = [MeanFieldState.from_packed(y) for y in sol.y.T]
     drift = max(st.spin_defect() for st in states)
-    return Trajectory(times=np.asarray(times, float), states=states,
+    return Trajectory(times=np.asarray(sol.t, float), states=states,
                       params=params, spin_drift=drift)
 
 
@@ -285,13 +255,13 @@ class RelaxResult:
 
 
 def relax_to_steady(state0: MeanFieldState, params: LatticeParams, *,
-                    t_max: float = T_MAX, settle_tol: float = SETTLE_TOL,
-                    chunk: float = 25.0, rtol: float = RTOL,
-                    atol: float = ATOL) -> RelaxResult:
+                    t_max: float = T_MAX,
+                    settle_tol: float = SETTLE_TOL) -> RelaxResult:
     """Integrate until the sup norm of the flow drops below settle_tol.
 
-    Checks at multiples of chunk; stops early once settled, otherwise runs
-    to t_max and reports settled=False.  StepFailure propagates.
+    Checks at multiples of 25 time units; stops early once settled,
+    otherwise runs to t_max and reports settled=False.  StepFailure
+    propagates.
     """
     if state0.n != params.n_sites:
         raise ShapeError(
@@ -305,9 +275,9 @@ def relax_to_steady(state0: MeanFieldState, params: LatticeParams, *,
     t = 0.0
     norm = float(np.max(np.abs(f(t, y))))
     while norm >= settle_tol and t < t_max:
-        t_next = min(t + chunk, t_max)
-        sol = solve_ivp(f, (t, t_next), y, method="RK45", rtol=rtol,
-                        atol=atol, t_eval=[t_next])
+        t_next = min(t + 25.0, t_max)
+        sol = solve_ivp(f, (t, t_next), y, method="RK45", rtol=RTOL,
+                        atol=ATOL, t_eval=[t_next])
         if not sol.success:
             raise StepFailure(f"relaxation failed near t={t:.6g}: {sol.message}",
                               t=t, state=MeanFieldState.from_packed(y))

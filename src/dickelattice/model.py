@@ -17,10 +17,6 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 
-# Spin-sphere tolerance: well above double-precision drift over the
-# longest integrations used here, well below any physical feature size.
-EPS_SPIN = 1e-9
-
 
 class BoundaryCondition(enum.Enum):
     Periodic = "periodic"

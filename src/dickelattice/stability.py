@@ -117,6 +117,10 @@ def eigenvalue_csv(report: StabilityReport, path) -> None:
 # ---------------------------------------------------------------------------
 # normal-state threshold by bisection
 
+BISECT_BRACKET = (0.05, 2.0)    # g range searched for the threshold
+BISECT_TOL = 1e-6               # bracket width at which bisection stops
+
+
 def normal_state_abscissa(params: LatticeParams) -> float:
     """Leading growth rate of the flow linearized about the normal state.
 
@@ -130,8 +134,8 @@ def normal_state_abscissa(params: LatticeParams) -> float:
     return float(np.max(np.linalg.eigvals(block).real))
 
 
-def bisect_np_threshold(params: LatticeParams, *, bracket=(0.05, 2.0),
-                        tol: float = 1e-6, max_iter: int = 60) -> float:
+def bisect_np_threshold(params: LatticeParams, *, bracket=BISECT_BRACKET,
+                        tol: float = BISECT_TOL, max_iter: int = 60) -> float:
     """Locate the g where the normal state's abscissa changes sign.
 
     The fixed bracket makes the midpoint sequence, and hence the result,

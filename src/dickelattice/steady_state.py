@@ -11,7 +11,7 @@ replaced equation is checked after convergence.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -211,34 +211,32 @@ def _row_norms(f):
     return np.sqrt(np.matmul(f[:, None, :], f[:, :, None])[:, 0, 0])
 
 
-def _newton_stack(seeds, params, t_hop, jac, newton_tol, max_iter, damping):
-    """Newton iteration on a stack of (state, tag) seeds.
+def _newton_stack(y, params, t_hop, jac, newton_tol, max_iter, damping):
+    """Newton iteration on the stack y of packed seeds, in place.
 
-    Returns one FixedPoint or exception per seed, in order.  Each step
-    makes one batched solve over the seeds still iterating, and each
-    seed backtracks on its own; a seed leaves the stack once it has
-    converged or failed.  jac holds at least len(seeds) augmented
-    Jacobians of params, overwritten in place.
+    Each row of y ends at its seed's last iterate.  Returns one entry per
+    seed, in order: None once its augmented residual is within
+    newton_tol, else the NotConverged or SingularJacobian that stopped
+    it.  Each step makes one batched solve over the seeds still
+    iterating, and each seed backtracks on its own; a seed leaves the
+    stack once it has converged or failed.  jac holds at least len(y)
+    augmented Jacobians of params, overwritten in place.
     """
-    n = params.n_sites
-    out = [None] * len(seeds)
-    live = np.arange(len(seeds))           # seed index of each stack row
-    y = np.array([state.pack() for state, _ in seeds])
-    f = _augmented(y, params, t_hop)
-    done = []                              # (seed indices, states) converged
+    errors = [None] * len(y)
+    live = np.arange(len(y))               # seed index of each stack row
+    x, f = y[live], _augmented(y, params, t_hop)
     for it in range(max(max_iter, 0) + 1):
         res = np.max(np.abs(f), axis=1)
         ok = res <= newton_tol
-        done.append((live[ok], y[ok]))
         if it >= max_iter:
             for k, r in zip(live[~ok], res[~ok]):
-                out[k] = NotConverged(f"residual {r:.3g} > {newton_tol:g} "
-                                      f"after {max_iter} iterations")
+                errors[k] = NotConverged(f"residual {r:.3g} > {newton_tol:g} "
+                                         f"after {max_iter} iterations")
             break
-        live, y, f = live[~ok], y[~ok], f[~ok]
+        live, x, f = live[~ok], x[~ok], f[~ok]
         if not live.size:
             break
-        jf = _jacobian_stack(jac, y, params)
+        jf = _jacobian_stack(jac, x, params)
         keep = np.ones(live.size, bool)     # rows that stay in the stack
         try:
             step = np.linalg.solve(jf, f[:, :, None])[:, :, 0]
@@ -249,12 +247,12 @@ def _newton_stack(seeds, params, t_hop, jac, newton_tol, max_iter, damping):
                 try:
                     step[r] = np.linalg.solve(jf[r], f[r])
                 except np.linalg.LinAlgError as exc:
-                    out[live[r]] = SingularJacobian(
+                    errors[live[r]] = SingularJacobian(
                         f"singular Newton matrix: {exc}",
                         cond=float(np.linalg.cond(jf[r])))
                     keep[r] = False
         for r in np.flatnonzero(keep & ~np.isfinite(step).all(axis=1)):
-            out[live[r]] = SingularJacobian(
+            errors[live[r]] = SingularJacobian(
                 "non-finite Newton step", cond=float(np.linalg.cond(jf[r])))
             keep[r] = False
 
@@ -264,41 +262,26 @@ def _newton_stack(seeds, params, t_hop, jac, newton_tol, max_iter, damping):
         alpha = 1.0
         trial = np.flatnonzero(keep)
         for _ in range(damping + 1):
-            y_new = y[trial] - alpha * step[trial]
-            f_new = _augmented(y_new, params, t_hop)
+            x_new = x[trial] - alpha * step[trial]
+            f_new = _augmented(x_new, params, t_hop)
             down = _row_norms(f_new) < f_norm[trial]
-            y[trial[down]], f[trial[down]] = y_new[down], f_new[down]
+            x[trial[down]], f[trial[down]] = x_new[down], f_new[down]
+            y[live[trial[down]]] = x_new[down]
             trial = trial[~down]
             if not trial.size:
                 break
             alpha *= 0.5
         for r in trial:
-            out[live[r]] = NotConverged(
+            errors[live[r]] = NotConverged(
                 "backtracking could not reduce the residual")
         keep[trial] = False
-        live, y, f = live[keep], y[keep], f[keep]
-
-    # the replaced inversion equations must vanish on their own
-    converged = np.concatenate([k for k, _ in done])
-    y = np.concatenate([states for _, states in done])
-    full = rhs_packed(y, params, t_hop)
-    inversion = np.max(np.abs(full[:, 4 * n:]), axis=1)
-    residual = np.max(np.abs(full), axis=1)
-    for k, y_k, inv, res in zip(converged, y, inversion, residual):
-        if inv > newton_tol:
-            out[k] = NotConverged(
-                f"inversion-rate residual {inv:.3g} survives the constraint "
-                "substitution (z = 0 degeneracy)")
-        else:
-            out[k] = FixedPoint(state=MeanFieldState.from_packed(y_k.copy()),
-                                residual=float(res), converged=True,
-                                seed_tag=seeds[k][1])
-    return out
+        live, x, f = live[keep], x[keep], f[keep]
+    return errors
 
 
-def newton_solve(seed: MeanFieldState | list, params: LatticeParams, *,
+def newton_solve(seeds, params: LatticeParams, *,
                  newton_tol: float = NEWTON_TOL, max_iter: int = MAX_ITER,
-                 damping: int = DAMPING, seed_tag: str = "seed"):
+                 damping: int = DAMPING):
     """Damped Newton iteration on the constraint-augmented 5N system.
 
     Per site the unknowns are (Re a, Im a, Re s, Im s, z) and the
@@ -306,43 +289,49 @@ def newton_solve(seed: MeanFieldState | list, params: LatticeParams, *,
     |s|^2 + z^2 - 1/4 = 0.  Backtracking halves the step up to `damping`
     times whenever the 2-norm of the residual fails to decrease.
 
-    seed is one MeanFieldState, or a list of (MeanFieldState, tag) pairs
-    that are solved together, in stacks of at most 256 KiB of Jacobians;
-    each seed takes exactly the steps it would take alone.
-
-    For one state, returns its FixedPoint (tagged seed_tag) or raises
-    NotConverged (budget exhausted, step rejected, or the replaced
-    inversion equation fails the post-check) or SingularJacobian.  For a
-    list, returns one entry per seed, in order: its FixedPoint, or the
-    NotConverged or SingularJacobian it would have raised.  A seed of
-    the wrong size or off the spin sphere by more than SEED_SPIN_TOL
-    raises ShapeError or DomainError for the whole call.
+    seeds is a stack of packed states of shape (S, 5N), solved in stacks
+    of at most 256 KiB of Jacobians; each seed takes exactly the steps it
+    would take alone.  Returns (y, residual, errors): the final row of
+    each seed (S, 5N), the sup norm of the full flow at each row (S,),
+    and one entry per seed: None for a root, or the NotConverged (budget
+    exhausted, step rejected, or the replaced inversion equation fails
+    the post-check) or SingularJacobian that stopped it.  A stack of the
+    wrong shape raises ShapeError, and a seed off the spin sphere by more
+    than SEED_SPIN_TOL, or with a NaN spin coordinate, raises DomainError,
+    for the whole call.
     """
     validate(params)
-    single = isinstance(seed, MeanFieldState)
-    seeds = [(seed, seed_tag)] if single else list(seed)
     n = params.n_sites
-    for state, _ in seeds:
-        if state.n != n:
-            raise ShapeError(f"seed has {state.n} sites, params expect {n}")
-        defect = state.spin_defect()
-        if defect > SEED_SPIN_TOL:
-            raise DomainError(f"seed is off the spin sphere by {defect:.3g} "
-                              f"(> SEED_SPIN_TOL = {SEED_SPIN_TOL:g})")
+    y = np.array(seeds, dtype=float)
+    if y.ndim != 2 or y.shape[1] != 5 * n:
+        raise ShapeError(f"seed stack must have shape (S, {5 * n}), "
+                         f"got {y.shape}")
+    p, q, z = y[:, 2 * n:3 * n], y[:, 3 * n:4 * n], y[:, 4 * n:]
+    defect = np.max(np.abs(p * p + q * q + z * z - 0.25), axis=1)
+    off = np.flatnonzero(~(defect <= SEED_SPIN_TOL))     # NaN is off too
+    if off.size:
+        raise DomainError(f"seed {off[0]} is off the spin sphere by "
+                          f"{defect[off[0]]:.3g} "
+                          f"(> SEED_SPIN_TOL = {SEED_SPIN_TOL:g})")
 
     t_hop = hop_matrix(params)
     size = max(1, _STACK_BYTES // (8 * (5 * n) ** 2))
     template = _augmented_jacobian(np.zeros(5 * n), params, t_hop)
-    jac = np.repeat(template[None], min(size, len(seeds)), axis=0)
-    out = []
-    for start in range(0, len(seeds), size):
-        out += _newton_stack(seeds[start:start + size], params, t_hop, jac,
-                             newton_tol, max_iter, damping)
-    if not single:
-        return out
-    if isinstance(out[0], Exception):
-        raise out[0]
-    return out[0]
+    jac = np.repeat(template[None], min(size, len(y)), axis=0)
+    errors = []
+    for start in range(0, len(y), size):
+        errors += _newton_stack(y[start:start + size], params, t_hop, jac,
+                                newton_tol, max_iter, damping)
+
+    # the replaced inversion equations must vanish on their own
+    full = rhs_packed(y, params, t_hop)
+    inversion = np.max(np.abs(full[:, 4 * n:]), axis=1)
+    for k in np.flatnonzero(inversion > newton_tol):
+        if errors[k] is None:
+            errors[k] = NotConverged(
+                f"inversion-rate residual {inversion[k]:.3g} survives the "
+                "constraint substitution (z = 0 degeneracy)")
+    return y, np.max(np.abs(full), axis=1), errors
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +380,15 @@ def _random_seed(rng, n):
     z = rng.uniform(-0.5, 0.0, n)
     ph = rng.uniform(0.0, 2.0 * np.pi, n)
     s = np.sqrt(0.25 - z * z) * np.exp(1j * ph)
-    return MeanFieldState(a=a, s=s, z=z)
+    return np.concatenate([a.real, a.imag, s.real, s.imag, z])
 
 
 def _seed_list(params, n_random_seeds, rng):
-    seeds = [(normal_state(params.n_sites), "normal state"),
-             (inverted_normal_state(params.n_sites), "inverted normal state")]
+    """The seeds of find_all as a stack of packed rows (S, 5N), and the
+    tag of each row."""
+    n = params.n_sites
+    seeds = [(normal_state(n), "normal state"),
+             (inverted_normal_state(n), "inverted normal state")]
     if params.bc is BoundaryCondition.Periodic:
         branch = homogeneous_srp_branch(params)
         if not isinstance(branch, NoBranch):
@@ -404,9 +396,11 @@ def _seed_list(params, n_random_seeds, rng):
     for prof in _profiles(params):
         for amp in _AMPLITUDES:
             seeds.append((_dressed_seed(prof, amp, params), "template"))
-    for i in range(n_random_seeds):
-        seeds.append((_random_seed(rng, params.n_sites), f"random {i}"))
-    return seeds
+    rows = [state.pack() for state, _ in seeds]
+    rows += [_random_seed(rng, n) for _ in range(n_random_seeds)]
+    tags = [tag for _, tag in seeds]
+    tags += [f"random {i}" for i in range(n_random_seeds)]
+    return np.array(rows), tags
 
 
 def _dedup(rows, dedup_tol):
@@ -470,24 +464,31 @@ def find_all(params: LatticeParams, *, n_random_seeds: int = N_RANDOM_SEEDS,
 
     All seeds go to one newton_solve call, run with BLAS on one thread
     whatever the caller's threading, so the roots do not depend on it.
-    Non-convergent seeds are dropped and counted in seed_metadata.
+    Non-convergent seeds are dropped and counted in seed_metadata.  A
+    negative n_random_seeds raises DomainError.
     """
     validate(params)
-    seeds = _seed_list(params, n_random_seeds, np.random.default_rng(rng_seed))
+    if n_random_seeds < 0:
+        raise DomainError(f"n_random_seeds must be >= 0, got {n_random_seeds}")
+    seeds, tags = _seed_list(params, n_random_seeds,
+                             np.random.default_rng(rng_seed))
     with one_thread():
-        results = newton_solve(seeds, params)
-    converged = [fp for fp in results if isinstance(fp, FixedPoint)]
+        y, residual, errors = newton_solve(seeds, params)
+    converged = [k for k, err in enumerate(errors) if err is None]
 
-    # every image of every root as a row, root by root, identity first
-    n, group = params.n_sites, len(symmetry_group(params.n_sites, params.bc)[0])
-    packs = np.array([fp.state.pack() for fp in converged]).reshape(-1, 5 * n)
-    roots = []
-    for i in _dedup(symmetry_orbit(packs, params.bc), dedup_tol):
+    # every image of every root as a row, root by root, identity first;
+    # objects are built only for the kept rows, one state per orbit
+    group = len(symmetry_group(params.n_sites, params.bc)[0])
+    roots, states = [], {}
+    for i in _dedup(symmetry_orbit(y[converged], params.bc), dedup_tol):
         k, g = divmod(i, group)
-        fp = replace(converged[k], orbit=k)     # the root keeps its own tag
-        roots.append(fp if g == 0 else replace(
-            fp, state=orbit_image(fp.state, g, params.bc),
-            seed_tag="symmetry image"))
+        seed = converged[k]
+        if k not in states:
+            states[k] = MeanFieldState.from_packed(y[seed])
+        roots.append(FixedPoint(
+            state=states[k] if g == 0 else orbit_image(states[k], g, params.bc),
+            residual=float(residual[seed]), converged=True,
+            seed_tag=tags[seed] if g == 0 else "symmetry image", orbit=k))
 
     meta = dict(n_seeds=len(seeds), n_converged=len(converged),
                 n_failed=len(seeds) - len(converged),

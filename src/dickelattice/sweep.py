@@ -22,15 +22,13 @@ from .errors import DomainError, NotSettled
 # self-test in benchmarks/test_benchmark.py expects both aliases in this
 # namespace, so they stay until that test drops them
 from .classify import label as pattern_label, stable_class_set  # noqa: F401
-from .dynamics import RTOL, ATOL, SETTLE_TOL, relax_to_steady
+from .dynamics import SETTLE_TOL, T_MAX, relax_to_steady
 from .model import LatticeParams, params_to_jsonable, validate
 from .spectrum import critical_coupling_np, xi_stability_window
-from .stability import bisect_np_threshold, \
+from .stability import BISECT_BRACKET, BISECT_TOL, bisect_np_threshold, \
     classify as stability_classify  # noqa: F401
 from .steady_state import N_RANDOM_SEEDS, _dressed_seed, find_all
 
-BISECT_BRACKET = (0.05, 2.0)
-BISECT_TOL = 1e-6
 DEFAULT_STEPS = 140     # per axis, matching the phase-diagram resolution
 
 
@@ -42,7 +40,7 @@ class GridAxis:
 
     def values(self) -> np.ndarray:
         if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+            raise DomainError(f"steps must be >= 1, got {self.steps}")
         if self.steps == 1:
             return np.array([self.min], float)
         return np.linspace(self.min, self.max, self.steps)
@@ -179,9 +177,7 @@ class CriticalPoint:
         return abs(self.g_c_numeric - self.g_c_analytic)
 
 
-def critical_line_scan(params_base: LatticeParams, n_list, xi_values, *,
-                       bracket=BISECT_BRACKET, tol: float = BISECT_TOL,
-                       max_iter: int = 60):
+def critical_line_scan(params_base: LatticeParams, n_list, xi_values):
     """Numeric (bisection) vs closed-form thresholds over N and xi.
 
     The shared fixed bracket keeps the bisection decision sequence, and
@@ -194,8 +190,7 @@ def critical_line_scan(params_base: LatticeParams, n_list, xi_values, *,
             params = replace(params_base, n_sites=int(n), xi=float(xi))
             try:
                 analytic = critical_coupling_np(params).g_c
-                numeric = bisect_np_threshold(params, bracket=bracket,
-                                              tol=tol, max_iter=max_iter)
+                numeric = bisect_np_threshold(params)
                 out.append(CriticalPoint(n_sites=int(n), xi=float(xi),
                                          g_c_numeric=numeric,
                                          g_c_analytic=analytic))
@@ -220,9 +215,8 @@ class SiteProfile:
 
 
 def site_profile(params_base: LatticeParams, g: float,
-                 init_amplitude: float = 0.1, t_end: float = 400.0, *,
-                 settle_tol: float = SETTLE_TOL, rtol: float = RTOL,
-                 atol: float = ATOL) -> SiteProfile:
+                 init_amplitude: float = 0.1, t_end: float = T_MAX, *,
+                 settle_tol: float = SETTLE_TOL) -> SiteProfile:
     """Relax a spatially homogeneous initial amplitude and read the profile.
 
     The initial spins sit exactly on the sphere at the inversion the
@@ -232,8 +226,7 @@ def site_profile(params_base: LatticeParams, g: float,
     params = replace(params_base, g=float(g))
     validate(params)
     state0 = _dressed_seed(np.ones(params.n_sites), init_amplitude, params)
-    res = relax_to_steady(state0, params, t_max=t_end, settle_tol=settle_tol,
-                          rtol=rtol, atol=atol)
+    res = relax_to_steady(state0, params, t_max=t_end, settle_tol=settle_tol)
     a = res.state.a
     homog = float(np.max(np.abs(a[:, None] - a[None, :])))
     profile = SiteProfile(a=a, z=res.state.z.copy(), homogeneity=homog,

@@ -93,6 +93,18 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--mode", "phase", "--xi-steps", "0"], "steps must be >= 1"),
+    (["sweep", "--mode", "cut", "--g-steps", "0"], "steps must be >= 1"),
+    (["steady", "--n-random-seeds", "-3"], "n_random_seeds must be >= 0"),
+], ids=["phase-xi-steps", "cut-g-steps", "negative-seeds"])
+def test_invalid_sweep_and_seed_counts_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}, got {argv[-1]}\n"
+    assert not out.exists()
+
+
 def test_unwritable_out_exit_4(tmp_path, capsys):
     assert main(["critical", "--xi-steps", "1",
                  "--out", "/no-such-dir/x.csv"]) == 4

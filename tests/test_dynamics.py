@@ -109,12 +109,6 @@ def test_integrate_record_cadence_and_drift():
         integrate(s0, P, 5.0, record_every=0.0)
 
 
-def test_integrate_spin_projection_pins_defect():
-    s0 = perturbed_normal_state(3, rng_seed=0)
-    traj = integrate(s0, P, 10.0, record_every=2.0, project_spin=True)
-    assert traj.spin_drift < 1e-12
-
-
 def test_trajectory_csv_roundtrip(tmp_path):
     s0 = perturbed_normal_state(3, rng_seed=1)
     traj = integrate(s0, P, 3.0, record_every=1.0)

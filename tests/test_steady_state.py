@@ -1,3 +1,4 @@
+import sys
 import threading
 from bisect import bisect_left
 from dataclasses import replace
@@ -7,8 +8,9 @@ import pytest
 
 from dickelattice import (NO_BRANCH, BoundaryCondition, BoundaryError,
                           DomainError, FixedPoint, LatticeParams,
-                          MeanFieldState, NotConverged, SingularJacobian,
-                          UnstableWindowError, critical_coupling_np, find_all,
+                          MeanFieldState, NotConverged, ShapeError,
+                          SingularJacobian, UnstableWindowError,
+                          critical_coupling_np, find_all,
                           homogeneous_srp_branch, hop_matrix,
                           jacobian_packed, newton_solve,
                           no_homogeneous_witness, normal_state,
@@ -110,25 +112,41 @@ def test_witness_degenerate_cases_raise(params):
 # Newton
 
 def test_newton_from_exact_and_perturbed_dark_state():
-    fp = newton_solve(normal_state(3), P, seed_tag="dark")
-    assert fp.converged and fp.residual == 0.0 and fp.seed_tag == "dark"
-    fp2 = newton_solve(perturbed_normal_state(3, rng_seed=1, scale=1e-4), P)
-    assert np.max(np.abs(fp2.state.a)) < 1e-9
-    assert fp2.state.z == pytest.approx(np.full(3, -0.5), abs=1e-9)
+    dark = normal_state(3).pack()
+    y, residual, errors = newton_solve(dark[None], P)
+    assert errors == [None] and residual.tolist() == [0.0]
+    assert y.tobytes() == dark.tobytes()
+    seed = perturbed_normal_state(3, rng_seed=1, scale=1e-4).pack()
+    y, residual, errors = newton_solve(seed[None], P)
+    root = MeanFieldState.from_packed(y[0])
+    assert errors == [None] and residual[0] < 1e-9
+    assert np.max(np.abs(root.a)) < 1e-9
+    assert root.z == pytest.approx(np.full(3, -0.5), abs=1e-9)
 
 
 def test_newton_rejects_off_sphere_seed():
-    bad = normal_state(3)
-    bad = bad.__class__(a=bad.a, s=bad.s, z=np.full(3, -0.4))
-    with pytest.raises(DomainError):
-        newton_solve(bad, P)
+    bad = MeanFieldState(a=np.zeros(3, complex), s=np.zeros(3, complex),
+                         z=np.full(3, -0.4))
+    with pytest.raises(DomainError, match="seed 0 is off the spin sphere"):
+        newton_solve(bad.pack()[None], P)
 
 
 def test_newton_rejects_a_list_holding_an_off_sphere_seed():
-    bad = MeanFieldState(a=np.zeros(3, complex), s=np.zeros(3, complex),
-                         z=np.full(3, -0.4))
-    with pytest.raises(DomainError):
-        newton_solve([(normal_state(3), "good"), (bad, "bad")], P)
+    good = np.array([normal_state(3).pack(), inverted_normal_state(3).pack()])
+    bad = good.copy()
+    bad[1, -1] = 0.45          # one row off the sphere by 0.0475
+    with pytest.raises(DomainError, match="seed 1 is off .* by 0.0475"):
+        newton_solve(bad, P)
+    bad[1] = np.nan            # a NaN row is off the sphere too
+    with pytest.raises(DomainError, match="seed 1 is off .* by nan"):
+        newton_solve(bad, P)
+    assert newton_solve(good, P)[2] == [None, None]
+
+
+@pytest.mark.parametrize("shape", [(15,), (2, 20), (2, 10), (1, 2, 15), ()])
+def test_newton_rejects_malformed_stacks(shape):
+    with pytest.raises(ShapeError, match="seed stack must have shape"):
+        newton_solve(np.zeros(shape), P)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +257,10 @@ def test_windowed_dedup_matches_quadratic_oracle(params, monkeypatch):
     oracle = _dedup_quadratic(rows, DEDUP_TOL)
     assert kept == oracle
     assert len(result.roots) == len(oracle) < len(rows)
-    assert [fp.state.pack().tobytes() for fp in result.roots] == \
-        [rows[i].tobytes() for i in oracle]
+    # equal values: the kept roots are rebuilt through from_packed, which
+    # may flip the sign of a zero the Newton row carried
+    assert np.array_equal([fp.state.pack() for fp in result.roots],
+                          rows[oracle])
 
 
 @pytest.mark.parametrize("dedup_tol", [DEDUP_TOL, 3e-9, 1e-9, 1e-10, 0.0])
@@ -321,7 +341,12 @@ def test_array_expansion_matches_object_path(monkeypatch):
     with _blas.one_thread():
         for params in cases:
             got = find_all(params, rng_seed=0).roots
-            converged = [fp for fp in newton.pop() if isinstance(fp, FixedPoint)]
+            y, residual, errors = newton.pop()
+            _, tags = _seed_list(params, N_RANDOM_SEEDS, np.random.default_rng(0))
+            converged = [FixedPoint(state=MeanFieldState.from_packed(y[k]),
+                                    residual=float(residual[k]), converged=True,
+                                    seed_tag=tags[k])
+                         for k, err in enumerate(errors) if err is None]
             want = _expand_dedup_reference(converged, params)
             assert len(got) == len(want)
             for g, w in zip(got, want):
@@ -363,7 +388,7 @@ def _augmented_jacobian_one(y, params, t_hop):
 @pytest.mark.parametrize("n", [2, 3, 30])
 def test_stacked_residual_and_jacobian_match_one_state(bc, n):
     rng = np.random.default_rng(200 + n)
-    rows = [steady_state._random_seed(rng, n).pack() for _ in range(5)]
+    rows = [steady_state._random_seed(rng, n) for _ in range(5)]
     rows += [normal_state(n).pack(), np.zeros(5 * n), -np.zeros(5 * n)]
     y = np.array(rows)
     for g, kappa in ((0.6, 0.4), (0.0, 0.0), (1.3, 0.05)):
@@ -389,12 +414,16 @@ def test_stacked_residual_and_jacobian_match_one_state(bc, n):
 
 def _newton_solve_reference(seed, params, *, newton_tol=steady_state.NEWTON_TOL,
                             max_iter=steady_state.MAX_ITER,
-                            damping=steady_state.DAMPING, seed_tag="seed"):
-    """The damped Newton iteration newton_solve used to run on one seed."""
+                            damping=steady_state.DAMPING):
+    """The damped Newton iteration newton_solve used to run on one seed,
+    started from its packed row.  Returns the last iterate, the sup norm
+    of the full flow there, and None for a root or the exception that
+    stopped the iteration."""
     n = params.n_sites
     t_hop = hop_matrix(params)
-    y = seed.pack()
+    y = np.array(seed, dtype=float)
     f = _augmented_one(y, params, t_hop)
+    error = None
     for _ in range(max_iter):
         if np.max(np.abs(f)) <= newton_tol:
             break
@@ -402,11 +431,13 @@ def _newton_solve_reference(seed, params, *, newton_tol=steady_state.NEWTON_TOL,
         try:
             step = np.linalg.solve(jf, f)
         except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(f"singular Newton matrix: {exc}",
-                                   cond=float(np.linalg.cond(jf))) from exc
+            error = SingularJacobian(f"singular Newton matrix: {exc}",
+                                     cond=float(np.linalg.cond(jf)))
+            break
         if not np.all(np.isfinite(step)):
-            raise SingularJacobian("non-finite Newton step",
-                                   cond=float(np.linalg.cond(jf)))
+            error = SingularJacobian("non-finite Newton step",
+                                     cond=float(np.linalg.cond(jf)))
+            break
         f_norm = np.linalg.norm(f)
         alpha = 1.0
         for _ in range(damping + 1):
@@ -416,44 +447,46 @@ def _newton_solve_reference(seed, params, *, newton_tol=steady_state.NEWTON_TOL,
                 break
             alpha *= 0.5
         else:
-            raise NotConverged("backtracking could not reduce the residual")
+            error = NotConverged("backtracking could not reduce the residual")
+            break
         y, f = y_new, f_new
-    if np.max(np.abs(f)) > newton_tol:
-        raise NotConverged(
+    if error is None and np.max(np.abs(f)) > newton_tol:
+        error = NotConverged(
             f"residual {np.max(np.abs(f)):.3g} > {newton_tol:g} "
             f"after {max_iter} iterations")
     full = rhs_packed(y, params, t_hop)
-    if np.max(np.abs(full[4 * n:])) > newton_tol:
-        raise NotConverged(
+    if error is None and np.max(np.abs(full[4 * n:])) > newton_tol:
+        error = NotConverged(
             f"inversion-rate residual {np.max(np.abs(full[4 * n:])):.3g} "
             "survives the constraint substitution (z = 0 degeneracy)")
-    return FixedPoint(state=MeanFieldState.from_packed(y),
-                      residual=float(np.max(np.abs(full))),
-                      converged=True, seed_tag=seed_tag)
+    return y, np.max(np.abs(full)), error
 
 
 def _reference_outcomes(seeds, params, **kw):
-    out = []
-    for state, tag in seeds:
-        try:
-            out.append(_newton_solve_reference(state, params, seed_tag=tag, **kw))
-        except (NotConverged, SingularJacobian) as exc:
-            out.append(exc)
-    return out
+    """_newton_solve_reference on each row of seeds, in newton_solve's
+    (rows, residuals, errors) form."""
+    out = [_newton_solve_reference(y, params, **kw) for y in seeds]
+    return (np.array([y for y, _, _ in out]).reshape(seeds.shape),
+            np.array([r for _, r, _ in out]), [e for _, _, e in out])
+
+
+def _rows(outcomes, k):
+    """Seed k's part of newton_solve's (rows, residuals, errors)."""
+    y, residual, errors = outcomes
+    return y[k:k + 1], residual[k:k + 1], errors[k:k + 1]
 
 
 def _assert_same_outcomes(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert type(g) is type(w)
-        if isinstance(w, FixedPoint):
-            assert g.state.pack().tobytes() == w.state.pack().tobytes()
-            assert (g.residual, g.seed_tag) == (w.residual, w.seed_tag)
-            assert g.converged and g.orbit is None
-        else:
-            assert str(g) == str(w)
-            if isinstance(w, SingularJacobian):
-                assert g.cond == w.cond
+    (y, residual, errors), (y_want, residual_want, errors_want) = got, want
+    # tobytes compares every bit, the signs of zeros included
+    assert y.shape == y_want.shape and y.tobytes() == y_want.tobytes()
+    assert residual.shape == residual_want.shape
+    assert residual.tobytes() == residual_want.tobytes()
+    assert len(errors) == len(errors_want) == len(y)
+    for g, w in zip(errors, errors_want):
+        assert type(g) is type(w) and str(g) == str(w)
+        if isinstance(w, SingularJacobian):
+            assert g.cond == w.cond
 
 
 def _oracle_params():
@@ -473,7 +506,7 @@ def oracle_cases():
     with _blas.one_thread():
         cases = []
         for params in _oracle_params():
-            seeds = _seed_list(params, N_RANDOM_SEEDS, np.random.default_rng(0))
+            seeds, _ = _seed_list(params, N_RANDOM_SEEDS, np.random.default_rng(0))
             cases.append((params, seeds, _reference_outcomes(seeds, params)))
     return cases
 
@@ -487,33 +520,31 @@ def test_stacked_newton_matches_one_seed_loop(oracle_cases, stack_bytes,
     with _blas.one_thread():
         for params, seeds, want in oracle_cases:
             _assert_same_outcomes(newton_solve(seeds, params), want)
-            kinds |= {type(w) for w in want}
+            kinds |= {type(w) for w in want[2]}
     # the grid reaches converged roots and both kinds of NotConverged
-    assert {FixedPoint, NotConverged} <= kinds
+    assert {type(None), NotConverged} <= kinds
 
 
 @pytest.mark.parametrize("max_iter, damping", [(-1, 30), (0, 30), (3, 30),
                                                (100, 0), (6, 1)])
 def test_stacked_newton_budgets_match_one_seed_loop(max_iter, damping):
     params = LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.8, bc=PBC)
-    seeds = _seed_list(params, 16, np.random.default_rng(1))
+    seeds, _ = _seed_list(params, 16, np.random.default_rng(1))
     with _blas.one_thread():
         want = _reference_outcomes(seeds, params, max_iter=max_iter,
                                    damping=damping)
         got = newton_solve(seeds, params, max_iter=max_iter, damping=damping)
     _assert_same_outcomes(got, want)
-    assert any(isinstance(w, NotConverged) for w in want)
+    assert any(isinstance(w, NotConverged) for w in want[2])
 
 
 def test_one_state_newton_returns_or_raises_like_one_seed_loop(oracle_cases):
+    # each seed alone, as a one-row stack
     params, seeds, want = next(c for c in oracle_cases if c[0].n_sites == 6)
     with _blas.one_thread():
-        for (state, tag), w in zip(seeds, want):
-            try:
-                got = newton_solve(state, params, seed_tag=tag)
-            except (NotConverged, SingularJacobian) as exc:
-                got = exc
-            _assert_same_outcomes([got], [w])
+        for k in range(len(seeds)):
+            _assert_same_outcomes(newton_solve(seeds[k:k + 1], params),
+                                  _rows(want, k))
 
 
 def test_stacked_newton_isolates_singular_seeds():
@@ -524,17 +555,16 @@ def test_stacked_newton_isolates_singular_seeds():
                              s=np.array([0.5, 0.3 + 0.4j, 0.3j]),
                              z=np.array([0.0, 0.0, -0.4]))
     rng = np.random.default_rng(5)
-    seeds = [(normal_state(3), "normal"), (equator, "equator")]
-    seeds += [(steady_state._random_seed(rng, 3), f"random {i}") for i in range(4)]
+    seeds = np.array([normal_state(3).pack(), equator.pack()]
+                     + [steady_state._random_seed(rng, 3) for _ in range(4)])
     with _blas.one_thread():
         want = _reference_outcomes(seeds, params)
         got = newton_solve(seeds, params)
-        with pytest.raises(SingularJacobian) as exc:
-            newton_solve(equator, params)
-    assert isinstance(want[1], SingularJacobian)
-    assert sum(isinstance(w, FixedPoint) for w in want) >= 1
+        alone = newton_solve(seeds[1:2], params)
+    assert isinstance(want[2][1], SingularJacobian)
+    assert sum(w is None for w in want[2]) >= 1
     _assert_same_outcomes(got, want)
-    _assert_same_outcomes([exc.value], [want[1]])
+    _assert_same_outcomes(alone, _rows(want, 1))
 
 
 def test_find_all_runs_newton_on_one_blas_thread(two_blas_threads):
@@ -606,7 +636,7 @@ def test_inversion_post_check_rejects_converged_seeds(monkeypatch):
     # offset every inversion rate by 1e-3: the constraint-substituted
     # system never sees it and converges as before, the post-check does
     params = LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.8, bc=PBC)
-    seeds = _seed_list(params, 8, np.random.default_rng(2))
+    seeds, _ = _seed_list(params, 8, np.random.default_rng(2))
     with _blas.one_thread():
         clean = newton_solve(seeds, params)
     flow = steady_state.rhs_packed
@@ -616,17 +646,21 @@ def test_inversion_post_check_rejects_converged_seeds(monkeypatch):
         f[..., 4 * params.n_sites:] += 1e-3
         return f
 
+    # the package and the one-seed loop both see the offset flow
     monkeypatch.setattr(steady_state, "rhs_packed", offset)
+    monkeypatch.setattr(sys.modules[__name__], "rhs_packed", offset)
     message = ("inversion-rate residual 0.001 survives the constraint "
                "substitution (z = 0 degeneracy)")
     with _blas.one_thread():
+        want = _reference_outcomes(seeds, params)
         got = newton_solve(seeds, params)
-        with pytest.raises(NotConverged) as exc:
-            newton_solve(normal_state(3), params)
-    assert str(exc.value) == message
-    assert sum(isinstance(c, FixedPoint) for c in clean) >= 10
-    for g, c in zip(got, clean, strict=True):
-        if isinstance(c, FixedPoint):
+        alone = newton_solve(normal_state(3).pack()[None], params)
+    _assert_same_outcomes(got, want)
+    assert [(type(e), str(e)) for e in alone[2]] == [(NotConverged, message)]
+    assert sum(c is None for c in clean[2]) >= 10
+    assert got[0].tobytes() == clean[0].tobytes()
+    for g, c in zip(got[2], clean[2], strict=True):
+        if c is None:
             assert type(g) is NotConverged and str(g) == message
         else:
             assert type(g) is type(c) and str(g) == str(c)
@@ -638,27 +672,79 @@ def test_non_finite_step_is_a_singular_jacobian(monkeypatch):
     params = LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.8, bc=PBC)
     marked = MeanFieldState(a=np.full(3, 0.1234567 + 0.05j),
                             s=np.full(3, 0.3 + 0j), z=np.full(3, -0.4))
-    seeds = [(normal_state(3), "normal"), (marked, "marked")]
-    seeds += _seed_list(params, 4, np.random.default_rng(3))[2:]
+    seeds, _ = _seed_list(params, 4, np.random.default_rng(3))
+    seeds = np.concatenate([seeds[:1], marked.pack()[None], seeds[2:]])
     with _blas.one_thread():
         clean = newton_solve(seeds, params)
-    augmented = steady_state._augmented
+    augmented, augmented_one = steady_state._augmented, _augmented_one
 
     def poisoned(y, params, t_hop):
         f = augmented(y, params, t_hop)
         f[y[:, 0] == 0.1234567] = np.inf
         return f
 
+    def poisoned_one(y, params, t_hop):
+        return poisoned(y[None], params, t_hop)[0]
+
     monkeypatch.setattr(steady_state, "_augmented", poisoned)
+    monkeypatch.setattr(sys.modules[__name__], "_augmented_one", poisoned_one)
     with _blas.one_thread():
+        want = _reference_outcomes(seeds, params)
         got = newton_solve(seeds, params)
-        with pytest.raises(SingularJacobian) as exc:
-            newton_solve(marked, params, seed_tag="marked")
+        alone = newton_solve(seeds[1:2], params)
         cond = float(np.linalg.cond(_augmented_jacobian(
             marked.pack(), params, hop_matrix(params))))
-    for err in (got[1], exc.value):
-        assert type(err) is SingularJacobian
-        assert str(err) == "non-finite Newton step"
-        assert err.cond == cond and np.isfinite(cond)
-    assert isinstance(clean[1], FixedPoint)
-    _assert_same_outcomes(got[:1] + got[2:], clean[:1] + clean[2:])
+    _assert_same_outcomes(got, want)
+    _assert_same_outcomes(alone, _rows(want, 1))
+    err = got[2][1]
+    assert type(err) is SingularJacobian
+    assert str(err) == "non-finite Newton step"
+    assert err.cond == cond and np.isfinite(cond)
+    assert clean[2][1] is None
+    _assert_same_outcomes(_rows(got, 0), _rows(clean, 0))
+    _assert_same_outcomes(tuple(part[2:] for part in got),
+                          tuple(part[2:] for part in clean))
+
+
+@pytest.mark.parametrize("params", [
+    LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.8, bc=PBC),
+    LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.8, bc=OBC),
+    LatticeParams(n_sites=30, kappa=0.4, xi=0.2, g=0.8, bc=OBC),
+], ids=["ring-3", "open-3", "open-30"])
+def test_find_all_builds_states_only_for_kept_roots(params, monkeypatch):
+    # the structured seeds are built as states; random seeds, Newton
+    # iterates and the roots the dedup drops are rows only
+    states, points, marks = [], [], []
+    post_init, init = MeanFieldState.__post_init__, FixedPoint.__init__
+    solve = steady_state.newton_solve
+
+    def counting(self):
+        states.append(self)
+        post_init(self)
+
+    def counting_init(self, *args, **kw):
+        points.append(self)
+        init(self, *args, **kw)
+
+    def marking(seeds, params):
+        marks.append((len(states), len(points)))
+        out = solve(seeds, params)
+        marks.append((len(states), len(points)))
+        return out
+
+    monkeypatch.setattr(MeanFieldState, "__post_init__", counting)
+    monkeypatch.setattr(FixedPoint, "__init__", counting_init)
+    monkeypatch.setattr(steady_state, "newton_solve", marking)
+    result = find_all(params, rng_seed=0)
+    meta = result.seed_metadata
+    structured = meta["n_seeds"] - meta["n_random_seeds"]
+    orbits = len({fp.orbit for fp in result})
+    assert len(states) <= len(result) + orbits + structured
+    [(seed_states, seed_points), after_newton] = marks
+    assert after_newton == (seed_states, seed_points)       # none in Newton
+    assert len(points) - seed_points == len(result)
+    assert points[seed_points:] == result.roots
+    # the random seeds add no state to those of the structured seeds
+    del states[:], points[:]
+    steady_state._seed_list(params, 0, np.random.default_rng(0))
+    assert (len(states), len(points)) == (seed_states, seed_points)

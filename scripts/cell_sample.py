@@ -5,13 +5,16 @@ Times a 400-cell sample of the full grid (xi 0-0.45, g 0.3-1.1, kappa
 boundary condition.  Each cell runs serially through the sweep's own cell
 function with the sweep's own per-cell seed and BLAS on one thread, so
 the mean time per cell times 140 x 140 projects the diagram's one-core
-wall time.
+wall time.  The median and 90th-percentile cell times and the slowest
+cell show the tail of cells whose seeds stall, which the mean hides.
 
     PYTHONPATH=src python3 scripts/cell_sample.py
 """
 
 import argparse
 import time
+
+import numpy as np
 
 from dickelattice import BoundaryCondition, GridAxis, LatticeParams, SweepSpec
 from dickelattice._blas import one_thread
@@ -36,12 +39,20 @@ def main():
             jobs = [(spec, i, j, xi[i], g[j])
                     for i in range(XI_START, steps, STRIDE)
                     for j in range(G_START, steps, STRIDE)]
-            start = time.perf_counter()
-            errors = sum(bool(_compute_cell(job).error) for job in jobs)
-            ms = 1e3 * (time.perf_counter() - start) / len(jobs)
+            times, errors = [], 0
+            for job in jobs:
+                start = time.perf_counter()
+                errors += bool(_compute_cell(job).error)
+                times.append(1e3 * (time.perf_counter() - start))
+            ms = np.mean(times)
+            p50, p90 = np.percentile(times, [50, 90])
+            slow = int(np.argmax(times))
             print(f"{bc.value:>8}: {len(jobs)} cells, {errors} errors, "
                   f"{ms:.1f} ms/cell; {steps} x {steps} on one core: "
                   f"{ms * steps * steps / 60e3:.1f} min")
+            print(f"{'':>8}  p50 {p50:.1f} ms, p90 {p90:.1f} ms, slowest "
+                  f"{times[slow]:.1f} ms at xi = {jobs[slow][3]:.6g}, "
+                  f"g = {jobs[slow][4]:.6g}")
 
 
 if __name__ == "__main__":

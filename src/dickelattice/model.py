@@ -116,21 +116,25 @@ class MeanFieldState:
         return float(np.max(np.abs(np.abs(self.s) ** 2 + self.z ** 2 - 0.25)))
 
 
-def normal_state(n_sites: int) -> MeanFieldState:
-    """Dark state: a = s = 0, z = -1/2 on every site."""
+def _dark_state(n_sites, z) -> MeanFieldState:
+    """a = s = 0 and the inversion z on every site."""
     if isinstance(n_sites, bool) or not isinstance(n_sites, (int, np.integer)):
         raise DomainError(f"n_sites must be an integer, got {n_sites!r}")
     if n_sites < 1:
         raise DomainError(f"n_sites must be >= 1, got {n_sites}")
     n = int(n_sites)
     return MeanFieldState(
-        a=np.zeros(n, complex), s=np.zeros(n, complex), z=np.full(n, -0.5))
+        a=np.zeros(n, complex), s=np.zeros(n, complex), z=np.full(n, z))
+
+
+def normal_state(n_sites: int) -> MeanFieldState:
+    """Dark state: a = s = 0, z = -1/2 on every site."""
+    return _dark_state(n_sites, -0.5)
 
 
 def inverted_normal_state(n_sites: int) -> MeanFieldState:
     """Fully inverted dark state: a = s = 0, z = +1/2 on every site."""
-    base = normal_state(n_sites)
-    return MeanFieldState(a=base.a, s=base.s, z=-base.z)
+    return _dark_state(n_sites, 0.5)
 
 
 # ---------------------------------------------------------------------------

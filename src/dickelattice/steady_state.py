@@ -218,11 +218,16 @@ def _newton_stack(y, params, t_hop, jac, newton_tol, max_iter, damping):
     seed, in order: None once its augmented residual is within
     newton_tol, else the NotConverged or SingularJacobian that stopped
     it.  Each step makes one batched solve over the seeds still
-    iterating, and each seed backtracks on its own; a seed leaves the
-    stack once it has converged or failed.  jac holds at least len(y)
+    iterating and at most two stacked flow evaluations, one for the full
+    steps and one for all the halvings of the seeds that reject theirs;
+    each seed backtracks on its own.  A seed leaves the stack once it
+    has converged or failed.  jac holds at least len(y)
     augmented Jacobians of params, overwritten in place.
     """
     errors = [None] * len(y)
+    # step lengths 1, 1/2, ..., 2**-damping, exact powers of two, so that
+    # x - alpha * step rounds as each halving did one at a time
+    alphas = np.ldexp(1.0, -np.arange(damping + 1))
     live = np.arange(len(y))               # seed index of each stack row
     x, f = y[live], _augmented(y, params, t_hop)
     for it in range(max(max_iter, 0) + 1):
@@ -256,21 +261,24 @@ def _newton_stack(y, params, t_hop, jac, newton_tol, max_iter, damping):
                 "non-finite Newton step", cond=float(np.linalg.cond(jf[r])))
             keep[r] = False
 
-        # backtracking: halve the step of each seed whose residual 2-norm
-        # did not fall; the seeds still in trial share one step length
+        # backtracking: each seed takes its longest step alpha * step that
+        # lowers the 2-norm of its residual; the full steps are evaluated
+        # as one stack, then every halving of the seeds that reject theirs
         f_norm = _row_norms(f)
-        alpha = 1.0
         trial = np.flatnonzero(keep)
-        for _ in range(damping + 1):
-            x_new = x[trial] - alpha * step[trial]
-            f_new = _augmented(x_new, params, t_hop)
-            down = _row_norms(f_new) < f_norm[trial]
-            x[trial[down]], f[trial[down]] = x_new[down], f_new[down]
-            y[live[trial[down]]] = x_new[down]
-            trial = trial[~down]
-            if not trial.size:
+        for alpha in (alphas[:1], alphas[1:]):
+            if not (trial.size and alpha.size):
                 break
-            alpha *= 0.5
+            x_new = (x[trial][:, None] - alpha[:, None] * step[trial][:, None]
+                     ).reshape(-1, x.shape[1])
+            f_new = _augmented(x_new, params, t_hop)
+            down = _row_norms(f_new).reshape(trial.size, alpha.size) \
+                < f_norm[trial][:, None]
+            hit = down.any(axis=1)
+            pick = np.flatnonzero(hit) * alpha.size + down[hit].argmax(axis=1)
+            x[trial[hit]], f[trial[hit]] = x_new[pick], f_new[pick]
+            y[live[trial[hit]]] = x_new[pick]
+            trial = trial[~hit]
         for r in trial:
             errors[live[r]] = NotConverged(
                 "backtracking could not reduce the residual")

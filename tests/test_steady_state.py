@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dickelattice import (NO_BRANCH, BoundaryCondition, BoundaryError,
-                          DomainError, FixedPoint, LatticeParams,
+                          DomainError, FixedPoint, GridAxis, LatticeParams,
                           MeanFieldState, NotConverged, ShapeError,
                           SingularJacobian, UnstableWindowError,
                           critical_coupling_np, find_all,
@@ -16,7 +16,7 @@ from dickelattice import (NO_BRANCH, BoundaryCondition, BoundaryError,
                           no_homogeneous_witness, normal_state,
                           inverted_normal_state, perturbed_normal_state,
                           rhs_packed, rhs_sup_norm, symmetry_orbit)
-from dickelattice import _blas, steady_state
+from dickelattice import _blas, steady_state, sweep
 from dickelattice.steady_state import (DEDUP_TOL, N_RANDOM_SEEDS,
                                        _augmented_jacobian, _seed_list)
 from symmetry_reference import orbit_by_elementary_ops
@@ -526,7 +526,8 @@ def test_stacked_newton_matches_one_seed_loop(oracle_cases, stack_bytes,
 
 
 @pytest.mark.parametrize("max_iter, damping", [(-1, 30), (0, 30), (3, 30),
-                                               (100, 0), (6, 1)])
+                                               (100, 0), (6, 1), (3, -1),
+                                               (100, 2), (100, 5)])
 def test_stacked_newton_budgets_match_one_seed_loop(max_iter, damping):
     params = LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.8, bc=PBC)
     seeds, _ = _seed_list(params, 16, np.random.default_rng(1))
@@ -536,6 +537,31 @@ def test_stacked_newton_budgets_match_one_seed_loop(max_iter, damping):
         got = newton_solve(seeds, params, max_iter=max_iter, damping=damping)
     _assert_same_outcomes(got, want)
     assert any(isinstance(w, NotConverged) for w in want[2])
+
+
+def test_newton_tries_all_halvings_in_one_flow_evaluation(monkeypatch):
+    # ring cell (1, 1) of the 4 x 4 three-site grid, with the sweep's seed
+    # for it: some of its seeds stall and reject every halving
+    xi, g = GridAxis(0.0, 0.45, 4).values()[1], GridAxis(0.3, 1.1, 4).values()[1]
+    params = LatticeParams(n_sites=3, kappa=0.4, xi=xi, g=g, bc=PBC)
+    seeds, _ = _seed_list(params, N_RANDOM_SEEDS,
+                          np.random.default_rng(sweep._cell_seed(0, 1, 1)))
+    calls = dict.fromkeys(["_augmented", "_jacobian_stack"], 0)
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(steady_state, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(steady_state, name, counting)
+    with _blas.one_thread():
+        _, _, errors = newton_solve(seeds, params)
+    assert len(seeds) * (5 * 3) ** 2 * 8 <= steady_state._STACK_BYTES
+    # one Jacobian stack per Newton iteration, plus the template's
+    iterations = calls["_jacobian_stack"] - 1
+    assert iterations > 50
+    assert "backtracking could not reduce the residual" in map(str, errors)
+    # the full steps, then every halving: at most two flow evaluations
+    # per iteration, plus the one at the seeds of the (single) stack
+    assert calls["_augmented"] <= 2 * iterations + 1
 
 
 def test_one_state_newton_returns_or_raises_like_one_seed_loop(oracle_cases):
@@ -741,6 +767,7 @@ def test_find_all_builds_states_only_for_kept_roots(params, monkeypatch):
     orbits = len({fp.orbit for fp in result})
     assert len(states) <= len(result) + orbits + structured
     [(seed_states, seed_points), after_newton] = marks
+    assert seed_states == structured        # one state per structured seed
     assert after_newton == (seed_states, seed_points)       # none in Newton
     assert len(points) - seed_points == len(result)
     assert points[seed_points:] == result.roots

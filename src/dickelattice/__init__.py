@@ -17,7 +17,7 @@ from .spectrum import (ModeFrequencies, NPCritical, critical_coupling_hsrp,
                        mode_frequencies, xi_stability_window)
 from .dynamics import (Trajectory, RelaxResult, hop_matrix, integrate,
                        jacobian_packed, perturbed_normal_state,
-                       relax_to_steady, rhs, rhs_packed, rhs_sup_norm)
+                       relax_to_steady, rhs_packed, rhs_sup_norm)
 from .steady_state import (NO_BRANCH, FixedPoint, HomogeneityWitness,
                            NoBranch, RootSearchResult, find_all,
                            homogeneous_srp_branch, newton_solve,
@@ -25,7 +25,7 @@ from .steady_state import (NO_BRANCH, FixedPoint, HomogeneityWitness,
 # the stability-report op stays at stability.classify: the top-level name
 # `classify` belongs to the pattern-label module
 from .stability import (StabilityReport, Verdict, bisect_np_threshold,
-                        eigenvalue_csv, jacobian, normal_state_abscissa,
+                        eigenvalue_csv, normal_state_abscissa,
                         projected_jacobian, tangent_basis)
 from .classify import (PatternKind, PatternLabel, canonicalize, label,
                        phase_letter, root_dossier, stable_class_set)

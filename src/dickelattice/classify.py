@@ -22,7 +22,7 @@ import numpy as np
 from .model import (BoundaryCondition, LatticeParams, MeanFieldState,
                     orbit_image, params_to_jsonable, state_to_jsonable,
                     symmetry_orbit)
-from .steady_state import RootSearchResult, _as_state
+from .steady_state import RootSearchResult
 from .stability import Verdict, classify as stability_classify
 
 EPS_PATTERN = 1e-5
@@ -70,14 +70,14 @@ def _fingerprint(a, eps):
     return "".join(letters)
 
 
-def label(fp, params: LatticeParams, eps_pattern: float = EPS_PATTERN) -> PatternLabel:
+def label(state: MeanFieldState, params: LatticeParams,
+          eps_pattern: float = EPS_PATTERN) -> PatternLabel:
     """Deterministic template match, most to least constrained.
 
     Precedence: NP / InvertedNP -> P1 -> P2 -> O2 -> O1 -> O4 -> O3 ->
     OTHER.  P1 requires the ring (no homogeneous states exist on the open
     chain); P2 the three-site ring; O1-O4 the three-site open chain.
     """
-    state = _as_state(fp)
     a = state.a
     z = state.z
     n = state.n
@@ -139,11 +139,11 @@ def _lex_less(x, y, tol):
     return False
 
 
-def canonicalize(fp, params: LatticeParams, tol: float = CANON_TOL) -> MeanFieldState:
+def canonicalize(state: MeanFieldState, params: LatticeParams,
+                 tol: float = CANON_TOL) -> MeanFieldState:
     """Smallest member of the symmetry_orbit under a fixed coordinate-wise
     total order; orbit members of one numeric root are exact images, so
     the minimum is well defined up to tol."""
-    state = _as_state(fp)
     images, best = symmetry_orbit(state.pack()[None], params.bc), 0
     for k in range(1, len(images)):
         if _lex_less(images[k], images[best], tol):
@@ -166,34 +166,34 @@ class StableClasses:
 
 
 def stable_class_set(roots, params: LatticeParams) -> StableClasses:
-    """Stability verdict per root, then the distinct stable orbit classes.
+    """Stability verdict per FixedPoint, then the distinct stable orbit
+    classes.
 
     Roots that find_all marked with one `orbit` are exact symmetry images
     of one Newton root and share its spectrum, so the first of them is
-    classified and the rest reuse its report; any other root is
-    classified on its own.  Symmetry partners collapse onto one canonical
-    representative each, so a six-member broken-symmetry family counts
-    once: the counts total 1 for monostable cells, 2 for bistable, 3 for
-    tristable.
+    classified and the rest reuse its report; a root whose orbit is None
+    is classified on its own.  Symmetry partners collapse onto one
+    canonical representative each, so a six-member broken-symmetry family
+    counts once: the counts total 1 for monostable cells, 2 for bistable,
+    3 for tristable.
     """
     found = StableClasses(reports=[], classes=[], marginal=False)
     seen = []      # canonical packed vectors of the classes kept
     by_orbit = {}  # orbit -> report of its first root
     for fp in roots:
-        orbit = getattr(fp, "orbit", None)
-        repeat = orbit is not None and orbit in by_orbit
+        repeat = fp.orbit is not None and fp.orbit in by_orbit
         if repeat:
-            rep = by_orbit[orbit]
+            rep = by_orbit[fp.orbit]
         else:
-            rep = stability_classify(fp, params)
-            if orbit is not None:
-                by_orbit[orbit] = rep
+            rep = stability_classify(fp.state, params)
+            if fp.orbit is not None:
+                by_orbit[fp.orbit] = rep
         found.reports.append(rep)
         found.marginal = found.marginal or rep.verdict is Verdict.Marginal
         # an image canonicalizes onto its orbit's class, already counted
         if repeat or rep.verdict is not Verdict.Stable:
             continue
-        canon = canonicalize(fp, params)
+        canon = canonicalize(fp.state, params)
         y = canon.pack()
         if any(np.max(np.abs(y - y0)) < CLASS_TOL for y0 in seen):
             continue
@@ -239,11 +239,11 @@ def root_dossier(params: LatticeParams, result: RootSearchResult) -> dict:
     found = stable_class_set(result.roots, params)
     entries = []
     for fp, rep in zip(result.roots, found.reports):
-        lab = label(fp, params)
+        lab = label(fp.state, params)
         entries.append({
             "state": state_to_jsonable(fp.state),
             "residual": fp.residual,
-            "converged": fp.converged,
+            "converged": True,      # find_all keeps converged roots only
             "seed_tag": fp.seed_tag,
             "verdict": rep.verdict.value,
             "spectral_abscissa": rep.spectral_abscissa,

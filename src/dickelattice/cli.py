@@ -24,16 +24,16 @@ from .errors import (BisectionFailure, BoundaryError, DomainError,
                      NotConverged, NotSettled, ShapeError, SingularJacobian,
                      StepFailure, UnstableWindowError, ZeroModeMismatch)
 from .classify import root_dossier
-from .dynamics import RTOL, ATOL, integrate, perturbed_normal_state
+from .dynamics import RTOL, ATOL, T_MAX, integrate, perturbed_normal_state
 from .model import (BoundaryCondition, LatticeParams, normal_state,
                     state_from_jsonable, validate)
 from .spectrum import (critical_coupling_np_infinite, mode_frequencies,
                        xi_stability_window)
 from .steady_state import DEDUP_TOL, N_RANDOM_SEEDS, find_all
-from .sweep import (DEFAULT_STEPS, GridAxis, SweepSpec, critical_csv,
-                    critical_line_scan, cut_csv, order_parameter_cut,
-                    phase_diagram, phase_diagram_csv, profile_csv,
-                    site_profile)
+from .sweep import (DEFAULT_STEPS, PROFILE_SETTLE_TOL, GridAxis, SweepSpec,
+                    critical_csv, critical_line_scan, cut_csv,
+                    order_parameter_cut, phase_diagram, phase_diagram_csv,
+                    profile_csv, site_profile)
 
 UNITS_NOTE = ("Units: frequencies (omega_a, kappa, xi, g) in units of the "
               "cavity frequency omega_c = 1; times in 1/omega_c.")
@@ -50,7 +50,7 @@ _COMMAND_DEFAULTS = {
     "dispersion": {},
     "critical": {"n_list": "3", "xi_min": 0.05, "xi_max": 0.45,
                  "xi_steps": 9, "infinite": False, "out": "critical.csv"},
-    "trajectory": {"init": "perturbed-np", "t_end": 400.0, "rng_seed": 0,
+    "trajectory": {"init": "perturbed-np", "t_end": T_MAX, "rng_seed": 0,
                    "scale": 1e-3, "record_every": 1.0, "rtol": RTOL,
                    "atol": ATOL, "out": "trajectory.csv"},
     "steady": {"n_random_seeds": N_RANDOM_SEEDS, "rng_seed": 0,
@@ -58,8 +58,8 @@ _COMMAND_DEFAULTS = {
     "sweep": {"mode": "phase", "xi_min": 0.0, "xi_max": 0.45,
               "xi_steps": DEFAULT_STEPS, "g_min": 0.3, "g_max": 1.1,
               "g_steps": DEFAULT_STEPS, "rng_seed": 0, "workers": 0,
-              "g_cut": 0.6, "init_amplitude": 0.1, "t_end": 400.0,
-              "settle_tol": 1e-6, "out": "sweep.csv"},
+              "g_cut": 0.6, "init_amplitude": 0.1, "t_end": T_MAX,
+              "settle_tol": PROFILE_SETTLE_TOL, "out": "sweep.csv"},
 }
 
 
@@ -208,7 +208,16 @@ def cmd_steady(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _resolve(args, "sweep")
     params = _params(cfg)
-    workers = cfg["workers"] or int(os.environ.get("DLP_WORKERS", "1"))
+    workers = cfg["workers"]
+    if not workers:
+        raw = os.environ.get("DLP_WORKERS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise DomainError(
+                f"DLP_WORKERS must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     mode = cfg["mode"]
     if mode == "phase":
         spec = SweepSpec(params_base=params,

@@ -90,18 +90,6 @@ def _rhs_rows(y, params, t_hop):
     return out
 
 
-def rhs(state: MeanFieldState, params: LatticeParams) -> MeanFieldState:
-    """Time derivative of state, returned in the same per-site container.
-
-    The result is a tangent vector, not a physical state; it does not lie
-    on the spin sphere.
-    """
-    if state.n != params.n_sites:
-        raise ShapeError(
-            f"state has {state.n} sites, params expect {params.n_sites}")
-    return MeanFieldState.from_packed(rhs_packed(state.pack(), params))
-
-
 def rhs_sup_norm(state: MeanFieldState, params: LatticeParams) -> float:
     return float(np.max(np.abs(rhs_packed(state.pack(), params))))
 

@@ -166,15 +166,12 @@ def orbit_image(state: MeanFieldState, k: int, bc: BoundaryCondition):
     return MeanFieldState(a=a[site], s=s[site], z=state.z[site])
 
 
-def symmetry_orbit(state, bc: BoundaryCondition):
-    """All images of state under symmetry_group, identity first: for a
-    MeanFieldState the image states, for a stack of packed states of shape
-    (R, 5N) the (R G, 5N) image rows, root by root.  Ring: 2N images, open
-    chain: 4.  Symmetric states have coinciding images, all kept."""
-    if isinstance(state, MeanFieldState):
-        return [orbit_image(state, k, bc)
-                for k in range(len(symmetry_group(state.n, bc)[0]))]
-    y = np.asarray(state, dtype=float)
+def symmetry_orbit(rows, bc: BoundaryCondition) -> np.ndarray:
+    """All images of a stack of packed states (R, 5N) under
+    symmetry_group, as (R G, 5N) rows: root by root, identity first.
+    Ring: 2N images per state, open chain: 4.  Symmetric states have
+    coinciding images, all kept."""
+    y = np.asarray(rows, dtype=float)
     if y.ndim != 2 or y.shape[1] % 5:
         raise ShapeError(f"packed stack must have shape (R, 5N), got {y.shape}")
     perm, sign = symmetry_group(y.shape[1] // 5, bc)

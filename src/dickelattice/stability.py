@@ -17,10 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BisectionFailure, ShapeError, ZeroModeMismatch
+from .errors import BisectionFailure, ZeroModeMismatch
 from .dynamics import jacobian_packed
 from .model import LatticeParams, MeanFieldState, normal_state, validate
-from .steady_state import _as_state
 
 EPS_MARGINAL = 1e-7
 
@@ -36,14 +35,6 @@ class StabilityReport:
     verdict: Verdict
     spectral_abscissa: float      # max real part over the physical modes
     eigenvalues: np.ndarray       # the 4N physical ones, by descending real part
-
-
-def jacobian(state: MeanFieldState, params: LatticeParams) -> np.ndarray:
-    """Analytic derivative of the flow at state, 5N x 5N real."""
-    if state.n != params.n_sites:
-        raise ShapeError(
-            f"state has {state.n} sites, params expect {params.n_sites}")
-    return jacobian_packed(state.pack(), params)
 
 
 def tangent_basis(state: MeanFieldState) -> np.ndarray:
@@ -81,16 +72,13 @@ def tangent_basis(state: MeanFieldState) -> np.ndarray:
 def projected_jacobian(state: MeanFieldState, params: LatticeParams) -> np.ndarray:
     """The Jacobian restricted to the sphere tangent space, 4N x 4N."""
     b = tangent_basis(state)
-    return b.T @ jacobian(state, params) @ b
+    return b.T @ jacobian_packed(state.pack(), params) @ b
 
 
-def classify(fp, params: LatticeParams) -> StabilityReport:
-    """Stability verdict from the 4N eigenvalues of the projected Jacobian.
-
-    fp may be a FixedPoint (must be converged) or a bare MeanFieldState.
-    An abscissa within EPS_MARGINAL of 0 gives Marginal.
+def classify(state: MeanFieldState, params: LatticeParams) -> StabilityReport:
+    """Stability verdict from the 4N eigenvalues of the projected Jacobian
+    at state.  An abscissa within EPS_MARGINAL of 0 gives Marginal.
     """
-    state = _as_state(fp)
     w = np.linalg.eigvals(projected_jacobian(state, params))
     abscissa = float(np.max(w.real))
     if abscissa < -EPS_MARGINAL:

@@ -36,20 +36,10 @@ class FixedPoint:
 
     state: MeanFieldState
     residual: float          # sup norm of the full flow at state
-    converged: bool
     seed_tag: str = "seed"
     # index of the converged Newton root (within one find_all) whose
     # symmetry image this is; None for a point not produced by find_all
     orbit: int | None = None
-
-
-def _as_state(fp) -> MeanFieldState:
-    """The state of a converged FixedPoint, or fp itself if it is a state."""
-    if isinstance(fp, FixedPoint):
-        if not fp.converged:
-            raise DomainError("requires a converged fixed point")
-        return fp.state
-    return fp
 
 
 class NoBranch:
@@ -103,7 +93,7 @@ def homogeneous_srp_branch(params: LatticeParams):
                                s=np.full(n, sign * s, complex),
                                z=np.full(n, z))
         res = float(np.max(np.abs(rhs_packed(state.pack(), params))))
-        out.append(FixedPoint(state=state, residual=res, converged=True,
+        out.append(FixedPoint(state=state, residual=res,
                               seed_tag="analytic branch"))
     return out[0], out[1]
 
@@ -370,45 +360,46 @@ def _profiles(params):
     return out
 
 
-def _dressed_seed(profile, amp, params):
-    # phase-dress the photon quadratures and put the spins where the
-    # coherence equation wants them, exactly on the sphere
-    sup = np.max(np.abs(profile))
-    u = amp * profile / (sup if sup > 0 else 1.0)
+def _dressed_seeds(profiles, amplitudes, params):
+    """Template seeds as packed rows (P A, 5N): each of the P site
+    profiles rescaled to each amplitude as its sup norm, profile by
+    profile.  The photon quadratures are phase-dressed and the spins put
+    where the coherence equation wants them, exactly on the sphere."""
+    prof = np.asarray(profiles, float)
+    sup = np.max(np.abs(prof), axis=1)[:, None, None]
+    amp = np.asarray(amplitudes, float)[:, None]
+    u = (amp * prof[:, None] / sup).reshape(-1, prof.shape[1])
     v = (params.kappa / params.omega_c) * u
     z = -0.5 / np.sqrt(1.0 + 16.0 * params.g ** 2 * u ** 2 / params.omega_a ** 2)
     p = 4.0 * params.g * u * z / params.omega_a
-    return MeanFieldState(a=u + 1j * v, s=p.astype(complex), z=z)
-
-
-def _random_seed(rng, n):
-    r = np.sqrt(rng.uniform(0.0, 1.0, n))
-    th = rng.uniform(0.0, 2.0 * np.pi, n)
-    a = r * np.exp(1j * th)
-    z = rng.uniform(-0.5, 0.0, n)
-    ph = rng.uniform(0.0, 2.0 * np.pi, n)
-    s = np.sqrt(0.25 - z * z) * np.exp(1j * ph)
-    return np.concatenate([a.real, a.imag, s.real, s.imag, z])
+    a = u + 1j * v      # its Im a is +0.0 where v is -0.0 (kappa = 0)
+    return np.hstack([a.real, a.imag, p, np.zeros_like(p), z])
 
 
 def _seed_list(params, n_random_seeds, rng):
     """The seeds of find_all as a stack of packed rows (S, 5N), and the
-    tag of each row."""
+    tag of each row: the dark states, the analytic branch (ring), the
+    templates, then n_random_seeds random rows."""
     n = params.n_sites
-    seeds = [(normal_state(n), "normal state"),
-             (inverted_normal_state(n), "inverted normal state")]
+    rows = [normal_state(n).pack(), inverted_normal_state(n).pack()]
+    tags = ["normal state", "inverted normal state"]
     if params.bc is BoundaryCondition.Periodic:
         branch = homogeneous_srp_branch(params)
         if not isinstance(branch, NoBranch):
-            seeds += [(fp.state, "analytic branch") for fp in branch]
-    for prof in _profiles(params):
-        for amp in _AMPLITUDES:
-            seeds.append((_dressed_seed(prof, amp, params), "template"))
-    rows = [state.pack() for state, _ in seeds]
-    rows += [_random_seed(rng, n) for _ in range(n_random_seeds)]
-    tags = [tag for _, tag in seeds]
+            rows += [fp.state.pack() for fp in branch]
+            tags += [fp.seed_tag for fp in branch]
+    templates = _dressed_seeds(_profiles(params), _AMPLITUDES, params)
+    tags += ["template"] * len(templates)
+
+    # seed by seed, the draws rng.uniform(lo, hi, n) = lo + (hi - lo) *
+    # rng.random(n) of |a|^2 in [0, 1), arg a, z in [-1/2, 0) and arg s
+    x = rng.random((n_random_seeds, 4, n))
+    a = np.sqrt(x[:, 0]) * np.exp(1j * (2.0 * np.pi * x[:, 1]))
+    z = -0.5 + 0.5 * x[:, 2]
+    s = np.sqrt(0.25 - z * z) * np.exp(1j * (2.0 * np.pi * x[:, 3]))
     tags += [f"random {i}" for i in range(n_random_seeds)]
-    return np.array(rows), tags
+    return np.vstack([rows, templates,
+                      np.hstack([a.real, a.imag, s.real, s.imag, z])]), tags
 
 
 def _dedup(rows, dedup_tol):
@@ -495,7 +486,7 @@ def find_all(params: LatticeParams, *, n_random_seeds: int = N_RANDOM_SEEDS,
             states[k] = MeanFieldState.from_packed(y[seed])
         roots.append(FixedPoint(
             state=states[k] if g == 0 else orbit_image(states[k], g, params.bc),
-            residual=float(residual[seed]), converged=True,
+            residual=float(residual[seed]),
             seed_tag=tags[seed] if g == 0 else "symmetry image", orbit=k))
 
     meta = dict(n_seeds=len(seeds), n_converged=len(converged),

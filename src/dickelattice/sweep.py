@@ -22,14 +22,15 @@ from .errors import DomainError, NotSettled
 # self-test in benchmarks/test_benchmark.py expects both aliases in this
 # namespace, so they stay until that test drops them
 from .classify import label as pattern_label, stable_class_set  # noqa: F401
-from .dynamics import SETTLE_TOL, T_MAX, relax_to_steady
-from .model import LatticeParams, params_to_jsonable, validate
+from .dynamics import T_MAX, relax_to_steady
+from .model import LatticeParams, MeanFieldState, params_to_jsonable, validate
 from .spectrum import critical_coupling_np, xi_stability_window
 from .stability import BISECT_BRACKET, BISECT_TOL, bisect_np_threshold, \
     classify as stability_classify  # noqa: F401
-from .steady_state import N_RANDOM_SEEDS, _dressed_seed, find_all
+from .steady_state import N_RANDOM_SEEDS, _dressed_seeds, find_all
 
 DEFAULT_STEPS = 140     # per axis, matching the phase-diagram resolution
+PROFILE_SETTLE_TOL = 1e-6   # flow sup norm at which a site profile has settled
 
 
 @dataclass(frozen=True)
@@ -216,7 +217,7 @@ class SiteProfile:
 
 def site_profile(params_base: LatticeParams, g: float,
                  init_amplitude: float = 0.1, t_end: float = T_MAX, *,
-                 settle_tol: float = SETTLE_TOL) -> SiteProfile:
+                 settle_tol: float = PROFILE_SETTLE_TOL) -> SiteProfile:
     """Relax a spatially homogeneous initial amplitude and read the profile.
 
     The initial spins sit exactly on the sphere at the inversion the
@@ -225,7 +226,8 @@ def site_profile(params_base: LatticeParams, g: float,
     """
     params = replace(params_base, g=float(g))
     validate(params)
-    state0 = _dressed_seed(np.ones(params.n_sites), init_amplitude, params)
+    state0 = MeanFieldState.from_packed(
+        _dressed_seeds([np.ones(params.n_sites)], [init_amplitude], params)[0])
     res = relax_to_steady(state0, params, t_max=t_end, settle_tol=settle_tol)
     a = res.state.a
     homog = float(np.max(np.abs(a[:, None] - a[None, :])))

@@ -6,9 +6,8 @@ only."""
 
 import numpy as np
 
-from dickelattice.model import LatticeParams
+from dickelattice.model import LatticeParams, MeanFieldState
 from dickelattice.stability import Verdict, projected_jacobian
-from dickelattice.steady_state import _as_state
 
 
 def char_poly(a: np.ndarray) -> np.ndarray:
@@ -69,12 +68,12 @@ def routh_rhp_count(coeffs) -> int:
     return int(np.sum(signs[:-1] * signs[1:] < 0))
 
 
-def routh_verdict(fp, params: LatticeParams):
-    """(verdict, right-half-plane count) from the projected Jacobian.
+def routh_verdict(state: MeanFieldState, params: LatticeParams):
+    """(verdict, right-half-plane count) from the projected Jacobian at
+    state.
 
     Independent of any eigenvalue computation; used to cross-check
     classify.  Cannot flag Marginal, so compare away from boundaries.
     """
-    state = _as_state(fp)
     rhp = routh_rhp_count(char_poly(projected_jacobian(state, params)))
     return (Verdict.Stable if rhp == 0 else Verdict.Unstable), rhp

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from dickelattice.dynamics import jacobian_packed
 from dickelattice.errors import ZeroModeMismatch
 from dickelattice.model import LatticeParams, MeanFieldState
-from dickelattice.stability import EPS_MARGINAL, Verdict, jacobian
-from dickelattice.steady_state import _as_state
+from dickelattice.stability import EPS_MARGINAL, Verdict
 
 EPS_ZERO = 1e-8
 
@@ -27,19 +27,18 @@ class StabilityReport:
     structural: np.ndarray        # bool mask aligned with eigenvalues
 
 
-def classify(fp, params: LatticeParams, *, eps_marginal: float = EPS_MARGINAL,
+def classify(state: MeanFieldState, params: LatticeParams, *,
+             eps_marginal: float = EPS_MARGINAL,
              eps_zero: float = EPS_ZERO) -> StabilityReport:
-    """Stability verdict with the N structural zero modes excluded.
+    """Stability verdict at state with the N structural zero modes excluded.
 
-    fp may be a FixedPoint (must be converged) or a bare MeanFieldState.
     A structural mode must satisfy |lambda| < eps_zero and have left
     eigenvector overlap^2 > 0.5 with the constraint-gradient span; the
     overlap test keeps genuine near-zero physical modes (bifurcations) out
     of the excluded set.  Exactly N structural modes are required,
     otherwise ZeroModeMismatch.
     """
-    state = _as_state(fp)
-    j = jacobian(state, params)
+    j = jacobian_packed(state.pack(), params)
     n = params.n_sites
     w, vl = scipy.linalg.eig(j, left=True, right=False)
 

@@ -116,7 +116,7 @@ def test_criterion_03_branch_stability_boundary():
         branch = homogeneous_srp_branch(replace(params, g=g))
         if branch is NO_BRANCH:
             return False
-        rep = stability_classify(branch[0], replace(params, g=g))
+        rep = stability_classify(branch[0].state, replace(params, g=g))
         return rep.verdict is Verdict.Stable
 
     lo, hi = 0.4, 0.6
@@ -372,7 +372,7 @@ def test_criterion_10c_routh_hurwitz_agreement():
         for fp, rep in classified:
             if rep.verdict is Verdict.Marginal:
                 continue
-            verdict_rh, _ = routh_verdict(fp, params)
+            verdict_rh, _ = routh_verdict(fp.state, params)
             compared += 1
             if verdict_rh is not rep.verdict:
                 mismatches += 1

@@ -45,8 +45,8 @@ def test_homogeneous_label_is_ring_only():
 
 def test_branch_labels_p1():
     plus, minus = homogeneous_srp_branch(P)
-    assert label(plus, P).kind is PatternKind.P1
-    assert label(minus, P).kind is PatternKind.P1
+    assert label(plus.state, P).kind is PatternKind.P1
+    assert label(minus.state, P).kind is PatternKind.P1
 
 
 def test_pair_pattern_label():
@@ -88,19 +88,20 @@ def test_eps_shrink_moves_toward_other():
 def test_label_orbit_invariance():
     result = find_all(P_OPEN, rng_seed=1, n_random_seeds=8)
     for fp in result:
-        base = label(fp, P_OPEN).kind
-        for image in symmetry_orbit(fp.state, OBC):
-            assert label(image, P_OPEN).kind is base
+        base = label(fp.state, P_OPEN).kind
+        for image in symmetry_orbit(fp.state.pack()[None], OBC):
+            assert label(MeanFieldState.from_packed(image),
+                         P_OPEN).kind is base
 
 
 def test_canonicalize_idempotent_and_orbit_stable():
     result = find_all(P, rng_seed=1, n_random_seeds=8)
     for fp in result:
-        canon = canonicalize(fp, P)
+        canon = canonicalize(fp.state, P)
         again = canonicalize(canon, P)
         assert np.array_equal(again.pack(), canon.pack())
-        for image in symmetry_orbit(fp.state, PBC):
-            from_image = canonicalize(image, P)
+        for image in symmetry_orbit(fp.state.pack()[None], PBC):
+            from_image = canonicalize(MeanFieldState.from_packed(image), P)
             assert np.max(np.abs(from_image.pack() - canon.pack())) < 1e-9
 
 
@@ -151,29 +152,27 @@ def test_stable_class_set_classifies_once_per_orbit(params, monkeypatch):
     assert None not in orbits and len(orbits) < len(roots)
     calls = []
 
-    def counting(fp, p):
-        calls.append(fp)
-        return stability.classify(fp, p)
+    def counting(state, p):
+        calls.append(state)
+        return stability.classify(state, p)
 
     monkeypatch.setattr(classify_module, "stability_classify", counting)
     found = stable_class_set(roots, params)
     assert len(calls) == len(orbits)
     for fp, rep in zip(roots, found.reports):
-        direct = stability.classify(fp, params)
+        direct = stability.classify(fp.state, params)
         assert isinstance(rep, StabilityReport)
         assert rep.verdict is direct.verdict
         assert abs(rep.spectral_abscissa - direct.spectral_abscissa) <= 1e-12
     if params is P_ONSET:
         lit = [rep for fp, rep in zip(roots, found.reports)
-               if label(fp, params).kind is PatternKind.P2]
+               if label(fp.state, params).kind is PatternKind.P2]
         assert lit and all(rep.verdict is Verdict.Marginal for rep in lit)
         assert found.marginal
 
     # points without an orbit are classified one by one
     calls.clear()
-    bare = [MeanFieldState(a=fp.state.a, s=fp.state.s, z=fp.state.z)
-            for fp in roots]
-    again = stable_class_set(bare, params)
+    again = stable_class_set([replace(fp, orbit=None) for fp in roots], params)
     assert len(calls) == len(roots)
     assert again.counts == found.counts and again.marginal == found.marginal
 

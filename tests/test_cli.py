@@ -93,16 +93,33 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["sweep", "--mode", "phase", "--xi-steps", "0"], "steps must be >= 1"),
-    (["sweep", "--mode", "cut", "--g-steps", "0"], "steps must be >= 1"),
-    (["steady", "--n-random-seeds", "-3"], "n_random_seeds must be >= 0"),
-], ids=["phase-xi-steps", "cut-g-steps", "negative-seeds"])
-def test_invalid_sweep_and_seed_counts_exit_2(tmp_path, capsys, argv, message):
+SWEEP_1x1 = ["sweep", "--mode", "phase", "--xi-steps", "1", "--g-steps", "1"]
+
+
+@pytest.mark.parametrize("argv, workers_env, message", [
+    (["sweep", "--mode", "phase", "--xi-steps", "0"], None,
+     "steps must be >= 1, got 0"),
+    (["sweep", "--mode", "cut", "--g-steps", "0"], None,
+     "steps must be >= 1, got 0"),
+    (["steady", "--n-random-seeds", "-3"], None,
+     "n_random_seeds must be >= 0, got -3"),
+    (SWEEP_1x1 + ["--workers", "-4"], None, "workers must be >= 1, got -4"),
+    (SWEEP_1x1, "0", "workers must be >= 1, got 0"),
+    (SWEEP_1x1, "abc", "DLP_WORKERS must be an integer, got 'abc'"),
+    (["sweep", "--mode", "profile"], "2.5",
+     "DLP_WORKERS must be an integer, got '2.5'"),
+], ids=["phase-xi-steps", "cut-g-steps", "negative-seeds", "negative-workers",
+        "zero-env-workers", "text-env-workers", "fractional-env-workers"])
+def test_invalid_sweep_and_seed_counts_exit_2(tmp_path, capsys, monkeypatch,
+                                              argv, workers_env, message):
+    if workers_env is None:
+        monkeypatch.delenv("DLP_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("DLP_WORKERS", workers_env)
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}, got {argv[-1]}\n"
-    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unwritable_out_exit_4(tmp_path, capsys):

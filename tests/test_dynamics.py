@@ -6,7 +6,7 @@ import pytest
 from dickelattice import (BoundaryCondition, DomainError, LatticeParams,
                           MeanFieldState, ShapeError, hop_matrix, integrate,
                           jacobian_packed, normal_state, inverted_normal_state,
-                          perturbed_normal_state, relax_to_steady, rhs,
+                          perturbed_normal_state, relax_to_steady,
                           rhs_packed, rhs_sup_norm)
 from dickelattice.dynamics import jacobian_fill
 from symmetry_reference import cyclic_shift, reflect, z2_flip
@@ -16,6 +16,11 @@ OBC = BoundaryCondition.Open
 
 P = LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.6, bc=PBC)
 P_OPEN = LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.6, bc=OBC)
+
+
+def rhs(state, params):
+    """The flow at state, in the per-site container (a tangent vector)."""
+    return MeanFieldState.from_packed(rhs_packed(state.pack(), params))
 
 
 def _random_sphere_state(rng, n):
@@ -76,7 +81,7 @@ def test_rhs_shape_error():
     with pytest.raises(ShapeError):
         rhs_packed(np.zeros(14), P)
     with pytest.raises(ShapeError):
-        rhs(normal_state(4), P)
+        rhs_packed(normal_state(4).pack(), P)
 
 
 @pytest.mark.parametrize("params", [P, P_OPEN,

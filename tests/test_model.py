@@ -100,11 +100,11 @@ def test_symmetry_ops():
 
 def test_orbit_sizes_and_identity_first():
     state = _random_state(np.random.default_rng(1), 4)
-    ring = symmetry_orbit(state, PBC)
-    chain = symmetry_orbit(state, OBC)
-    assert len(ring) == 8 and len(chain) == 4
-    assert np.array_equal(ring[0].pack(), state.pack())
-    assert np.array_equal(chain[0].pack(), state.pack())
+    ring = symmetry_orbit(state.pack()[None], PBC)
+    chain = symmetry_orbit(state.pack()[None], OBC)
+    assert ring.shape == (8, 20) and chain.shape == (4, 20)
+    assert np.array_equal(ring[0], state.pack())
+    assert np.array_equal(chain[0], state.pack())
 
 
 def _signed_zero_state(rng, n):
@@ -138,10 +138,9 @@ def test_symmetry_table_matches_elementary_ops(bc, n):
     assert rows.shape == (len(states) * group, 5 * n)
     for r, state in enumerate(states):
         want = orbit_by_elementary_ops(state, bc)
-        got = symmetry_orbit(state, bc)
-        assert len(want) == len(got) == group
+        assert len(want) == group
         for k, w in enumerate(want):
-            assert _bytes(got[k]) == _bytes(orbit_image(state, k, bc)) == _bytes(w)
+            assert _bytes(orbit_image(state, k, bc)) == _bytes(w)
             assert rows[r * group + k].tobytes() == w.pack().tobytes()
 
 

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from dickelattice import (BisectionFailure, BoundaryCondition, DomainError,
+from dickelattice import (BisectionFailure, BoundaryCondition,
                           LatticeParams, MeanFieldState, Verdict,
                           bisect_np_threshold, critical_coupling_np,
                           eigenvalue_csv, find_all, homogeneous_srp_branch,
-                          jacobian, normal_state, normal_state_abscissa,
+                          jacobian_packed, normal_state, normal_state_abscissa,
                           projected_jacobian, tangent_basis)
 from dickelattice._blas import one_thread
 from dickelattice.errors import ZeroModeMismatch
 from dickelattice.stability import classify
-from dickelattice.steady_state import FixedPoint
 import stability_reference
 from routh_reference import char_poly, routh_rhp_count, routh_verdict
 
@@ -40,7 +39,8 @@ def test_structural_zero_count_and_sorting():
     rep = classify(normal_state(3), _params(0.3))
     assert rep.eigenvalues.size == 12
     assert np.all(np.diff(rep.eigenvalues.real) <= 1e-12)
-    full = np.linalg.eigvals(jacobian(normal_state(3), _params(0.3)))
+    full = np.linalg.eigvals(jacobian_packed(normal_state(3).pack(),
+                                            _params(0.3)))
     assert int(np.sum(np.abs(full) < 1e-12)) == 3
     assert rep.spectral_abscissa == pytest.approx(
         np.max(full[np.abs(full) >= 1e-12].real), abs=1e-12)
@@ -53,10 +53,10 @@ def test_structural_zero_count_and_sorting():
 def test_branch_point_spectrum_matches_projection():
     p = _params(0.7)
     plus, _ = homogeneous_srp_branch(p)
-    rep = classify(plus, p)
+    rep = classify(plus.state, p)
     assert rep.verdict is Verdict.Stable
     # the full spectrum is the physical one plus N zeros
-    w_full = np.linalg.eigvals(jacobian(plus.state, p))
+    w_full = np.linalg.eigvals(jacobian_packed(plus.state.pack(), p))
     w_phys = w_full[np.argsort(np.abs(w_full))[3:]]
     w_proj = rep.eigenvalues
     assert w_proj.size == 12
@@ -122,7 +122,7 @@ def test_tangent_basis_is_orthonormal_and_tangent(n, bc):
         if k:
             # at a fixed point the Jacobian maps the tangent space into
             # itself, which is why the projected spectrum is the physical one
-            j = jacobian(x, p)
+            j = jacobian_packed(x.pack(), p)
             assert np.max(np.abs(j @ b - b @ (b.T @ j @ b))) <= 1e-9
 
 
@@ -144,22 +144,16 @@ def test_tangent_verdict_matches_zero_mode_reference(bc, n, xi, g):
     with one_thread():     # the left eigensolve is slow on two threads
         for fp in roots:
             try:
-                want = stability_reference.classify(fp, p)
+                want = stability_reference.classify(fp.state, p)
             except ZeroModeMismatch:
                 continue
-            got = classify(fp, p)
+            got = classify(fp.state, p)
             assert got.verdict is want.verdict
             assert abs(got.spectral_abscissa
                        - want.spectral_abscissa) <= 1e-10
             assert got.eigenvalues.size == 4 * n
             compared += 1
     assert compared == len(roots) > 0
-
-
-def test_classify_rejects_unconverged_fixed_point():
-    fp = FixedPoint(state=normal_state(3), residual=1.0, converged=False)
-    with pytest.raises(DomainError):
-        classify(fp, _params(0.3))
 
 
 def test_classify_zero_mode_mismatch_on_degenerate_spin():
@@ -238,10 +232,10 @@ def test_routh_agrees_with_eigenvalues_at_roots():
     result = find_all(p, rng_seed=2, n_random_seeds=16)
     checked = 0
     for fp in result:
-        rep = classify(fp, p)
+        rep = classify(fp.state, p)
         if rep.verdict is Verdict.Marginal:
             continue
-        rv, rhp = routh_verdict(fp, p)
+        rv, rhp = routh_verdict(fp.state, p)
         assert rv is rep.verdict, (
             f"Routh said {rv} ({rhp} RHP), eigenvalues said {rep.verdict} "
             f"at abscissa {rep.spectral_abscissa:.3e}")

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 from bisect import bisect_left
@@ -19,6 +20,7 @@ from dickelattice import (NO_BRANCH, BoundaryCondition, BoundaryError,
 from dickelattice import _blas, steady_state, sweep
 from dickelattice.steady_state import (DEDUP_TOL, N_RANDOM_SEEDS,
                                        _augmented_jacobian, _seed_list)
+import seed_reference
 from symmetry_reference import orbit_by_elementary_ops
 
 PBC = BoundaryCondition.Periodic
@@ -38,7 +40,6 @@ def test_branch_frozen_point():
     assert np.abs(plus.state.a) == pytest.approx(
         np.full(3, 0.6644818186898875), rel=1e-10)
     for fp in (plus, minus):
-        assert fp.converged
         assert fp.residual < 1e-10
         assert rhs_sup_norm(fp.state, P) < 1e-10
         assert fp.state.spin_defect() < 1e-12
@@ -179,7 +180,7 @@ def test_find_all_contains_branch_pair(roots_ring):
 def test_find_all_residuals_and_dedup(roots_ring):
     packs = [fp.state.pack() for fp in roots_ring]
     for fp in roots_ring:
-        assert fp.converged and fp.residual < 1e-9
+        assert fp.residual < 1e-9
         assert fp.state.spin_defect() < 1e-9
     for i in range(len(packs)):
         for j in range(i + 1, len(packs)):
@@ -192,8 +193,8 @@ def test_find_all_orbit_closure(which, roots_ring, roots_open):
                       else (P_OPEN, roots_open))
     packs = [fp.state.pack() for fp in result]
     for fp in result:
-        for image in symmetry_orbit(fp.state, params.bc):
-            dist = min(np.max(np.abs(y - image.pack())) for y in packs)
+        for image in symmetry_orbit(fp.state.pack()[None], params.bc):
+            dist = min(np.max(np.abs(y - image)) for y in packs)
             assert dist < DEDUP_TOL
 
 
@@ -216,8 +217,8 @@ def test_find_all_open_chain_known_profiles(roots_open):
     for target in expected:
         best = np.inf
         for fp in roots_open:
-            for image in symmetry_orbit(fp.state, OBC):
-                best = min(best, np.max(np.abs(image.a.real - np.array(target))))
+            for image in symmetry_orbit(fp.state.pack()[None], OBC):
+                best = min(best, np.max(np.abs(image[:3] - np.array(target))))
         assert best < 2e-3, f"no root realizes Re(a) profile {target}"
 
 
@@ -322,8 +323,7 @@ def _expand_dedup_reference(converged, params):
         expanded.append(replace(fp, orbit=k))     # identity image keeps its tag
         for img in orbit_by_elementary_ops(fp.state, params.bc)[1:]:
             expanded.append(FixedPoint(state=img, residual=fp.residual,
-                                       converged=True, seed_tag="symmetry image",
-                                       orbit=k))
+                                       seed_tag="symmetry image", orbit=k))
     return _dedup_reference(expanded, DEDUP_TOL)
 
 
@@ -344,7 +344,7 @@ def test_array_expansion_matches_object_path(monkeypatch):
             y, residual, errors = newton.pop()
             _, tags = _seed_list(params, N_RANDOM_SEEDS, np.random.default_rng(0))
             converged = [FixedPoint(state=MeanFieldState.from_packed(y[k]),
-                                    residual=float(residual[k]), converged=True,
+                                    residual=float(residual[k]),
                                     seed_tag=tags[k])
                          for k, err in enumerate(errors) if err is None]
             want = _expand_dedup_reference(converged, params)
@@ -354,8 +354,8 @@ def test_array_expansion_matches_object_path(monkeypatch):
                         g.state.z.tobytes()) == \
                     (w.state.a.tobytes(), w.state.s.tobytes(),
                      w.state.z.tobytes())
-                assert (g.seed_tag, g.residual, g.orbit, g.converged) == \
-                    (w.seed_tag, w.residual, w.orbit, w.converged)
+                assert (g.seed_tag, g.residual, g.orbit) == \
+                    (w.seed_tag, w.residual, w.orbit)
                 assert type(g.orbit) is int
                 y = g.state.pack()
                 n_signed_zeros += int(np.signbit(y[y == 0.0]).sum())
@@ -388,7 +388,7 @@ def _augmented_jacobian_one(y, params, t_hop):
 @pytest.mark.parametrize("n", [2, 3, 30])
 def test_stacked_residual_and_jacobian_match_one_state(bc, n):
     rng = np.random.default_rng(200 + n)
-    rows = [steady_state._random_seed(rng, n) for _ in range(5)]
+    rows = [seed_reference.random_seed(rng, n) for _ in range(5)]
     rows += [normal_state(n).pack(), np.zeros(5 * n), -np.zeros(5 * n)]
     y = np.array(rows)
     for g, kappa in ((0.6, 0.4), (0.0, 0.0), (1.3, 0.05)):
@@ -582,7 +582,7 @@ def test_stacked_newton_isolates_singular_seeds():
                              z=np.array([0.0, 0.0, -0.4]))
     rng = np.random.default_rng(5)
     seeds = np.array([normal_state(3).pack(), equator.pack()]
-                     + [steady_state._random_seed(rng, 3) for _ in range(4)])
+                     + [seed_reference.random_seed(rng, 3) for _ in range(4)])
     with _blas.one_thread():
         want = _reference_outcomes(seeds, params)
         got = newton_solve(seeds, params)
@@ -732,13 +732,15 @@ def test_non_finite_step_is_a_singular_jacobian(monkeypatch):
                           tuple(part[2:] for part in clean))
 
 
-@pytest.mark.parametrize("params", [
-    LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.8, bc=PBC),
-    LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.8, bc=OBC),
-    LatticeParams(n_sites=30, kappa=0.4, xi=0.2, g=0.8, bc=OBC),
+@pytest.mark.parametrize("params, seed_states", [
+    (LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.8, bc=PBC), 4),
+    (LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.8, bc=OBC), 2),
+    (LatticeParams(n_sites=30, kappa=0.4, xi=0.2, g=0.8, bc=OBC), 2),
 ], ids=["ring-3", "open-3", "open-30"])
-def test_find_all_builds_states_only_for_kept_roots(params, monkeypatch):
-    # the structured seeds are built as states; random seeds, Newton
+def test_find_all_builds_states_only_for_kept_roots(params, seed_states,
+                                                    monkeypatch):
+    # the dark states and the ring's analytic branch pair are the only
+    # states built before Newton; template and random seeds, Newton
     # iterates and the roots the dedup drops are rows only
     states, points, marks = [], [], []
     post_init, init = MeanFieldState.__post_init__, FixedPoint.__init__
@@ -762,16 +764,33 @@ def test_find_all_builds_states_only_for_kept_roots(params, monkeypatch):
     monkeypatch.setattr(FixedPoint, "__init__", counting_init)
     monkeypatch.setattr(steady_state, "newton_solve", marking)
     result = find_all(params, rng_seed=0)
-    meta = result.seed_metadata
-    structured = meta["n_seeds"] - meta["n_random_seeds"]
     orbits = len({fp.orbit for fp in result})
-    assert len(states) <= len(result) + orbits + structured
-    [(seed_states, seed_points), after_newton] = marks
-    assert seed_states == structured        # one state per structured seed
+    assert len(states) <= seed_states + len(result) + orbits
+    [(before, seed_points), after_newton] = marks
+    assert before == seed_states
     assert after_newton == (seed_states, seed_points)       # none in Newton
     assert len(points) - seed_points == len(result)
     assert points[seed_points:] == result.roots
-    # the random seeds add no state to those of the structured seeds
+    # the template and random seeds add no state
     del states[:], points[:]
     steady_state._seed_list(params, 0, np.random.default_rng(0))
     assert (len(states), len(points)) == (seed_states, seed_points)
+
+
+@pytest.mark.parametrize("bc", [PBC, OBC])
+@pytest.mark.parametrize("n", [3, 4, 10, 30])
+def test_seed_list_matches_per_seed_reference(n, bc):
+    # the array-built rows against the seed-by-seed loop, every bit; at
+    # kappa = 0 the templates' Im a would carry -0.0 if built naively
+    for g, kappa, rng_seed, n_random in itertools.product(
+            (0.0, 0.8), (0.0, 0.4), (0, 1), (0, N_RANDOM_SEEDS)):
+        params = LatticeParams(n_sites=n, kappa=kappa, xi=0.2, g=g, bc=bc)
+        rng, rng_ref = (np.random.default_rng(rng_seed) for _ in range(2))
+        rows, tags = _seed_list(params, n_random, rng)
+        want_rows, want_tags = seed_reference.seed_list(params, n_random,
+                                                        rng_ref)
+        assert tags == want_tags
+        assert rows.shape == want_rows.shape
+        assert rows.tobytes() == want_rows.tobytes()
+        # the same stream is consumed
+        assert rng.random() == rng_ref.random()

@@ -97,7 +97,7 @@ def test_onset_cell_is_marginal_not_an_error():
     found = stable_class_set(roots, at)
     assert len(found.reports) == len(roots) == cell.n_roots_total
     lit = [rep for fp, rep in zip(roots, found.reports)
-           if label(fp, at).kind is PatternKind.P2]
+           if label(fp.state, at).kind is PatternKind.P2]
     assert lit and all(rep.verdict is Verdict.Marginal for rep in lit)
 
 

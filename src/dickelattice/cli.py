@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Every command resolves its settings in three layers: built-in defaults,
-then a flat JSON config file (--config), then explicit flags.  The
-resolved config is written next to any output files, so a run can be
-reproduced byte for byte from that file alone.
+Every option is one row of _OPTIONS: its flag, default, help and config
+type.  Every command resolves its settings in three layers: the
+defaults, then a flat JSON config file (--config, each value checked
+against its option's type), then explicit flags.  The resolved config is
+written next to any output files, so a run can be reproduced byte for
+byte from that file alone.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure, 4 I/O.
 """
@@ -40,60 +42,97 @@ UNITS_NOTE = ("Units: frequencies (omega_a, kappa, xi, g) in units of the "
 
 _BC = {"pbc": "periodic", "periodic": "periodic",
        "obc": "open", "open": "open"}
+_ALL = ("dispersion", "critical", "trajectory", "steady", "sweep")
 
-# kappa defaults to the damped operating point rather than the
-# LatticeParams value of 0, so dynamics commands relax out of the box
-_MODEL_DEFAULTS = {"n": 3, "bc": "periodic", "omega_c": 1.0, "omega_a": 1.0,
-                   "kappa": 0.4, "xi": 0.2, "g": 0.5}
+# Every option, in --help order: (config key, type, default, help,
+# commands).  A type is int, float, str, bool (an on-switch) or a list of
+# allowed strings.  The flag is --<key with dashes>.  A key takes one row
+# per command where its default or help differs.
+_OPTIONS = [
+    ("n", int, 3, "number of lattice sites", _ALL),
+    ("bc", sorted(_BC), "periodic",
+     "boundary condition (pbc/periodic or obc/open)", _ALL),
+    ("omega_c", float, 1.0, "cavity frequency", _ALL),
+    ("omega_a", float, 1.0, "atomic splitting", _ALL),
+    # kappa defaults to the damped operating point rather than the
+    # LatticeParams value of 0, so dynamics commands relax out of the box
+    ("kappa", float, 0.4, "photon decay rate", _ALL),
+    ("xi", float, 0.2, "photon hopping strength", _ALL),
+    ("g", float, 0.5, "light-matter coupling", _ALL),
+    ("mode", ["phase", "cut", "profile"], "phase", None, ("sweep",)),
+    ("n_list", str, "3", "comma-separated site counts (default 3)",
+     ("critical",)),
+    ("xi_min", float, 0.05, None, ("critical",)),
+    ("xi_min", float, 0.0, None, ("sweep",)),
+    ("xi_max", float, 0.45, None, ("critical", "sweep")),
+    ("xi_steps", int, 9, None, ("critical",)),
+    ("xi_steps", int, DEFAULT_STEPS, None, ("sweep",)),
+    ("g_min", float, 0.3, None, ("sweep",)),
+    ("g_max", float, 1.1, None, ("sweep",)),
+    ("g_steps", int, DEFAULT_STEPS, None, ("sweep",)),
+    ("n_random_seeds", int, N_RANDOM_SEEDS, None, ("steady",)),
+    ("rng_seed", int, 0, None, ("steady", "sweep")),
+    ("workers", int, 0, "sweep pool size (fallback: DLP_WORKERS, then 1)",
+     ("sweep",)),
+    ("g_cut", float, 0.6, "coupling for --mode profile", ("sweep",)),
+    ("init_amplitude", float, 0.1, None, ("sweep",)),
+    ("init", str, "perturbed-np", "np, perturbed-np, or a JSON state file",
+     ("trajectory",)),
+    ("t_end", float, T_MAX, None, ("trajectory", "sweep")),
+    ("rng_seed", int, 0, "perturbation seed", ("trajectory",)),
+    ("scale", float, 1e-3, "perturbation amplitude", ("trajectory",)),
+    ("record_every", float, 1.0, None, ("trajectory",)),
+    ("rtol", float, RTOL, None, ("trajectory",)),
+    ("atol", float, ATOL, None, ("trajectory",)),
+    ("settle_tol", float, PROFILE_SETTLE_TOL,
+     "flow norm below which the profile counts as settled", ("sweep",)),
+    ("dedup_tol", float, DEDUP_TOL, None, ("steady",)),
+    ("infinite", bool, False, "also write the infinite-chain curve",
+     ("critical",)),
+    ("out", str, "critical.csv", "output CSV path", ("critical",)),
+    ("out", str, "trajectory.csv", "output CSV path", ("trajectory",)),
+    ("out", str, "", "output JSON path (default: stdout)", ("steady",)),
+    ("out", str, "sweep.csv", "output CSV path", ("sweep",)),
+]
 
-_COMMAND_DEFAULTS = {
-    "dispersion": {},
-    "critical": {"n_list": "3", "xi_min": 0.05, "xi_max": 0.45,
-                 "xi_steps": 9, "infinite": False, "out": "critical.csv"},
-    "trajectory": {"init": "perturbed-np", "t_end": T_MAX, "rng_seed": 0,
-                   "scale": 1e-3, "record_every": 1.0, "rtol": RTOL,
-                   "atol": ATOL, "out": "trajectory.csv"},
-    "steady": {"n_random_seeds": N_RANDOM_SEEDS, "rng_seed": 0,
-               "dedup_tol": DEDUP_TOL, "out": ""},
-    "sweep": {"mode": "phase", "xi_min": 0.0, "xi_max": 0.45,
-              "xi_steps": DEFAULT_STEPS, "g_min": 0.3, "g_max": 1.1,
-              "g_steps": DEFAULT_STEPS, "rng_seed": 0, "workers": 0,
-              "g_cut": 0.6, "init_amplitude": 0.1, "t_end": T_MAX,
-              "settle_tol": PROFILE_SETTLE_TOL, "out": "sweep.csv"},
-}
+
+def _check(key: str, kind, value) -> None:
+    """Raise DomainError unless a config value fits its option's type; an
+    int is a float, a bool is not a number."""
+    if isinstance(kind, list):
+        fits, want = value in kind, f"one of {kind}"
+    elif kind is float:
+        fits, want = type(value) in (int, float), "float"
+    else:
+        fits, want = type(value) is kind, kind.__name__
+    if not fits:
+        raise DomainError(f"config {key} must be {want}, got {value!r}")
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, help="number of lattice sites")
-    p.add_argument("--bc", choices=sorted(_BC),
-                   help="boundary condition (pbc/periodic or obc/open)")
-    p.add_argument("--omega-c", type=float, help="cavity frequency")
-    p.add_argument("--omega-a", type=float, help="atomic splitting")
-    p.add_argument("--kappa", type=float, help="photon decay rate")
-    p.add_argument("--xi", type=float, help="photon hopping strength")
-    p.add_argument("--g", type=float, help="light-matter coupling")
-    p.add_argument("--config", help="flat JSON config file; flags override")
-
-
-def _resolve(args: argparse.Namespace, command: str) -> dict:
-    cfg = dict(_MODEL_DEFAULTS)
-    cfg.update(_COMMAND_DEFAULTS[command])
-    if getattr(args, "config", None):
+def _resolve(args: argparse.Namespace) -> dict:
+    kinds, cfg = {}, {}
+    for key, kind, default, _, commands in _OPTIONS:
+        if args.command in commands:
+            kinds[key], cfg[key] = kind, default
+    if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
-        unknown = set(loaded) - set(cfg) - {"command"}
+        if not isinstance(loaded, dict):
+            raise DomainError("config file must hold a JSON object, got "
+                              f"{type(loaded).__name__}")
+        loaded.pop("command", None)
+        unknown = set(loaded) - set(cfg)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
-        loaded.pop("command", None)
+        for key, value in loaded.items():
+            _check(key, kinds[key], value)
         cfg.update(loaded)
     for key in cfg:
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
-    cfg["bc"] = _BC.get(str(cfg["bc"]), None)
-    if cfg["bc"] is None:
-        raise DomainError(f"bc must be one of {sorted(_BC)}")
-    cfg["command"] = command
+    cfg["bc"] = _BC[cfg["bc"]]
+    cfg["command"] = args.command
     return cfg
 
 
@@ -116,9 +155,7 @@ def _write_config(cfg: dict, out_path: str) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_dispersion(args) -> int:
-    cfg = _resolve(args, "dispersion")
-    params = _params(cfg)
+def cmd_dispersion(cfg: dict, params: LatticeParams) -> int:
     modes = mode_frequencies(params)
     lo, hi = xi_stability_window(params.n_sites, params.omega_c, params.bc)
     print(f"# dickelattice {__version__} dispersion n={params.n_sites} "
@@ -132,15 +169,18 @@ def cmd_dispersion(args) -> int:
     return 0
 
 
-def cmd_critical(args) -> int:
-    cfg = _resolve(args, "critical")
-    params = _params(cfg)
-    n_list = [int(tok) for tok in str(cfg["n_list"]).split(",") if tok.strip()]
+def cmd_critical(cfg: dict, params: LatticeParams) -> int:
+    try:
+        n_list = [int(tok) for tok in cfg["n_list"].split(",") if tok.strip()]
+    except ValueError:
+        raise DomainError("n_list must be comma-separated integers, got "
+                          f"{cfg['n_list']!r}") from None
     if not n_list:
         raise DomainError("n_list is empty")
-    if cfg["xi_steps"] < 1 or (cfg["xi_steps"] > 1
-                               and not cfg["xi_min"] < cfg["xi_max"]):
-        raise DomainError("invalid xi range: need xi_min < xi_max, steps >= 1")
+    for n in n_list:
+        validate(replace(params, n_sites=n))
+    if cfg["xi_steps"] > 1 and not cfg["xi_min"] < cfg["xi_max"]:
+        raise DomainError("invalid xi range: need xi_min < xi_max")
     xi_values = GridAxis(cfg["xi_min"], cfg["xi_max"], cfg["xi_steps"]).values()
     points = critical_line_scan(params, n_list, xi_values)
     critical_csv(points, params, cfg["out"])
@@ -164,9 +204,7 @@ def cmd_critical(args) -> int:
     return 0
 
 
-def cmd_trajectory(args) -> int:
-    cfg = _resolve(args, "trajectory")
-    params = _params(cfg)
+def cmd_trajectory(cfg: dict, params: LatticeParams) -> int:
     init = cfg["init"]
     if init == "np":
         state0 = normal_state(params.n_sites)
@@ -187,9 +225,7 @@ def cmd_trajectory(args) -> int:
     return 0
 
 
-def cmd_steady(args) -> int:
-    cfg = _resolve(args, "steady")
-    params = _params(cfg)
+def cmd_steady(cfg: dict, params: LatticeParams) -> int:
     result = find_all(params, n_random_seeds=cfg["n_random_seeds"],
                       rng_seed=cfg["rng_seed"], dedup_tol=cfg["dedup_tol"])
     dossier = root_dossier(params, result)
@@ -205,9 +241,7 @@ def cmd_steady(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _resolve(args, "sweep")
-    params = _params(cfg)
+def cmd_sweep(cfg: dict, params: LatticeParams) -> int:
     workers = cfg["workers"]
     if not workers:
         raw = os.environ.get("DLP_WORKERS", "1")
@@ -238,7 +272,7 @@ def cmd_sweep(args) -> int:
         cut_csv(rows, params, cfg["xi"], cfg["out"])
         _write_config(cfg, cfg["out"])
         print(f"wrote {cfg['out']} ({len(rows)} rows)")
-    elif mode == "profile":
+    else:                               # profile
         params_g = replace(params, g=cfg["g_cut"])
         try:
             profile = site_profile(params, cfg["g_cut"],
@@ -254,8 +288,6 @@ def cmd_sweep(args) -> int:
         profile_csv(profile, params_g, cfg["out"])
         _write_config(cfg, cfg["out"])
         print(f"wrote {cfg['out']} (homogeneity={profile.homogeneity:.3e})")
-    else:
-        raise DomainError(f"mode must be phase, cut or profile, got {mode!r}")
     return 0
 
 
@@ -270,68 +302,28 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"dickelattice {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dispersion", epilog=UNITS_NOTE,
-                       help="mode frequencies and the hopping stability window")
-    _add_model_flags(p)
-    p.set_defaults(func=cmd_dispersion)
-
-    p = sub.add_parser("critical", epilog=UNITS_NOTE,
-                       help="numeric vs analytic critical coupling over N and xi")
-    _add_model_flags(p)
-    p.add_argument("--n-list", dest="n_list",
-                   help="comma-separated site counts (default 3)")
-    p.add_argument("--xi-min", type=float)
-    p.add_argument("--xi-max", type=float)
-    p.add_argument("--xi-steps", type=int)
-    p.add_argument("--infinite", action="store_const", const=True,
-                   default=None, help="also write the infinite-chain curve")
-    p.add_argument("--out", help="output CSV path")
-    p.set_defaults(func=cmd_critical)
-
-    p = sub.add_parser("trajectory", epilog=UNITS_NOTE,
-                       help="integrate the equations of motion, write a CSV")
-    _add_model_flags(p)
-    p.add_argument("--init", help="np, perturbed-np, or a JSON state file")
-    p.add_argument("--t-end", type=float)
-    p.add_argument("--rng-seed", type=int, help="perturbation seed")
-    p.add_argument("--scale", type=float, help="perturbation amplitude")
-    p.add_argument("--record-every", type=float)
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--atol", type=float)
-    p.add_argument("--out", help="output CSV path")
-    p.set_defaults(func=cmd_trajectory)
-
-    p = sub.add_parser("steady", epilog=UNITS_NOTE,
-                       help="find all steady states at one (xi, g); JSON dossier")
-    _add_model_flags(p)
-    p.add_argument("--n-random-seeds", type=int)
-    p.add_argument("--rng-seed", type=int)
-    p.add_argument("--dedup-tol", type=float)
-    p.add_argument("--out", help="output JSON path (default: stdout)")
-    p.set_defaults(func=cmd_steady)
-
-    p = sub.add_parser("sweep", epilog=UNITS_NOTE,
-                       help="phase diagram, order-parameter cut, or site profile")
-    _add_model_flags(p)
-    p.add_argument("--mode", choices=["phase", "cut", "profile"])
-    p.add_argument("--xi-min", type=float)
-    p.add_argument("--xi-max", type=float)
-    p.add_argument("--xi-steps", type=int)
-    p.add_argument("--g-min", type=float)
-    p.add_argument("--g-max", type=float)
-    p.add_argument("--g-steps", type=int)
-    p.add_argument("--rng-seed", type=int)
-    p.add_argument("--workers", type=int,
-                   help="sweep pool size (fallback: DLP_WORKERS, then 1)")
-    p.add_argument("--g-cut", type=float, help="coupling for --mode profile")
-    p.add_argument("--init-amplitude", type=float)
-    p.add_argument("--t-end", type=float)
-    p.add_argument("--settle-tol", type=float,
-                   help="flow norm below which the profile counts as settled")
-    p.add_argument("--out", help="output CSV path")
-    p.set_defaults(func=cmd_sweep)
-
+    for name, func, about in [
+            ("dispersion", cmd_dispersion,
+             "mode frequencies and the hopping stability window"),
+            ("critical", cmd_critical,
+             "numeric vs analytic critical coupling over N and xi"),
+            ("trajectory", cmd_trajectory,
+             "integrate the equations of motion, write a CSV"),
+            ("steady", cmd_steady,
+             "find all steady states at one (xi, g); JSON dossier"),
+            ("sweep", cmd_sweep,
+             "phase diagram, order-parameter cut, or site profile")]:
+        p = sub.add_parser(name, epilog=UNITS_NOTE, help=about)
+        p.set_defaults(func=func)
+        for key, kind, _, help_, commands in _OPTIONS:
+            if name in commands:
+                how = ({"action": "store_const", "const": True} if kind is bool
+                       else {"choices": kind} if isinstance(kind, list)
+                       else {"type": kind})
+                p.add_argument("--" + key.replace("_", "-"), help=help_, **how)
+            if key == "g":              # --config follows the model flags
+                p.add_argument("--config",
+                               help="flat JSON config file; flags override")
     return parser
 
 
@@ -340,7 +332,8 @@ def main(argv=None) -> int:
     # one BLAS thread while the command runs; callers get their count back
     with one_thread():
         try:
-            return args.func(args)
+            cfg = _resolve(args)
+            return args.func(cfg, _params(cfg))
         except (DomainError, ShapeError, BoundaryError, UnstableWindowError,
                 json.JSONDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)

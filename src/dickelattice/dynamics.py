@@ -249,11 +249,16 @@ def relax_to_steady(state0: MeanFieldState, params: LatticeParams, *,
 
     Checks at multiples of 25 time units; stops early once settled,
     otherwise runs to t_max and reports settled=False.  StepFailure
-    propagates.
+    propagates; a t_max or settle_tol that is not positive raises
+    DomainError.
     """
     if state0.n != params.n_sites:
         raise ShapeError(
             f"state has {state0.n} sites, params expect {params.n_sites}")
+    if not t_max > 0:
+        raise DomainError(f"t_max must be > 0, got {t_max}")
+    if not settle_tol > 0:
+        raise DomainError(f"settle_tol must be > 0, got {settle_tol}")
     t_hop = hop_matrix(params)
 
     def f(_t, y):

@@ -216,6 +216,12 @@ def state_to_jsonable(state: MeanFieldState) -> dict:
 
 
 def state_from_jsonable(d: dict) -> MeanFieldState:
+    if not isinstance(d, dict):
+        raise DomainError(
+            f"state must be a JSON object, got {type(d).__name__}")
+    missing = [k for k in ("re_a", "im_a", "re_s", "im_s", "z") if k not in d]
+    if missing:
+        raise DomainError(f"state is missing keys {missing}")
     a = np.asarray(d["re_a"], float) + 1j * np.asarray(d["im_a"], float)
     s = np.asarray(d["re_s"], float) + 1j * np.asarray(d["im_s"], float)
     return MeanFieldState(a=a, s=s, z=np.asarray(d["z"], float))

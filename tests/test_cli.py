@@ -74,16 +74,76 @@ def test_steady_out_file(tmp_path, capsys):
     assert (tmp_path / "dossier.config.json").exists()
 
 
-def test_config_roundtrip_bit_identical(tmp_path, capsys):
-    first = tmp_path / "crit1.csv"
-    assert main(["critical", "--n-list", "3", "--xi-min", "0.1",
-                 "--xi-max", "0.2", "--xi-steps", "2",
-                 "--out", str(first)]) == 0
-    second = tmp_path / "crit2.csv"
-    assert main(["critical", "--config", str(tmp_path / "crit1.config.json"),
-                 "--out", str(second)]) == 0
+# one small run per command and sweep mode, each rerun from its config
+ROUND_TRIPS = [
+    ["critical", "--n-list", "3", "--xi-min", "0.1", "--xi-max", "0.2",
+     "--xi-steps", "2"],
+    ["trajectory", "--g", "0.6", "--t-end", "5", "--rng-seed", "2"],
+    ["steady", "--bc", "obc", "--g", "0.8", "--n-random-seeds", "8"],
+    ["sweep", "--mode", "phase", "--xi-steps", "2", "--g-steps", "2",
+     "--workers", "1"],
+    ["sweep", "--mode", "cut", "--xi", "0.1", "--g-steps", "2"],
+    ["sweep", "--mode", "profile", "--n", "5", "--g-cut", "0.6"],
+]
+
+
+def test_config_roundtrip_bit_identical(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("DLP_WORKERS", raising=False)
+    for k, argv in enumerate(ROUND_TRIPS):
+        first, second = tmp_path / f"{k}a.out", tmp_path / f"{k}b.out"
+        assert main(argv + ["--out", str(first)]) == 0
+        assert main([argv[0], "--config", str(tmp_path / f"{k}a.config.json"),
+                     "--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes(), argv
     capsys.readouterr()
-    assert first.read_bytes() == second.read_bytes()
+
+
+# every flag of each command (as --<key>, plus --config) and its resolved
+# default: a change to either changes what existing scripts and configs run
+RESOLVED_DEFAULTS = {
+    "dispersion": {},
+    "critical": {"n_list": "3", "xi_min": 0.05, "xi_max": 0.45,
+                 "xi_steps": 9, "infinite": False, "out": "critical.csv"},
+    "trajectory": {"init": "perturbed-np", "t_end": 400.0, "rng_seed": 0,
+                   "scale": 0.001, "record_every": 1.0, "rtol": 1e-09,
+                   "atol": 1e-11, "out": "trajectory.csv"},
+    "steady": {"n_random_seeds": 64, "rng_seed": 0, "dedup_tol": 1e-06,
+               "out": ""},
+    "sweep": {"mode": "phase", "xi_min": 0.0, "xi_max": 0.45,
+              "xi_steps": 140, "g_min": 0.3, "g_max": 1.1, "g_steps": 140,
+              "rng_seed": 0, "workers": 0, "g_cut": 0.6,
+              "init_amplitude": 0.1, "t_end": 400.0, "settle_tol": 1e-06,
+              "out": "sweep.csv"},
+}
+MODEL_DEFAULTS = {"n": 3, "bc": "periodic", "omega_c": 1.0, "omega_a": 1.0,
+                  "kappa": 0.4, "xi": 0.2, "g": 0.5}
+
+
+@pytest.mark.parametrize("command", sorted(RESOLVED_DEFAULTS))
+def test_flags_and_resolved_defaults_per_command(command):
+    parser = cli._build_parser()
+    sub = parser._subparsers._group_actions[0].choices[command]
+    defaults = {**MODEL_DEFAULTS, **RESOLVED_DEFAULTS[command]}
+    flags = {s for a in sub._actions for s in a.option_strings}
+    assert flags == {"-h", "--help", "--config"} | {
+        "--" + key.replace("_", "-") for key in defaults}
+    cfg = cli._resolve(parser.parse_args([command]))
+    expected = {**defaults, "command": command}
+    assert cfg == expected
+    assert {k: type(v) for k, v in cfg.items()} == {
+        k: type(v) for k, v in expected.items()}      # 400.0, not 400
+
+
+def test_config_int_for_float_kept_as_given(tmp_path, capsys):
+    cfg = tmp_path / "in.json"
+    cfg.write_text(json.dumps({"xi_min": 0, "xi_max": 1}))
+    out = tmp_path / "crit.csv"
+    assert main(["critical", "--config", str(cfg), "--xi-steps", "1",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    written = json.loads((tmp_path / "crit.config.json").read_text())
+    assert (written["xi_min"], written["xi_max"]) == (0, 1)
+    assert type(written["xi_min"]) is int
 
 
 def test_unknown_config_key_exit_2(tmp_path, capsys):
@@ -94,32 +154,68 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
 
 
 SWEEP_1x1 = ["sweep", "--mode", "phase", "--xi-steps", "1", "--g-steps", "1"]
+PROFILE = ["sweep", "--mode", "profile"]
+IN = "IN"                       # stands for the path of the in_json file
 
 
-@pytest.mark.parametrize("argv, workers_env, message", [
-    (["sweep", "--mode", "phase", "--xi-steps", "0"], None,
+@pytest.mark.parametrize("argv, workers_env, in_json, message", [
+    (["sweep", "--mode", "phase", "--xi-steps", "0"], None, None,
      "steps must be >= 1, got 0"),
-    (["sweep", "--mode", "cut", "--g-steps", "0"], None,
+    (["sweep", "--mode", "cut", "--g-steps", "0"], None, None,
      "steps must be >= 1, got 0"),
-    (["steady", "--n-random-seeds", "-3"], None,
+    (["steady", "--n-random-seeds", "-3"], None, None,
      "n_random_seeds must be >= 0, got -3"),
-    (SWEEP_1x1 + ["--workers", "-4"], None, "workers must be >= 1, got -4"),
-    (SWEEP_1x1, "0", "workers must be >= 1, got 0"),
-    (SWEEP_1x1, "abc", "DLP_WORKERS must be an integer, got 'abc'"),
-    (["sweep", "--mode", "profile"], "2.5",
-     "DLP_WORKERS must be an integer, got '2.5'"),
+    (SWEEP_1x1 + ["--workers", "-4"], None, None,
+     "workers must be >= 1, got -4"),
+    (SWEEP_1x1, "0", None, "workers must be >= 1, got 0"),
+    (SWEEP_1x1, "abc", None, "DLP_WORKERS must be an integer, got 'abc'"),
+    (PROFILE, "2.5", None, "DLP_WORKERS must be an integer, got '2.5'"),
+    (SWEEP_1x1 + ["--config", IN], None, {"workers": "2"},
+     "config workers must be int, got '2'"),
+    (["critical", "--config", IN], None, {"xi_steps": 2.5},
+     "config xi_steps must be int, got 2.5"),
+    (["critical", "--config", IN], None, {"xi_steps": True},
+     "config xi_steps must be int, got True"),
+    (["critical", "--config", IN], None, {"infinite": "no"},
+     "config infinite must be bool, got 'no'"),
+    (["critical", "--config", IN], None, {"bc": 1},
+     "config bc must be one of ['obc', 'open', 'pbc', 'periodic'], got 1"),
+    (["critical", "--config", IN], None, 5,
+     "config file must hold a JSON object, got int"),
+    (["critical", "--n-list", "3,a"], None, None,
+     "n_list must be comma-separated integers, got '3,a'"),
+    (["critical", "--n-list", "1"], None, None, "n_sites must be >= 2, got 1"),
+    (PROFILE + ["--settle-tol", "-1"], None, None,
+     "settle_tol must be > 0, got -1.0"),
+    (PROFILE + ["--t-end", "-1"], None, None, "t_max must be > 0, got -1.0"),
+    (["steady", "--dedup-tol", "-1"], None, None,
+     "dedup_tol must be >= 0, got -1.0"),
+    (["trajectory", "--init", IN], None, {},
+     "state is missing keys ['re_a', 'im_a', 're_s', 'im_s', 'z']"),
+    (["trajectory", "--init", IN], None, 5,
+     "state must be a JSON object, got int"),
 ], ids=["phase-xi-steps", "cut-g-steps", "negative-seeds", "negative-workers",
-        "zero-env-workers", "text-env-workers", "fractional-env-workers"])
+        "zero-env-workers", "text-env-workers", "fractional-env-workers",
+        "config-text-workers", "config-fractional-steps", "config-bool-steps",
+        "config-text-switch", "config-int-bc", "config-not-object",
+        "text-n-list", "one-site-n-list", "profile-negative-settle-tol",
+        "profile-negative-t-end", "negative-dedup-tol", "init-missing-keys",
+        "init-not-object"])
 def test_invalid_sweep_and_seed_counts_exit_2(tmp_path, capsys, monkeypatch,
-                                              argv, workers_env, message):
+                                              argv, workers_env, in_json,
+                                              message):
     if workers_env is None:
         monkeypatch.delenv("DLP_WORKERS", raising=False)
     else:
         monkeypatch.setenv("DLP_WORKERS", workers_env)
-    out = tmp_path / "out.csv"
-    assert main(argv + ["--out", str(out)]) == 2
+    in_path = tmp_path / "in.json"
+    in_path.write_text(json.dumps(in_json))
+    argv = [str(in_path) if tok == IN else tok for tok in argv]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(argv + ["--out", str(out_dir / "out.csv")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert list(tmp_path.iterdir()) == []
+    assert list(out_dir.iterdir()) == []
 
 
 def test_unwritable_out_exit_4(tmp_path, capsys):
@@ -166,16 +262,16 @@ def test_main_runs_on_one_blas_thread_and_restores(two_blas_threads,
                                                    monkeypatch, capsys):
     seen = []
 
-    def probe(args):
+    def probe(cfg, params):
         seen.append(_blas.thread_counts())
-        if args.n == 1:
+        if params.n_sites == 4:
             raise DomainError("probe failure")
         return 0
 
     monkeypatch.setattr(cli, "cmd_dispersion", probe)
     assert main(["dispersion"]) == 0
     assert _blas.thread_counts() == two_blas_threads
-    assert main(["dispersion", "--n", "1"]) == 2      # an error exit restores too
+    assert main(["dispersion", "--n", "4"]) == 2      # an error exit restores too
     assert _blas.thread_counts() == two_blas_threads
     assert seen == [[1] * len(two_blas_threads)] * 2
 

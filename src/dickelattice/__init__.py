@@ -18,10 +18,9 @@ from .spectrum import (ModeFrequencies, NPCritical, critical_coupling_hsrp,
 from .dynamics import (Trajectory, RelaxResult, hop_matrix, integrate,
                        jacobian_packed, perturbed_normal_state,
                        relax_to_steady, rhs_packed, rhs_sup_norm)
-from .steady_state import (NO_BRANCH, FixedPoint, HomogeneityWitness,
-                           NoBranch, RootSearchResult, find_all,
-                           homogeneous_srp_branch, newton_solve,
-                           no_homogeneous_witness)
+from .steady_state import (NO_BRANCH, HomogeneityWitness, NoBranch,
+                           RootSearchResult, find_all, homogeneous_srp_branch,
+                           newton_solve, no_homogeneous_witness)
 # the stability-report op stays at stability.classify: the top-level name
 # `classify` belongs to the pattern-label module
 from .stability import (StabilityReport, Verdict, bisect_np_threshold,

@@ -7,7 +7,7 @@ matching uses eps_pattern for amplitude equality, and asserts a sign for
 Re a_j only when |Re a_j| > eps_pattern.
 
 stable_class_set is the one pipeline from roots to stable classes:
-verdict per root, keep Stable, canonicalize, dedup at CLASS_TOL, label.
+verdict per orbit, keep Stable, canonicalize, dedup at CLASS_TOL, label.
 Sweep cells, order-parameter cuts and root dossiers all read its record.
 """
 
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (BoundaryCondition, LatticeParams, MeanFieldState,
-                    orbit_image, params_to_jsonable, state_to_jsonable,
-                    symmetry_orbit)
+                    packed_to_jsonable, params_to_jsonable, symmetry_orbit)
 from .steady_state import RootSearchResult
 from .stability import Verdict, classify as stability_classify
 
@@ -139,16 +138,19 @@ def _lex_less(x, y, tol):
     return False
 
 
-def canonicalize(state: MeanFieldState, params: LatticeParams,
-                 tol: float = CANON_TOL) -> MeanFieldState:
-    """Smallest member of the symmetry_orbit under a fixed coordinate-wise
-    total order; orbit members of one numeric root are exact images, so
+def canonicalize(rows, params: LatticeParams, tol: float = CANON_TOL):
+    """For each packed state of the stack rows (K, 5N), the smallest member
+    of its symmetry_orbit under a fixed coordinate-wise total order, as
+    (K, 5N) rows; orbit members of one numeric root are exact images, so
     the minimum is well defined up to tol."""
-    images, best = symmetry_orbit(state.pack()[None], params.bc), 0
-    for k in range(1, len(images)):
-        if _lex_less(images[k], images[best], tol):
-            best = k
-    return orbit_image(state, best, params.bc)
+    y = np.array(rows, dtype=float)
+    for r in range(len(y)):
+        images, best = symmetry_orbit(y[r:r + 1], params.bc), 0
+        for k in range(1, len(images)):
+            if _lex_less(images[k], images[best], tol):
+                best = k
+        y[r] = images[best]
+    return y
 
 
 @dataclass
@@ -156,7 +158,7 @@ class StableClasses:
     """What stable_class_set derived from one list of roots."""
 
     reports: list       # per root: its StabilityReport
-    classes: list       # distinct stable classes, first seen first: (kind, canonical state)
+    classes: list       # distinct stable classes, first seen first: (kind, canonical row)
     marginal: bool      # some root came out Marginal
 
     @property
@@ -165,40 +167,35 @@ class StableClasses:
         return Counter(kind for kind, _ in self.classes)
 
 
-def stable_class_set(roots, params: LatticeParams) -> StableClasses:
-    """Stability verdict per FixedPoint, then the distinct stable orbit
-    classes.
+def stable_class_set(result: RootSearchResult,
+                     params: LatticeParams) -> StableClasses:
+    """Stability verdict per root of a find_all result, then the distinct
+    stable orbit classes.
 
-    Roots that find_all marked with one `orbit` are exact symmetry images
-    of one Newton root and share its spectrum, so the first of them is
-    classified and the rest reuse its report; a root whose orbit is None
-    is classified on its own.  Symmetry partners collapse onto one
-    canonical representative each, so a six-member broken-symmetry family
-    counts once: the counts total 1 for monostable cells, 2 for bistable,
-    3 for tristable.
+    Roots that share an `orbit` are exact symmetry images of one Newton
+    root and share its spectrum, so the first root of each orbit is
+    classified, all in one stacked call, and the rest reuse its report.
+    Symmetry partners collapse onto one canonical representative each,
+    so a six-member broken-symmetry family counts once: the counts total
+    1 for monostable cells, 2 for bistable, 3 for tristable.
     """
-    found = StableClasses(reports=[], classes=[], marginal=False)
-    seen = []      # canonical packed vectors of the classes kept
-    by_orbit = {}  # orbit -> report of its first root
-    for fp in roots:
-        repeat = fp.orbit is not None and fp.orbit in by_orbit
-        if repeat:
-            rep = by_orbit[fp.orbit]
-        else:
-            rep = stability_classify(fp.state, params)
-            if fp.orbit is not None:
-                by_orbit[fp.orbit] = rep
-        found.reports.append(rep)
-        found.marginal = found.marginal or rep.verdict is Verdict.Marginal
-        # an image canonicalizes onto its orbit's class, already counted
-        if repeat or rep.verdict is not Verdict.Stable:
-            continue
-        canon = canonicalize(fp.state, params)
-        y = canon.pack()
+    orbit = result.orbit.tolist()
+    first = {}     # orbit -> its first root, in list order
+    for i, k in enumerate(orbit):
+        first.setdefault(k, i)
+    reps = dict(zip(first, stability_classify(
+        result.roots[list(first.values())], params)))
+    found = StableClasses(
+        reports=[reps[k] for k in orbit], classes=[],
+        marginal=any(r.verdict is Verdict.Marginal for r in reps.values()))
+    stable = [i for k, i in first.items() if reps[k].verdict is Verdict.Stable]
+    seen = []      # canonical rows of the classes kept
+    for y in canonicalize(result.roots[stable], params):
         if any(np.max(np.abs(y - y0)) < CLASS_TOL for y0 in seen):
             continue
         seen.append(y)
-        found.classes.append((label(canon, params).kind.value, canon))
+        kind = label(MeanFieldState.from_packed(y), params).kind.value
+        found.classes.append((kind, y))
     return found
 
 
@@ -236,15 +233,16 @@ def phase_letter(class_counts: Counter, bc: BoundaryCondition):
 
 def root_dossier(params: LatticeParams, result: RootSearchResult) -> dict:
     """Full account of a root search: states, verdicts, labels, classes."""
-    found = stable_class_set(result.roots, params)
+    found = stable_class_set(result, params)
     entries = []
-    for fp, rep in zip(result.roots, found.reports):
-        lab = label(fp.state, params)
+    for y, residual, tag, rep in zip(result.roots, result.residual,
+                                     result.seed_tags, found.reports):
+        lab = label(MeanFieldState.from_packed(y), params)
         entries.append({
-            "state": state_to_jsonable(fp.state),
-            "residual": fp.residual,
+            "state": packed_to_jsonable(y),
+            "residual": float(residual),
             "converged": True,      # find_all keeps converged roots only
-            "seed_tag": fp.seed_tag,
+            "seed_tag": tag,
             "verdict": rep.verdict.value,
             "spectral_abscissa": rep.spectral_abscissa,
             "label": lab.kind.value,

@@ -28,7 +28,7 @@ from .errors import (BisectionFailure, BoundaryError, DomainError,
 from .classify import root_dossier
 from .dynamics import RTOL, ATOL, T_MAX, integrate, perturbed_normal_state
 from .model import (BoundaryCondition, LatticeParams, normal_state,
-                    state_from_jsonable, validate)
+                    state_from_jsonable, validate, validate_rng_seed)
 from .spectrum import (critical_coupling_np_infinite, mode_frequencies,
                        xi_stability_window)
 from .steady_state import DEDUP_TOL, N_RANDOM_SEEDS, find_all
@@ -252,6 +252,7 @@ def cmd_sweep(cfg: dict, params: LatticeParams) -> int:
                 f"DLP_WORKERS must be an integer, got {raw!r}") from None
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
+    validate_rng_seed(cfg["rng_seed"])      # every mode takes the flag
     mode = cfg["mode"]
     if mode == "phase":
         spec = SweepSpec(params_base=params,

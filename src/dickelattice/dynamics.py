@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import DomainError, ShapeError, StepFailure
-from .model import BoundaryCondition, LatticeParams, MeanFieldState
+from .model import LatticeParams, MeanFieldState, validate_rng_seed
 
 # Defaults chosen so that the spin-sphere drift over a t = 400 run stays
 # below 1e-8 (measured a few 1e-9 at the hardest acceptance points).
@@ -31,6 +31,17 @@ RTOL = 1e-9
 ATOL = 1e-11
 SETTLE_TOL = 1e-9
 T_MAX = 400.0
+
+# Jacobian bytes of one stack of Newton solves or verdicts (256 KiB): ~100
+# seeds at N = 3, 13 at N = 10, one from N = 26 up.  Larger lattices gain
+# nothing from stacking BLAS-bound solves, and 2 MiB stacks raised the peak
+# resident memory of the large_n benchmark (N = 30 and 50) by 0.5 MB.
+STACK_BYTES = 2 ** 18
+
+
+def stack_size(n_sites: int) -> int:
+    """How many 5N x 5N Jacobians fit in STACK_BYTES; at least one."""
+    return max(1, STACK_BYTES // (8 * (5 * n_sites) ** 2))
 
 
 def hop_matrix(params: LatticeParams) -> np.ndarray:
@@ -168,12 +179,9 @@ class Trajectory:
             writer = csv.writer(fh)
             writer.writerow(header)
             for t, st in zip(self.times, self.states):
-                row = [repr(float(t))]
-                for j in range(n):
-                    row += [repr(float(st.a[j].real)), repr(float(st.a[j].imag)),
-                            repr(float(st.s[j].real)), repr(float(st.s[j].imag)),
-                            repr(float(st.z[j]))]
-                writer.writerow(row)
+                # site by site: the five blocks of the packed state
+                y = st.pack().reshape(5, n).T.ravel()
+                writer.writerow([repr(float(t))] + [repr(float(x)) for x in y])
 
 
 def integrate(state0: MeanFieldState, params: LatticeParams, t_end: float, *,
@@ -205,6 +213,9 @@ def integrate(state0: MeanFieldState, params: LatticeParams, t_end: float, *,
             f"state has {state0.n} sites, params expect {params.n_sites}")
     if not t_end > 0:
         raise DomainError(f"t_end must be > 0, got {t_end}")
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not 0 < tol < np.inf:
+            raise DomainError(f"{name} must be finite and > 0, got {tol}")
     if not record_every > 0:
         raise DomainError(f"record_every must be > 0, got {record_every}")
 
@@ -288,6 +299,9 @@ def perturbed_normal_state(n_sites: int, rng_seed: int = 0,
     Each a_j gets magnitude scale at a random phase; each spin is moved
     tangentially by the same scale and kept exactly on the sphere.
     """
+    validate_rng_seed(rng_seed)
+    if not abs(scale) <= 0.5:       # NaN too
+        raise DomainError(f"scale must be finite, |scale| <= 0.5, got {scale}")
     rng = np.random.default_rng(rng_seed)
     ph_a = rng.uniform(0.0, 2.0 * np.pi, n_sites)
     ph_s = rng.uniform(0.0, 2.0 * np.pi, n_sites)

@@ -68,6 +68,12 @@ def validate(params: LatticeParams) -> None:
         raise DomainError(f"bc must be a BoundaryCondition, got {params.bc!r}")
 
 
+def validate_rng_seed(rng_seed) -> None:
+    """Raise DomainError for a negative seed, which numpy's generators reject."""
+    if rng_seed < 0:
+        raise DomainError(f"rng_seed must be >= 0, got {rng_seed}")
+
+
 @dataclass(frozen=True, eq=False)
 class MeanFieldState:
     """Per-site order parameters (a_j, s_j, z_j).
@@ -157,15 +163,6 @@ def symmetry_group(n_sites: int, bc: BoundaryCondition):
     return perm, sign
 
 
-def orbit_image(state: MeanFieldState, k: int, bc: BoundaryCondition):
-    """The image of state under element k of symmetry_group."""
-    perm, sign = symmetry_group(state.n, bc)
-    site, a, s = perm[k, :state.n], state.a, state.s
-    if sign[k, 0] < 0:
-        a, s = -a, -s
-    return MeanFieldState(a=a[site], s=s[site], z=state.z[site])
-
-
 def symmetry_orbit(rows, bc: BoundaryCondition) -> np.ndarray:
     """All images of a stack of packed states (R, 5N) under
     symmetry_group, as (R G, 5N) rows: root by root, identity first.
@@ -205,21 +202,19 @@ def params_from_jsonable(d: dict) -> LatticeParams:
     )
 
 
-def state_to_jsonable(state: MeanFieldState) -> dict:
-    return {
-        "re_a": state.a.real.tolist(),
-        "im_a": state.a.imag.tolist(),
-        "re_s": state.s.real.tolist(),
-        "im_s": state.s.imag.tolist(),
-        "z": state.z.tolist(),
-    }
+_STATE_KEYS = ("re_a", "im_a", "re_s", "im_s", "z")
+
+
+def packed_to_jsonable(y) -> dict:
+    """The five blocks of a packed state, as lists under _STATE_KEYS."""
+    return dict(zip(_STATE_KEYS, np.asarray(y, float).reshape(5, -1).tolist()))
 
 
 def state_from_jsonable(d: dict) -> MeanFieldState:
     if not isinstance(d, dict):
         raise DomainError(
             f"state must be a JSON object, got {type(d).__name__}")
-    missing = [k for k in ("re_a", "im_a", "re_s", "im_s", "z") if k not in d]
+    missing = [k for k in _STATE_KEYS if k not in d]
     if missing:
         raise DomainError(f"state is missing keys {missing}")
     a = np.asarray(d["re_a"], float) + 1j * np.asarray(d["im_a"], float)

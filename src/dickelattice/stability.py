@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BisectionFailure, ZeroModeMismatch
-from .dynamics import jacobian_packed
-from .model import LatticeParams, MeanFieldState, normal_state, validate
+from .dynamics import jacobian_fill, jacobian_packed, stack_size
+from .model import LatticeParams, normal_state, validate
 
 EPS_MARGINAL = 1e-7
 
@@ -37,57 +37,70 @@ class StabilityReport:
     eigenvalues: np.ndarray       # the 4N physical ones, by descending real part
 
 
-def tangent_basis(state: MeanFieldState) -> np.ndarray:
-    """Orthonormal basis of the constraint-sphere tangent space, 5N x 4N.
+def tangent_basis(rows) -> np.ndarray:
+    """Orthonormal bases of the constraint-sphere tangent spaces at the
+    packed states of the stack rows (K, 5N), as (K, 5N, 4N).
 
     Per site k, columns 4k..4k+3: the two photon quadrature directions,
     then two tangents to the spin sphere at (Re s_k, Im s_k, z_k).  A site
     with s = z = 0 has no tangent plane and raises ZeroModeMismatch.
     """
-    n = state.n
-    normal = np.stack([state.s.real, state.s.imag, state.z], axis=1)
-    length = np.linalg.norm(normal, axis=1)
+    y = np.asarray(rows, dtype=float)
+    n = y.shape[1] // 5
+    # (K, N, 3): the spin vector of each site
+    normal = y[:, 2 * n:].reshape(len(y), 3, n).transpose(0, 2, 1).copy()
+    length = np.linalg.norm(normal, axis=2)
     if np.any(length == 0):
         raise ZeroModeMismatch("a site's spin vanished (s = z = 0): "
                                "no tangent plane")
-    normal /= length[:, None]
+    normal /= length[:, :, None]
     # any axis far from the normal seeds the first tangent
-    ref = np.zeros((n, 3))
-    ref[np.arange(n), (np.abs(normal[:, 0]) >= 0.9).astype(int)] = 1.0
+    ref = np.zeros(normal.shape)
+    np.put_along_axis(ref, (np.abs(normal[:, :, :1]) >= 0.9).astype(int),
+                      1.0, axis=2)
     t1 = np.cross(normal, ref)
-    t1 /= np.linalg.norm(t1, axis=1)[:, None]
+    t1 /= np.linalg.norm(t1, axis=2)[:, :, None]
     t2 = np.cross(normal, t1)
-    t2 /= np.linalg.norm(t2, axis=1)[:, None]
+    t2 /= np.linalg.norm(t2, axis=2)[:, :, None]
 
     k = np.arange(n)
     spin = np.arange(2, 5)[:, None] * n + k     # rows of Re s, Im s, z
-    b = np.zeros((5 * n, 4 * n))
-    b[k, 4 * k] = 1.0
-    b[n + k, 4 * k + 1] = 1.0
-    b[spin, 4 * k + 2] = t1.T
-    b[spin, 4 * k + 3] = t2.T
+    b = np.zeros((len(y), 5 * n, 4 * n))
+    b[:, k, 4 * k] = 1.0
+    b[:, n + k, 4 * k + 1] = 1.0
+    b[:, spin, 4 * k + 2] = t1.transpose(0, 2, 1)
+    b[:, spin, 4 * k + 3] = t2.transpose(0, 2, 1)
     return b
 
 
-def projected_jacobian(state: MeanFieldState, params: LatticeParams) -> np.ndarray:
-    """The Jacobian restricted to the sphere tangent space, 4N x 4N."""
-    b = tangent_basis(state)
-    return b.T @ jacobian_packed(state.pack(), params) @ b
+def projected_jacobian(rows, params: LatticeParams) -> np.ndarray:
+    """The Jacobians at the packed states of the stack rows (K, 5N),
+    restricted to the sphere tangent spaces, as (K, 4N, 4N); each has the
+    bits of b.T @ jacobian_packed(row, params) @ b for its basis b."""
+    y = np.asarray(rows, dtype=float)
+    b = tangent_basis(y)
+    template = jacobian_packed(np.zeros(y.shape[1]), params)
+    jac = jacobian_fill(np.repeat(template[None], len(y), axis=0), y, params)
+    return np.matmul(np.matmul(b.transpose(0, 2, 1), jac), b)
 
 
-def classify(state: MeanFieldState, params: LatticeParams) -> StabilityReport:
-    """Stability verdict from the 4N eigenvalues of the projected Jacobian
-    at state.  An abscissa within EPS_MARGINAL of 0 gives Marginal.
+def classify(rows, params: LatticeParams) -> list:
+    """One stability verdict per packed state of the stack rows (K, 5N),
+    from the 4N eigenvalues of its projected Jacobian.  An abscissa within
+    EPS_MARGINAL of 0 gives Marginal.  The matrices go to eigvals in
+    stacks of at most STACK_BYTES of Jacobians.
     """
-    w = np.linalg.eigvals(projected_jacobian(state, params))
-    abscissa = float(np.max(w.real))
-    if abscissa < -EPS_MARGINAL:
-        verdict = Verdict.Stable
-    elif abscissa > EPS_MARGINAL:
-        verdict = Verdict.Unstable
-    else:
-        verdict = Verdict.Marginal
+    y = np.asarray(rows, dtype=float)
+    size = stack_size(params.n_sites)
+    return [_report(w) for start in range(0, len(y), size)
+            for w in np.linalg.eigvals(
+                projected_jacobian(y[start:start + size], params))]
 
+
+def _report(w) -> StabilityReport:
+    abscissa = float(np.max(w.real))
+    verdict = (Verdict.Stable if abscissa < -EPS_MARGINAL else
+               Verdict.Unstable if abscissa > EPS_MARGINAL else Verdict.Marginal)
     order = np.lexsort((w.imag, -w.real))
     return StabilityReport(verdict=verdict, spectral_abscissa=abscissa,
                            eigenvalues=w[order])

@@ -18,28 +18,17 @@ import numpy as np
 from ._blas import one_thread
 from .errors import (BoundaryError, DomainError, NotConverged, ShapeError,
                      SingularJacobian, UnstableWindowError)
-from .dynamics import hop_matrix, jacobian_fill, jacobian_packed, rhs_packed
+from .dynamics import (hop_matrix, jacobian_fill, jacobian_packed, rhs_packed,
+                       stack_size)
 from .model import (BoundaryCondition, LatticeParams, MeanFieldState,
-                    inverted_normal_state, normal_state, orbit_image,
-                    symmetry_group, symmetry_orbit, validate)
+                    inverted_normal_state, normal_state, symmetry_group,
+                    symmetry_orbit, validate, validate_rng_seed)
 
 NEWTON_TOL = 1e-11
 MAX_ITER = 100
 DAMPING = 30          # max step halvings per iteration
 DEDUP_TOL = 1e-6
 N_RANDOM_SEEDS = 64
-
-
-@dataclass(frozen=True)
-class FixedPoint:
-    """A steady state with its residual and seed provenance."""
-
-    state: MeanFieldState
-    residual: float          # sup norm of the full flow at state
-    seed_tag: str = "seed"
-    # index of the converged Newton root (within one find_all) whose
-    # symmetry image this is; None for a point not produced by find_all
-    orbit: int | None = None
 
 
 class NoBranch:
@@ -67,7 +56,7 @@ def homogeneous_srp_branch(params: LatticeParams):
         a = +/- (omega_a / (4 g)) (1 + i kappa / w1) sqrt(1/(4 z^2) - 1)
 
     with both signs taken together (the two sign-flip partners).  Returns
-    the pair of FixedPoint or the NO_BRANCH sentinel when |z| >= 1/2.
+    the pair of MeanFieldState or the NO_BRANCH sentinel when |z| >= 1/2.
     """
     validate(params)
     if params.bc is not BoundaryCondition.Periodic:
@@ -87,15 +76,9 @@ def homogeneous_srp_branch(params: LatticeParams):
     s = z * amp
     a = (params.omega_a / (4.0 * g)) * (1.0 + 1j * params.kappa / w1) * amp
     n = params.n_sites
-    out = []
-    for sign in (+1.0, -1.0):
-        state = MeanFieldState(a=np.full(n, sign * a),
-                               s=np.full(n, sign * s, complex),
-                               z=np.full(n, z))
-        res = float(np.max(np.abs(rhs_packed(state.pack(), params))))
-        out.append(FixedPoint(state=state, residual=res,
-                              seed_tag="analytic branch"))
-    return out[0], out[1]
+    return tuple(MeanFieldState(a=np.full(n, sign * a),
+                                s=np.full(n, sign * s, complex),
+                                z=np.full(n, z)) for sign in (+1.0, -1.0))
 
 
 @dataclass(frozen=True)
@@ -154,13 +137,6 @@ def no_homogeneous_witness(params: LatticeParams) -> HomogeneityWitness:
 
 SEED_SPIN_TOL = 1e-3    # largest spin-sphere defect of a Newton seed
 
-# Jacobian bytes of one Newton stack (256 KiB): all ~100 seeds of a cell
-# at N = 3, 13 at N = 10, one from N = 26 up.  Larger lattices gain
-# nothing from stacking their BLAS-bound solves, and 2 MiB stacks raised
-# the peak resident memory of the large_n benchmark (N = 30 and 50) by
-# 0.5 MB.
-_STACK_BYTES = 2 ** 18
-
 
 def _augmented(y, params, t_hop):
     """The flow at each row of the stack y, with the inversion-rate
@@ -184,14 +160,6 @@ def _jacobian_stack(jac, y, params):
     for b in (2, 3, 4):
         out[:, 4 * n + i, b * n + i] = 2.0 * y[:, b * n:(b + 1) * n]
     return out
-
-
-def _augmented_jacobian(y, params, t_hop):
-    """The augmented Jacobian at one packed state y."""
-    n = params.n_sites
-    jac = jacobian_packed(np.zeros(5 * n), params, t_hop)
-    jac[4 * n:] = 0.0
-    return _jacobian_stack(jac[None], np.asarray(y, dtype=float)[None], params)[0]
 
 
 def _row_norms(f):
@@ -288,7 +256,7 @@ def newton_solve(seeds, params: LatticeParams, *,
     times whenever the 2-norm of the residual fails to decrease.
 
     seeds is a stack of packed states of shape (S, 5N), solved in stacks
-    of at most 256 KiB of Jacobians; each seed takes exactly the steps it
+    of at most STACK_BYTES of Jacobians; each seed takes exactly the steps it
     would take alone.  Returns (y, residual, errors): the final row of
     each seed (S, 5N), the sup norm of the full flow at each row (S,),
     and one entry per seed: None for a root, or the NotConverged (budget
@@ -313,9 +281,11 @@ def newton_solve(seeds, params: LatticeParams, *,
                           f"(> SEED_SPIN_TOL = {SEED_SPIN_TOL:g})")
 
     t_hop = hop_matrix(params)
-    size = max(1, _STACK_BYTES // (8 * (5 * n) ** 2))
-    template = _augmented_jacobian(np.zeros(5 * n), params, t_hop)
-    jac = np.repeat(template[None], min(size, len(y)), axis=0)
+    size = stack_size(n)
+    # the augmented Jacobian at y = 0: the flow's, its last N rows zero
+    jac = np.repeat(jacobian_packed(np.zeros(5 * n), params, t_hop)[None],
+                    min(size, len(y)), axis=0)
+    jac[:, 4 * n:] = 0.0
     errors = []
     for start in range(0, len(y), size):
         errors += _newton_stack(y[start:start + size], params, t_hop, jac,
@@ -386,8 +356,8 @@ def _seed_list(params, n_random_seeds, rng):
     if params.bc is BoundaryCondition.Periodic:
         branch = homogeneous_srp_branch(params)
         if not isinstance(branch, NoBranch):
-            rows += [fp.state.pack() for fp in branch]
-            tags += [fp.seed_tag for fp in branch]
+            rows += [state.pack() for state in branch]
+            tags += ["analytic branch"] * len(branch)
     templates = _dressed_seeds(_profiles(params), _AMPLITUDES, params)
     tags += ["template"] * len(templates)
 
@@ -431,19 +401,15 @@ def _dedup(rows, dedup_tol):
 
 @dataclass
 class RootSearchResult:
-    """List of fixed points plus seed bookkeeping; iterates over roots."""
+    """The kept roots of one find_all as packed rows, with their
+    bookkeeping: row i is an exact symmetry image of converged Newton root
+    orbit[i], so rows sharing an orbit share one spectrum."""
 
-    roots: list
+    roots: np.ndarray        # (R, 5N) packed states
+    residual: np.ndarray     # (R,) sup norm of the full flow at each orbit's Newton root
+    orbit: np.ndarray        # (R,) int
+    seed_tags: list          # the seed's tag, or "symmetry image"
     seed_metadata: dict
-
-    def __iter__(self):
-        return iter(self.roots)
-
-    def __len__(self):
-        return len(self.roots)
-
-    def __getitem__(self, i):
-        return self.roots[i]
 
 
 def find_all(params: LatticeParams, *, n_random_seeds: int = N_RANDOM_SEEDS,
@@ -457,43 +423,44 @@ def find_all(params: LatticeParams, *, n_random_seeds: int = N_RANDOM_SEEDS,
     expanded by its full symmetry orbit (the images of an exact root are
     exact roots), then the list is sorted deterministically and
     de-duplicated at sup-norm distance dedup_tol.  The returned set is
-    therefore closed under the symmetry group within dedup_tol.  Each
-    returned point's `orbit` is the index of the converged root it is an
-    image of, so points sharing it share one spectrum.
+    therefore closed under the symmetry group within dedup_tol.
 
     All seeds go to one newton_solve call, run with BLAS on one thread
     whatever the caller's threading, so the roots do not depend on it.
     Non-convergent seeds are dropped and counted in seed_metadata.  A
-    negative n_random_seeds, or a negative or NaN dedup_tol, raises
-    DomainError.
+    negative n_random_seeds or rng_seed, or a negative or NaN dedup_tol,
+    raises DomainError.
     """
     validate(params)
     if n_random_seeds < 0:
         raise DomainError(f"n_random_seeds must be >= 0, got {n_random_seeds}")
+    validate_rng_seed(rng_seed)
     if not dedup_tol >= 0:
         raise DomainError(f"dedup_tol must be >= 0, got {dedup_tol}")
     seeds, tags = _seed_list(params, n_random_seeds,
                              np.random.default_rng(rng_seed))
     with one_thread():
         y, residual, errors = newton_solve(seeds, params)
-    converged = [k for k, err in enumerate(errors) if err is None]
+    converged = np.flatnonzero([err is None for err in errors])
 
-    # every image of every root as a row, root by root, identity first;
-    # objects are built only for the kept rows, one state per orbit
+    # the roots as MeanFieldState stores them: u + 1j v turns a -0.0 into
+    # +0.0, so every kept row has the bits of its state's pack()
+    u, v, p, q, z = np.split(y[converged], 5, axis=1)
+    a, s = u + 1j * v, p + 1j * q
+    y = np.hstack([a.real, a.imag, s.real, s.imag, z])
+    # every image of every root as a row, root by root, identity first
     group = len(symmetry_group(params.n_sites, params.bc)[0])
-    roots, states = [], {}
-    for i in _dedup(symmetry_orbit(y[converged], params.bc), dedup_tol):
-        k, g = divmod(i, group)
-        seed = converged[k]
-        if k not in states:
-            states[k] = MeanFieldState.from_packed(y[seed])
-        roots.append(FixedPoint(
-            state=states[k] if g == 0 else orbit_image(states[k], g, params.bc),
-            residual=float(residual[seed]),
-            seed_tag=tags[seed] if g == 0 else "symmetry image", orbit=k))
+    images = symmetry_orbit(y, params.bc)
+    kept = np.array(_dedup(images, dedup_tol), dtype=int)
+    orbit, element = np.divmod(kept, group)
+    seed = converged[orbit]
 
     meta = dict(n_seeds=len(seeds), n_converged=len(converged),
                 n_failed=len(seeds) - len(converged),
                 n_random_seeds=n_random_seeds, rng_seed=rng_seed,
                 dedup_tol=dedup_tol)
-    return RootSearchResult(roots=roots, seed_metadata=meta)
+    return RootSearchResult(
+        roots=images[kept], residual=residual[seed], orbit=orbit,
+        seed_tags=[tags[k] if g == 0 else "symmetry image"
+                   for k, g in zip(seed.tolist(), element.tolist())],
+        seed_metadata=meta)

@@ -23,7 +23,8 @@ from .errors import DomainError, NotSettled
 # namespace, so they stay until that test drops them
 from .classify import label as pattern_label, stable_class_set  # noqa: F401
 from .dynamics import T_MAX, relax_to_steady
-from .model import LatticeParams, MeanFieldState, params_to_jsonable, validate
+from .model import (LatticeParams, MeanFieldState, params_to_jsonable,
+                    validate, validate_rng_seed)
 from .spectrum import critical_coupling_np, xi_stability_window
 from .stability import BISECT_BRACKET, BISECT_TOL, bisect_np_threshold, \
     classify as stability_classify  # noqa: F401
@@ -42,6 +43,9 @@ class GridAxis:
     def values(self) -> np.ndarray:
         if self.steps < 1:
             raise DomainError(f"steps must be >= 1, got {self.steps}")
+        if not np.isfinite([self.min, self.max]).all():
+            raise DomainError(f"grid bounds must be finite, got "
+                              f"min={self.min}, max={self.max}")
         if self.steps == 1:
             return np.array([self.min], float)
         return np.linspace(self.min, self.max, self.steps)
@@ -85,7 +89,7 @@ def _compute_cell(job):
     try:
         result = find_all(params, n_random_seeds=spec.n_random_seeds,
                           rng_seed=_cell_seed(spec.rng_seed, i, j))
-        found = stable_class_set(result.roots, params)
+        found = stable_class_set(result, params)
         return PhaseCell(xi=float(xi), g=float(g),
                          stable_classes=dict(found.counts),
                          n_roots_total=len(result.roots),
@@ -102,6 +106,7 @@ def _compute_cell(job):
 def phase_diagram(spec: SweepSpec, workers: int = 1):
     """One PhaseCell per grid point, in grid order (xi outer, g inner)."""
     validate(spec.params_base)
+    validate_rng_seed(spec.rng_seed)
     jobs = [(spec, i, j, xi, g)
             for i, xi in enumerate(spec.xi_grid.values())
             for j, g in enumerate(spec.g_grid.values())]
@@ -135,6 +140,7 @@ def order_parameter_cut(params_base: LatticeParams, xi: float, g_values, *,
     representative, so multivalued (multistable) ranges stay visible.
     """
     validate(params_base)
+    validate_rng_seed(rng_seed)
     lo, hi = xi_stability_window(params_base.n_sites, params_base.omega_c,
                                  params_base.bc)
     if not lo < xi < hi:
@@ -146,7 +152,7 @@ def order_parameter_cut(params_base: LatticeParams, xi: float, g_values, *,
         try:
             result = find_all(params, n_random_seeds=n_random_seeds,
                               rng_seed=_cell_seed(rng_seed, 0, j))
-            found = stable_class_set(result.roots, params)
+            found = stable_class_set(result, params)
             branches = {}
             for kind, canon in found.classes:
                 key = kind
@@ -154,7 +160,7 @@ def order_parameter_cut(params_base: LatticeParams, xi: float, g_values, *,
                 while key in branches:     # two distinct classes, same kind
                     key = f"{kind}#{k}"
                     k += 1
-                branches[key] = np.abs(canon.a)
+                branches[key] = np.abs(MeanFieldState.from_packed(canon).a)
             rows.append(CutRow(g=float(g), branches=branches))
         except Exception as exc:
             rows.append(CutRow(g=float(g), branches={},
@@ -222,10 +228,14 @@ def site_profile(params_base: LatticeParams, g: float,
 
     The initial spins sit exactly on the sphere at the inversion the
     coherence equation prefers for that amplitude.  Raises NotSettled
-    (with the partial profile attached) when t_end is not enough.
+    (with the partial profile attached) when t_end is not enough, and
+    DomainError for an init_amplitude that is not finite.
     """
     params = replace(params_base, g=float(g))
     validate(params)
+    if not np.isfinite(init_amplitude):
+        raise DomainError(
+            f"init_amplitude must be finite, got {init_amplitude}")
     state0 = MeanFieldState.from_packed(
         _dressed_seeds([np.ones(params.n_sites)], [init_amplitude], params)[0])
     res = relax_to_steady(state0, params, t_max=t_end, settle_tol=settle_tol)

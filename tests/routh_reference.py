@@ -75,5 +75,6 @@ def routh_verdict(state: MeanFieldState, params: LatticeParams):
     Independent of any eigenvalue computation; used to cross-check
     classify.  Cannot flag Marginal, so compare away from boundaries.
     """
-    rhp = routh_rhp_count(char_poly(projected_jacobian(state, params)))
+    [jac] = projected_jacobian(state.pack()[None], params)
+    rhp = routh_rhp_count(char_poly(jac))
     return (Verdict.Stable if rhp == 0 else Verdict.Unstable), rhp

@@ -41,7 +41,7 @@ def seed_list(params, n_random_seeds, rng):
     if params.bc is BoundaryCondition.Periodic:
         branch = homogeneous_srp_branch(params)
         if not isinstance(branch, NoBranch):
-            seeds += [(fp.state, "analytic branch") for fp in branch]
+            seeds += [(state, "analytic branch") for state in branch]
     for prof in _profiles(params):
         for amp in _AMPLITUDES:
             seeds.append((dressed_seed(prof, amp, params), "template"))

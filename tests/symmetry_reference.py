@@ -1,9 +1,12 @@
 """The symmetry operations as the package wrote them before its
-symmetry_group table: the reference the table is checked against."""
+symmetry_group table, and the one-state image of a table element the
+package used before its roots became packed rows: the references the
+table is checked against."""
 
 import numpy as np
 
 from dickelattice import BoundaryCondition, MeanFieldState
+from dickelattice.model import symmetry_group
 
 
 def z2_flip(state: MeanFieldState) -> MeanFieldState:
@@ -31,3 +34,13 @@ def orbit_by_elementary_ops(state, bc):
     else:
         spatial = [state, reflect(state)]
     return spatial + [z2_flip(x) for x in spatial]
+
+
+def orbit_image(state, k, bc):
+    """The image of state under element k of model.symmetry_group, as a
+    MeanFieldState."""
+    perm, sign = symmetry_group(state.n, bc)
+    site, a, s = perm[k, :state.n], state.a, state.s
+    if sign[k, 0] < 0:
+        a, s = -a, -s
+    return MeanFieldState(a=a[site], s=s[site], z=state.z[site])

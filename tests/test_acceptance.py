@@ -15,16 +15,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dickelattice import (BoundaryCondition, LatticeParams, NO_BRANCH,
-                          bisect_np_threshold, critical_coupling_hsrp,
-                          critical_coupling_np, critical_coupling_np_infinite,
-                          find_all, homogeneous_srp_branch, hop_matrix,
-                          integrate, jacobian_packed, no_homogeneous_witness,
-                          normal_state_abscissa, perturbed_normal_state,
+from dickelattice import (BoundaryCondition, LatticeParams, MeanFieldState,
+                          NO_BRANCH, bisect_np_threshold,
+                          critical_coupling_hsrp, critical_coupling_np,
+                          critical_coupling_np_infinite, find_all,
+                          homogeneous_srp_branch, integrate, jacobian_packed,
+                          no_homogeneous_witness, normal_state_abscissa, perturbed_normal_state,
                           relax_to_steady, rhs_packed, rhs_sup_norm,
                           site_profile, stable_class_set,
                           xi_stability_window)
-from dickelattice.steady_state import NEWTON_TOL, _augmented_jacobian
+from dickelattice.steady_state import NEWTON_TOL
 from dickelattice.stability import Verdict, classify as stability_classify
 from routh_reference import routh_verdict
 
@@ -41,20 +41,21 @@ def _report(k, ok, detail):
 
 
 def _classified(params, rng_seed):
-    """Stable classes of find_all's roots, and (root, report) for every
+    """Stable classes of find_all's roots, and (state, report) for every
     root."""
-    roots = find_all(params, rng_seed=rng_seed).roots
-    found = stable_class_set(roots, params)
-    return found, list(zip(roots, found.reports))
+    result = find_all(params, rng_seed=rng_seed)
+    found = stable_class_set(result, params)
+    return found, [(MeanFieldState.from_packed(y), rep)
+                   for y, rep in zip(result.roots, found.reports)]
 
 
 def _stable_info(params, rng_seed=0):
     """Stable-class multiset and the largest stable site amplitude."""
     found, classified = _classified(params, rng_seed)
     amp = 0.0
-    for fp, rep in classified:
+    for state, rep in classified:
         if rep.verdict is Verdict.Stable:
-            amp = max(amp, float(np.max(np.abs(fp.state.a))))
+            amp = max(amp, float(np.max(np.abs(state.a))))
     return found.counts, amp
 
 
@@ -64,7 +65,13 @@ def _newton_error_bound(state, params):
     the residual's 2-norm over the augmented Jacobian's smallest singular
     value, which near a pitchfork shrinks like g - g_c."""
     y = state.pack()
-    jac = _augmented_jacobian(y, params, hop_matrix(params))
+    n, i = params.n_sites, np.arange(params.n_sites)
+    # Newton's matrix: the flow's Jacobian with the inversion rows replaced
+    # by the spin constraint's gradient 2 (Re s, Im s, z)
+    jac = jacobian_packed(y, params)
+    jac[4 * n:] = 0.0
+    for b in (2, 3, 4):
+        jac[4 * n + i, b * n + i] = 2.0 * y[b * n:(b + 1) * n]
     sigma_min = np.linalg.svd(jac, compute_uv=False)[-1]
     return np.sqrt(y.size) * NEWTON_TOL / sigma_min
 
@@ -102,8 +109,8 @@ def test_criterion_02_branch_residual():
         params = LatticeParams(**BASE, g=g, xi=xi, bc=PBC)
         branch = homogeneous_srp_branch(params)
         assert branch is not NO_BRANCH
-        for fp in branch:
-            worst = max(worst, rhs_sup_norm(fp.state, params))
+        for state in branch:
+            worst = max(worst, rhs_sup_norm(state, params))
     _report(2, worst < 1e-10,
             f"closed-form branch flow residual, worst sup-norm = {worst:.3e} "
             f"at 50 random ring points (gate 1e-10)")
@@ -116,7 +123,7 @@ def test_criterion_03_branch_stability_boundary():
         branch = homogeneous_srp_branch(replace(params, g=g))
         if branch is NO_BRANCH:
             return False
-        rep = stability_classify(branch[0].state, replace(params, g=g))
+        [rep] = stability_classify(branch[0].pack()[None], replace(params, g=g))
         return rep.verdict is Verdict.Stable
 
     lo, hi = 0.4, 0.6
@@ -178,12 +185,12 @@ def test_criterion_05_no_homogeneous_srp_on_open_chain():
         assert len(witness.conditions()) == 2
 
         _, classified = _classified(params, int(rng.integers(2**31)))
-        for fp, rep in classified:
+        for state, rep in classified:
             if rep.verdict is not Verdict.Stable:
                 continue
-            if np.max(np.abs(fp.state.a)) <= 1e-5:
+            if np.max(np.abs(state.a)) <= 1e-5:
                 continue
-            a = fp.state.a
+            a = state.a
             inhom = float(np.max(np.abs(a[:, None] - a[None, :])))
             min_inhom = min(min_inhom, inhom)
             checked += 1
@@ -250,7 +257,7 @@ def test_criterion_07_ring_transition_sequences_and_onset():
                 # P1 is the closed-form homogeneous branch; find_all only
                 # seeds Newton with it, so the kept root is an independent
                 # solve and must agree to within its Newton error bound
-                exact = homogeneous_srp_branch(at)[0].state
+                exact = homogeneous_srp_branch(at)[0]
                 amp_exact = float(np.max(np.abs(exact.a)))
                 dev = abs(amp - amp_exact)
                 worst_dev = max(worst_dev, dev / amp_exact)
@@ -351,8 +358,8 @@ def test_criterion_10b_relaxation_matches_root_search():
                 unsettled += 1
                 continue
             end = res.state.pack()
-            d = min(float(np.max(np.abs(end - fp.state.pack())))
-                    for fp in find_all(params, rng_seed=5))
+            d = min(float(np.max(np.abs(end - y)))
+                    for y in find_all(params, rng_seed=5).roots)
             worst = max(worst, d)
     ok = unsettled == 0 and worst < 1e-5
     _report("10b", ok,
@@ -369,10 +376,10 @@ def test_criterion_10c_routh_hurwitz_agreement():
     for bc, xi, g in points:
         params = LatticeParams(**BASE, g=g, xi=xi, bc=bc)
         _, classified = _classified(params, 11)
-        for fp, rep in classified:
+        for state, rep in classified:
             if rep.verdict is Verdict.Marginal:
                 continue
-            verdict_rh, _ = routh_verdict(fp.state, params)
+            verdict_rh, _ = routh_verdict(state, params)
             compared += 1
             if verdict_rh is not rep.verdict:
                 mismatches += 1

@@ -4,15 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dickelattice import (BoundaryCondition, LatticeParams, MeanFieldState,
-                          PatternKind, StabilityReport, Verdict,
-                          canonicalize, critical_coupling_np, find_all,
-                          homogeneous_srp_branch, label, normal_state,
-                          inverted_normal_state, phase_letter, root_dossier,
-                          stable_class_set, symmetry_orbit)
+from dickelattice import (BoundaryCondition, GridAxis, LatticeParams,
+                          MeanFieldState, PatternKind, StabilityReport,
+                          Verdict, canonicalize, critical_coupling_np,
+                          find_all, homogeneous_srp_branch, label,
+                          normal_state, inverted_normal_state, phase_letter,
+                          root_dossier, stable_class_set, symmetry_orbit)
+from dickelattice import _blas, dynamics, stability, sweep
 from dickelattice import classify as classify_module
-from dickelattice import stability
 from symmetry_reference import orbit_by_elementary_ops
+import verdict_reference
 
 PBC = BoundaryCondition.Periodic
 OBC = BoundaryCondition.Open
@@ -45,8 +46,8 @@ def test_homogeneous_label_is_ring_only():
 
 def test_branch_labels_p1():
     plus, minus = homogeneous_srp_branch(P)
-    assert label(plus.state, P).kind is PatternKind.P1
-    assert label(minus.state, P).kind is PatternKind.P1
+    assert label(plus, P).kind is PatternKind.P1
+    assert label(minus, P).kind is PatternKind.P1
 
 
 def test_pair_pattern_label():
@@ -87,22 +88,20 @@ def test_eps_shrink_moves_toward_other():
 
 def test_label_orbit_invariance():
     result = find_all(P_OPEN, rng_seed=1, n_random_seeds=8)
-    for fp in result:
-        base = label(fp.state, P_OPEN).kind
-        for image in symmetry_orbit(fp.state.pack()[None], OBC):
+    for y in result.roots:
+        base = label(MeanFieldState.from_packed(y), P_OPEN).kind
+        for image in symmetry_orbit(y[None], OBC):
             assert label(MeanFieldState.from_packed(image),
                          P_OPEN).kind is base
 
 
 def test_canonicalize_idempotent_and_orbit_stable():
     result = find_all(P, rng_seed=1, n_random_seeds=8)
-    for fp in result:
-        canon = canonicalize(fp.state, P)
-        again = canonicalize(canon, P)
-        assert np.array_equal(again.pack(), canon.pack())
-        for image in symmetry_orbit(fp.state.pack()[None], PBC):
-            from_image = canonicalize(MeanFieldState.from_packed(image), P)
-            assert np.max(np.abs(from_image.pack() - canon.pack())) < 1e-9
+    canon = canonicalize(result.roots, P)
+    assert canonicalize(canon, P).tobytes() == canon.tobytes()
+    for y, c in zip(result.roots, canon):
+        from_images = canonicalize(symmetry_orbit(y[None], PBC), P)
+        assert np.max(np.abs(from_images - c)) < 1e-9
 
 
 def _canonicalize_by_scan(state, params):
@@ -119,21 +118,22 @@ def _canonicalize_by_scan(state, params):
 @pytest.mark.parametrize("params", [P, P_OPEN], ids=["ring", "open"])
 def test_canonicalize_matches_orbit_scan(params):
     result = find_all(params, rng_seed=1, n_random_seeds=8)
-    for fp in result:
-        for image in orbit_by_elementary_ops(fp.state, params.bc):
-            got = canonicalize(image, params)
+    for y in result.roots:
+        images = orbit_by_elementary_ops(verdict_reference.exact_state(y),
+                                         params.bc)
+        got = canonicalize([image.pack() for image in images], params)
+        for image, row in zip(images, got):
             want = _canonicalize_by_scan(image, params)
-            assert (got.a.tobytes(), got.s.tobytes(), got.z.tobytes()) == \
-                (want.a.tobytes(), want.s.tobytes(), want.z.tobytes())
+            assert row.tobytes() == want.pack().tobytes()
 
 
 def test_stable_class_sets_at_reference_points():
     result = find_all(P, rng_seed=0)
-    counts = stable_class_set(result.roots, P).counts
+    counts = stable_class_set(result, P).counts
     assert counts == Counter({"P1": 1})
 
     result_o = find_all(P_OPEN, rng_seed=0)
-    counts_o = stable_class_set(result_o.roots, P_OPEN).counts
+    counts_o = stable_class_set(result_o, P_OPEN).counts
     assert counts_o == Counter({"O1": 1, "O3": 1, "O4": 1})
     assert sum(counts_o.values()) == 3   # tristable cell
 
@@ -147,34 +147,92 @@ P_ONSET = replace(P, xi=0.48,
 @pytest.mark.parametrize("params", [P, P_OPEN, P_ONSET],
                          ids=["ring", "open", "ring-onset"])
 def test_stable_class_set_classifies_once_per_orbit(params, monkeypatch):
-    roots = find_all(params, rng_seed=0).roots
-    orbits = {fp.orbit for fp in roots}
-    assert None not in orbits and len(orbits) < len(roots)
+    result = find_all(params, rng_seed=0)
+    orbits = result.orbit.tolist()
+    assert len(set(orbits)) < len(orbits)
     calls = []
 
-    def counting(state, p):
-        calls.append(state)
-        return stability.classify(state, p)
+    def counting(rows, p):
+        calls.append(rows)
+        return stability.classify(rows, p)
 
     monkeypatch.setattr(classify_module, "stability_classify", counting)
-    found = stable_class_set(roots, params)
-    assert len(calls) == len(orbits)
-    for fp, rep in zip(roots, found.reports):
-        direct = stability.classify(fp.state, params)
+    found = stable_class_set(result, params)
+    # one stacked call on the first root of each orbit, in list order
+    first = [orbits.index(k) for k in dict.fromkeys(orbits)]
+    [rows] = calls
+    assert rows.tobytes() == result.roots[first].tobytes()
+    direct = stability.classify(result.roots, params)
+    for k, rep, want in zip(orbits, found.reports, direct):
         assert isinstance(rep, StabilityReport)
-        assert rep.verdict is direct.verdict
-        assert abs(rep.spectral_abscissa - direct.spectral_abscissa) <= 1e-12
+        assert rep is found.reports[orbits.index(k)]
+        assert rep.verdict is want.verdict
+        assert abs(rep.spectral_abscissa - want.spectral_abscissa) <= 1e-12
     if params is P_ONSET:
-        lit = [rep for fp, rep in zip(roots, found.reports)
-               if label(fp.state, params).kind is PatternKind.P2]
+        lit = [rep for y, rep in zip(result.roots, found.reports)
+               if label(MeanFieldState.from_packed(y), params).kind
+               is PatternKind.P2]
         assert lit and all(rep.verdict is Verdict.Marginal for rep in lit)
         assert found.marginal
 
-    # points without an orbit are classified one by one
-    calls.clear()
-    again = stable_class_set([replace(fp, orbit=None) for fp in roots], params)
-    assert len(calls) == len(roots)
-    assert again.counts == found.counts and again.marginal == found.marginal
+
+def _oracle_cells():
+    """(params, rng seed) of the verdict oracle: the 8 x 8 three-site grid
+    of both boundary conditions with the sweep's cell seeds, N = 10 and 30
+    at g = 0.8, and the ring's onset cell at xi = 0.48."""
+    xis, gs = GridAxis(0.0, 0.45, 8).values(), GridAxis(0.3, 1.1, 8).values()
+    cells = [(replace(P, bc=bc, xi=float(xi), g=float(g)),
+              sweep._cell_seed(0, i, j))
+             for bc in (PBC, OBC) for i, xi in enumerate(xis)
+             for j, g in enumerate(gs)]
+    cells += [(replace(P, n_sites=n, bc=bc, g=0.8), 0)
+              for n in (10, 30) for bc in (PBC, OBC)]
+    return cells + [(P_ONSET, 0)]
+
+
+def test_stacked_verdicts_match_per_root_reference():
+    n_orbits = n_classes = 0
+    kinds = set()
+    with _blas.one_thread():
+        for params, rng_seed in _oracle_cells():
+            result = find_all(params, rng_seed=rng_seed)
+            found = stable_class_set(result, params)
+            reports, classes, marginal = verdict_reference.stable_class_set(
+                [(verdict_reference.exact_state(y), k)
+                 for y, k in zip(result.roots, result.orbit.tolist())], params)
+            assert len(found.reports) == len(reports) == len(result.roots)
+            for got, want in zip(found.reports, reports):
+                assert got.verdict is want.verdict
+                assert got.spectral_abscissa == want.spectral_abscissa
+                assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+            assert [(kind, y.tobytes()) for kind, y in found.classes] == \
+                [(kind, canon.pack().tobytes()) for kind, canon in classes]
+            assert found.marginal == marginal
+            n_orbits += len(set(result.orbit.tolist()))
+            n_classes += len(classes)
+            kinds |= {rep.verdict for rep in reports}
+    assert n_orbits > 1000 and n_classes > 100
+    assert kinds == set(Verdict)
+
+
+@pytest.mark.parametrize("n", [3, 10, 30])
+def test_classify_stacks_fit_the_stack_bytes(n, monkeypatch):
+    params = replace(P, n_sites=n, bc=OBC, g=0.8)
+    rows = find_all(params, rng_seed=0, n_random_seeds=8).roots
+    sizes = []
+    eigvals = np.linalg.eigvals
+
+    def recording(a):
+        sizes.append(len(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(stability.np.linalg, "eigvals", recording)
+    reports = stability.classify(rows, params)
+    size = dynamics.stack_size(n)
+    assert size == (145 if n == 3 else 13 if n == 10 else 1)
+    assert sizes == [min(size, len(rows) - k)
+                     for k in range(0, len(rows), size)]
+    assert len(reports) == len(rows)
 
 
 def test_phase_letters():

@@ -156,6 +156,7 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
 SWEEP_1x1 = ["sweep", "--mode", "phase", "--xi-steps", "1", "--g-steps", "1"]
 PROFILE = ["sweep", "--mode", "profile"]
 IN = "IN"                       # stands for the path of the in_json file
+NEGATIVE_SEED = "rng_seed must be >= 0, got -1"
 
 
 @pytest.mark.parametrize("argv, workers_env, in_json, message", [
@@ -194,13 +195,41 @@ IN = "IN"                       # stands for the path of the in_json file
      "state is missing keys ['re_a', 'im_a', 're_s', 'im_s', 'z']"),
     (["trajectory", "--init", IN], None, 5,
      "state must be a JSON object, got int"),
+    (["steady", "--rng-seed", "-1"], None, None, NEGATIVE_SEED),
+    (["trajectory", "--rng-seed", "-1"], None, None, NEGATIVE_SEED),
+    (SWEEP_1x1 + ["--rng-seed", "-1"], None, None, NEGATIVE_SEED),
+    (["sweep", "--mode", "cut", "--g-steps", "1", "--rng-seed", "-1"], None,
+     None, NEGATIVE_SEED),
+    (PROFILE + ["--rng-seed", "-1"], None, None, NEGATIVE_SEED),
+    (["sweep", "--mode", "phase", "--xi-max", "nan", "--xi-steps", "2",
+      "--g-steps", "2"], None, None,
+     "grid bounds must be finite, got min=0.0, max=nan"),
+    (["sweep", "--mode", "cut", "--g-min", "nan", "--g-steps", "2"], None,
+     None, "grid bounds must be finite, got min=nan, max=1.1"),
+    (SWEEP_1x1 + ["--g-max", "inf"], None, None,
+     "grid bounds must be finite, got min=0.3, max=inf"),
+    (["trajectory", "--scale", "nan"], None, None,
+     "scale must be finite, |scale| <= 0.5, got nan"),
+    (PROFILE + ["--init-amplitude", "nan"], None, None,
+     "init_amplitude must be finite, got nan"),
+    (["trajectory", "--rtol", "-1"], None, None,
+     "rtol must be finite and > 0, got -1.0"),
+    (["trajectory", "--rtol", "0"], None, None,
+     "rtol must be finite and > 0, got 0.0"),
+    (["trajectory", "--atol", "nan"], None, None,
+     "atol must be finite and > 0, got nan"),
 ], ids=["phase-xi-steps", "cut-g-steps", "negative-seeds", "negative-workers",
         "zero-env-workers", "text-env-workers", "fractional-env-workers",
         "config-text-workers", "config-fractional-steps", "config-bool-steps",
         "config-text-switch", "config-int-bc", "config-not-object",
         "text-n-list", "one-site-n-list", "profile-negative-settle-tol",
         "profile-negative-t-end", "negative-dedup-tol", "init-missing-keys",
-        "init-not-object"])
+        "init-not-object", "steady-negative-rng-seed",
+        "trajectory-negative-rng-seed", "phase-negative-rng-seed",
+        "cut-negative-rng-seed", "profile-negative-rng-seed", "phase-nan-xi-max",
+        "cut-nan-g-min", "phase-infinite-g-max", "trajectory-nan-scale",
+        "profile-nan-init-amplitude", "trajectory-negative-rtol",
+        "trajectory-zero-rtol", "trajectory-nan-atol"])
 def test_invalid_sweep_and_seed_counts_exit_2(tmp_path, capsys, monkeypatch,
                                               argv, workers_env, in_json,
                                               message):

@@ -5,11 +5,12 @@ from hypothesis import given, settings, strategies as st
 from dickelattice import (BoundaryCondition, DomainError, LatticeParams,
                           MeanFieldState, ShapeError, inverted_normal_state,
                           normal_state, symmetry_orbit, validate)
-from dickelattice.model import (orbit_image, params_from_jsonable,
+from dickelattice.model import validate_rng_seed
+from dickelattice.model import (packed_to_jsonable, params_from_jsonable,
                                 params_to_jsonable, state_from_jsonable,
-                                state_to_jsonable, symmetry_group)
-from symmetry_reference import (cyclic_shift, orbit_by_elementary_ops, reflect,
-                                z2_flip)
+                                symmetry_group)
+from symmetry_reference import (cyclic_shift, orbit_by_elementary_ops,
+                                orbit_image, reflect, z2_flip)
 
 PBC = BoundaryCondition.Periodic
 OBC = BoundaryCondition.Open
@@ -38,6 +39,14 @@ def test_validate_names_the_offending_field(kwargs, field):
 
 def test_validate_accepts_negative_xi():
     validate(LatticeParams(n_sites=4, xi=-0.7))
+
+
+def test_validate_rng_seed():
+    for ok in (0, 7, np.uint64(2 ** 63)):
+        validate_rng_seed(ok)
+    for bad in (-1, np.int64(-2)):
+        with pytest.raises(DomainError, match=f"rng_seed must be >= 0, got {bad}"):
+            validate_rng_seed(bad)
 
 
 def test_normal_states():
@@ -154,5 +163,5 @@ def test_jsonable_roundtrips():
     p = LatticeParams(n_sites=4, omega_a=1.3, g=0.7, xi=-0.2, kappa=0.4, bc=OBC)
     assert params_from_jsonable(params_to_jsonable(p)) == p
     state = _random_state(np.random.default_rng(2), 4)
-    back = state_from_jsonable(state_to_jsonable(state))
+    back = state_from_jsonable(packed_to_jsonable(state.pack()))
     assert np.array_equal(back.pack(), state.pack())

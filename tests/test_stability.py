@@ -21,22 +21,28 @@ def _params(g, xi=0.2, bc=PBC, n=3):
     return LatticeParams(n_sites=n, kappa=0.4, xi=xi, g=g, bc=bc)
 
 
+def _classify(state, params):
+    """The verdict at one state, as a one-row stack."""
+    [report] = classify(state.pack()[None], params)
+    return report
+
+
 @pytest.mark.parametrize("bc", [PBC, OBC])
 def test_dark_state_verdict_flips_at_threshold(bc):
     g_c = critical_coupling_np(_params(0.0, bc=bc)).g_c
-    below = classify(normal_state(3), _params(0.95 * g_c, bc=bc))
-    above = classify(normal_state(3), _params(1.05 * g_c, bc=bc))
+    below = _classify(normal_state(3), _params(0.95 * g_c, bc=bc))
+    above = _classify(normal_state(3), _params(1.05 * g_c, bc=bc))
     assert below.verdict is Verdict.Stable and below.spectral_abscissa < 0
     assert above.verdict is Verdict.Unstable and above.spectral_abscissa > 0
     # right at the formula value the leading mode sits on the axis
-    at = classify(normal_state(3), _params(g_c, bc=bc))
+    at = _classify(normal_state(3), _params(g_c, bc=bc))
     assert abs(at.spectral_abscissa) < 1e-6
 
 
 def test_structural_zero_count_and_sorting():
     # the verdict reads the 4N physical eigenvalues; the N structural
     # zeros of the full 5N x 5N Jacobian never enter
-    rep = classify(normal_state(3), _params(0.3))
+    rep = _classify(normal_state(3), _params(0.3))
     assert rep.eigenvalues.size == 12
     assert np.all(np.diff(rep.eigenvalues.real) <= 1e-12)
     full = np.linalg.eigvals(jacobian_packed(normal_state(3).pack(),
@@ -53,10 +59,10 @@ def test_structural_zero_count_and_sorting():
 def test_branch_point_spectrum_matches_projection():
     p = _params(0.7)
     plus, _ = homogeneous_srp_branch(p)
-    rep = classify(plus.state, p)
+    rep = _classify(plus, p)
     assert rep.verdict is Verdict.Stable
     # the full spectrum is the physical one plus N zeros
-    w_full = np.linalg.eigvals(jacobian_packed(plus.state.pack(), p))
+    w_full = np.linalg.eigvals(jacobian_packed(plus.pack(), p))
     w_phys = w_full[np.argsort(np.abs(w_full))[3:]]
     w_proj = rep.eigenvalues
     assert w_proj.size == 12
@@ -68,9 +74,8 @@ def test_branch_point_spectrum_matches_projection():
 
 def test_tangent_basis_annihilates_constraint_gradients():
     p = _params(0.7)
-    plus, _ = homogeneous_srp_branch(p)
-    state = plus.state
-    b = tangent_basis(state)
+    state, _ = homogeneous_srp_branch(p)
+    [b] = tangent_basis(state.pack()[None])
     assert b.shape == (15, 12)
     grad = np.zeros((15, 3))
     for k in range(3):
@@ -109,11 +114,13 @@ def test_tangent_basis_is_orthonormal_and_tangent(n, bc):
     state = _sphere_state(n, np.random.default_rng(n))
     assert np.max(np.abs(state.s.real)) / 0.5 >= 0.9   # the e_y seed runs
     assert np.min(np.abs(state.s.real)) / 0.5 < 0.9    # and the e_x seed
-    roots = {fp.orbit: fp.state
-             for fp in find_all(p, rng_seed=0, n_random_seeds=0)}
-    for k, x in enumerate([state, *roots.values()]):
-        b = tangent_basis(x)
-        assert b.shape == (5 * n, 4 * n)
+    result = find_all(p, rng_seed=0, n_random_seeds=0)
+    roots = {k: MeanFieldState.from_packed(y)
+             for k, y in zip(result.orbit.tolist(), result.roots)}
+    states = [state, *roots.values()]
+    bases = tangent_basis([x.pack() for x in states])
+    assert bases.shape == (len(states), 5 * n, 4 * n)
+    for k, (x, b) in enumerate(zip(states, bases)):
         assert np.max(np.abs(b.T @ b - np.eye(4 * n))) <= 1e-14
         assert np.max(np.abs(b.T @ _constraint_gradients(x))) <= 1e-14
         # the per-site loop it replaced, up to rounding in the vector norms
@@ -142,12 +149,12 @@ def test_tangent_verdict_matches_zero_mode_reference(bc, n, xi, g):
     roots = find_all(p, rng_seed=0).roots
     compared = 0
     with one_thread():     # the left eigensolve is slow on two threads
-        for fp in roots:
+        for y, got in zip(roots, classify(roots, p)):
             try:
-                want = stability_reference.classify(fp.state, p)
+                want = stability_reference.classify(
+                    MeanFieldState.from_packed(y), p)
             except ZeroModeMismatch:
                 continue
-            got = classify(fp.state, p)
             assert got.verdict is want.verdict
             assert abs(got.spectral_abscissa
                        - want.spectral_abscissa) <= 1e-10
@@ -161,20 +168,20 @@ def test_classify_zero_mode_mismatch_on_degenerate_spin():
     state = normal_state(3)
     bad = state.__class__(a=state.a, s=state.s, z=np.zeros(3))
     with pytest.raises(ZeroModeMismatch):
-        classify(bad, _params(0.3))
+        _classify(bad, _params(0.3))
 
 
 def test_normal_state_abscissa_matches_full_spectrum():
     for bc in (PBC, OBC):
         for g in (0.3, 0.6):
             p = _params(g, bc=bc)
-            full = classify(normal_state(3), p).spectral_abscissa
+            full = _classify(normal_state(3), p).spectral_abscissa
             fast = normal_state_abscissa(p)
             assert fast == pytest.approx(full, abs=1e-9)
 
 
 def test_eigenvalue_csv(tmp_path):
-    rep = classify(normal_state(3), _params(0.3))
+    rep = _classify(normal_state(3), _params(0.3))
     path = tmp_path / "eigs.csv"
     eigenvalue_csv(rep, path)
     rows = path.read_text().strip().split("\n")
@@ -231,11 +238,10 @@ def test_routh_agrees_with_eigenvalues_at_roots():
     p = _params(0.8)
     result = find_all(p, rng_seed=2, n_random_seeds=16)
     checked = 0
-    for fp in result:
-        rep = classify(fp.state, p)
+    for y, rep in zip(result.roots, classify(result.roots, p)):
         if rep.verdict is Verdict.Marginal:
             continue
-        rv, rhp = routh_verdict(fp.state, p)
+        rv, rhp = routh_verdict(MeanFieldState.from_packed(y), p)
         assert rv is rep.verdict, (
             f"Routh said {rv} ({rhp} RHP), eigenvalues said {rep.verdict} "
             f"at abscissa {rep.spectral_abscissa:.3e}")

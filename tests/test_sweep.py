@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from dickelattice import (BoundaryCondition, GridAxis, LatticeParams,
-                          NotSettled, PatternKind, SweepSpec, Verdict,
+                          MeanFieldState, NotSettled, PatternKind, SweepSpec, Verdict,
                           critical_coupling_np, critical_csv,
                           critical_line_scan, cut_csv, find_all,
                           homogeneous_srp_branch, label, order_parameter_cut,
                           phase_diagram, phase_diagram_csv, profile_csv,
                           site_profile, stable_class_set)
+from dickelattice import sweep
 from dickelattice.errors import DomainError
 from dickelattice.sweep import _cell_seed
 
@@ -27,6 +28,24 @@ def test_grid_axis_values():
     assert np.array_equal(GridAxis(0.3, 9.9, 1).values(), [0.3])
     with pytest.raises(ValueError):
         GridAxis(0.0, 1.0, 0).values()
+    for lo, hi in ((np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0)):
+        with pytest.raises(DomainError, match="grid bounds must be finite"):
+            GridAxis(lo, hi, 1).values()
+
+
+def test_sweeps_reject_a_negative_seed_before_any_cell(monkeypatch):
+    # a negative seed used to fail inside every cell, which then read as
+    # "no stable state"; no cell may run now
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(sweep, "find_all", no_cell)
+    spec = SweepSpec(params_base=BASE, xi_grid=GridAxis(0.1, 0.2, 2),
+                     g_grid=GridAxis(0.4, 0.8, 2), rng_seed=-1)
+    with pytest.raises(DomainError, match="rng_seed must be >= 0, got -1"):
+        phase_diagram(spec)
+    with pytest.raises(DomainError, match="rng_seed must be >= 0, got -1"):
+        order_parameter_cut(BASE, 0.2, [0.5], rng_seed=-1)
 
 
 @pytest.fixture(scope="module")
@@ -93,11 +112,11 @@ def test_onset_cell_is_marginal_not_an_error():
     assert cell.marginal_flag and cell.no_stable_state
     assert cell.error == "" and row.error == ""
     at = replace(params, g=g)
-    roots = find_all(at, rng_seed=_cell_seed(0, 0, 0)).roots
-    found = stable_class_set(roots, at)
-    assert len(found.reports) == len(roots) == cell.n_roots_total
-    lit = [rep for fp, rep in zip(roots, found.reports)
-           if label(fp.state, at).kind is PatternKind.P2]
+    result = find_all(at, rng_seed=_cell_seed(0, 0, 0))
+    found = stable_class_set(result, at)
+    assert len(found.reports) == len(result.roots) == cell.n_roots_total
+    lit = [rep for y, rep in zip(result.roots, found.reports)
+           if label(MeanFieldState.from_packed(y), at).kind is PatternKind.P2]
     assert lit and all(rep.verdict is Verdict.Marginal for rep in lit)
 
 
@@ -127,7 +146,7 @@ def test_cut_branches_and_csv(tmp_path):
     assert set(rows[1].branches) == {"P1"}
     plus, _ = homogeneous_srp_branch(
         LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.6, bc=PBC))
-    assert np.max(np.abs(rows[1].branches["P1"] - np.abs(plus.state.a))) < 1e-9
+    assert np.max(np.abs(rows[1].branches["P1"] - np.abs(plus.a))) < 1e-9
 
     path = tmp_path / "cut.csv"
     cut_csv(rows, BASE, 0.2, path)
@@ -139,7 +158,7 @@ def test_cut_branches_and_csv(tmp_path):
     # absent branch cells stay blank
     row1 = dict(zip(header, lines[3].split(",")))
     assert row1["NP_abs_a_1"] == ""
-    assert float(row1["P1_abs_a_1"]) == pytest.approx(np.abs(plus.state.a[0]))
+    assert float(row1["P1_abs_a_1"]) == pytest.approx(np.abs(plus.a[0]))
 
     # the tristable open-chain point of test_stable_class_sets_at_reference_points
     [row_o] = order_parameter_cut(replace(BASE, bc=OBC), 0.2, [0.8],
@@ -176,8 +195,8 @@ def test_site_profile_ring_is_homogeneous():
     assert prof.homogeneity < 1e-8
     plus, _ = homogeneous_srp_branch(
         LatticeParams(n_sites=6, kappa=0.4, xi=0.2, g=0.6, bc=PBC))
-    assert np.max(np.abs(np.abs(prof.a) - np.abs(plus.state.a))) < 1e-6
-    assert np.max(np.abs(prof.z - plus.state.z)) < 1e-6
+    assert np.max(np.abs(np.abs(prof.a) - np.abs(plus.a))) < 1e-6
+    assert np.max(np.abs(prof.z - plus.z)) < 1e-6
 
 
 def test_site_profile_not_settled_carries_partial(tmp_path):

@@ -9,8 +9,9 @@ which holds each command's exit code and its stdout and stderr.  The set:
 - cut CSVs: ring and open chain at xi = 0.2, ring at xi = 0.48;
 - steady dossiers: open chain N = 3 and 30, ring N = 6, ring N = 10 at
   g = 0.6, 0.8 and 1.0, ring N = 30, and ring N = 3 at kappa = 0;
-- a profile CSV, a trajectory CSV, and a critical CSV with its
-  `_infinite` file.
+- profile CSVs: the default N = 3 profile, and the large_n benchmark's
+  N = 50 ring and open-chain profiles at xi = 0.2, g_cut = 0.6;
+- a trajectory CSV, and a critical CSV with its `_infinite` file.
 
 The outputs are named relative to the directory, so the configs of two
 runs name the same files.  Pin BLAS to one thread for comparable bytes:
@@ -53,8 +54,12 @@ def _commands():
         runs.append((f"steady_{bc}_n{n}_g{g}_kappa{kappa}.json",
                      ["steady", "--bc", bc, "--n", str(n), "--g", g,
                       "--kappa", kappa]))
-    runs += [("profile.csv", ["sweep", "--mode", "profile", "--n", "3"]),
-             ("trajectory.csv", ["trajectory", "--n", "3", "--t-end", "20"]),
+    runs.append(("profile.csv", ["sweep", "--mode", "profile", "--n", "3"]))
+    for bc in ("pbc", "obc"):
+        runs.append((f"profile_{bc}_n50.csv",
+                     ["sweep", "--mode", "profile", "--n", "50", "--bc", bc,
+                      "--xi", "0.2", "--g-cut", "0.6"]))
+    runs += [("trajectory.csv", ["trajectory", "--n", "3", "--t-end", "20"]),
              ("critical.csv", ["critical", "--n-list", "3,4,6",
                                "--infinite"])]
     return runs

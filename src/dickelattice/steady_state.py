@@ -428,15 +428,15 @@ def find_all(params: LatticeParams, *, n_random_seeds: int = N_RANDOM_SEEDS,
     All seeds go to one newton_solve call, run with BLAS on one thread
     whatever the caller's threading, so the roots do not depend on it.
     Non-convergent seeds are dropped and counted in seed_metadata.  A
-    negative n_random_seeds or rng_seed, or a negative or NaN dedup_tol,
-    raises DomainError.
+    negative n_random_seeds or rng_seed, or a dedup_tol that is not
+    finite and non-negative, raises DomainError.
     """
     validate(params)
     if n_random_seeds < 0:
         raise DomainError(f"n_random_seeds must be >= 0, got {n_random_seeds}")
     validate_rng_seed(rng_seed)
-    if not dedup_tol >= 0:
-        raise DomainError(f"dedup_tol must be >= 0, got {dedup_tol}")
+    if not 0 <= dedup_tol < np.inf:
+        raise DomainError(f"dedup_tol must be finite and >= 0, got {dedup_tol}")
     seeds, tags = _seed_list(params, n_random_seeds,
                              np.random.default_rng(rng_seed))
     with one_thread():

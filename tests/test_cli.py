@@ -187,10 +187,19 @@ NEGATIVE_SEED = "rng_seed must be >= 0, got -1"
      "n_list must be comma-separated integers, got '3,a'"),
     (["critical", "--n-list", "1"], None, None, "n_sites must be >= 2, got 1"),
     (PROFILE + ["--settle-tol", "-1"], None, None,
-     "settle_tol must be > 0, got -1.0"),
-    (PROFILE + ["--t-end", "-1"], None, None, "t_max must be > 0, got -1.0"),
+     "settle_tol must be finite and > 0, got -1.0"),
+    (PROFILE + ["--t-end", "-1"], None, None,
+     "t_max must be finite and > 0, got -1.0"),
     (["steady", "--dedup-tol", "-1"], None, None,
-     "dedup_tol must be >= 0, got -1.0"),
+     "dedup_tol must be finite and >= 0, got -1.0"),
+    (PROFILE + ["--settle-tol", "inf"], None, None,
+     "settle_tol must be finite and > 0, got inf"),
+    (PROFILE + ["--t-end", "inf"], None, None,
+     "t_max must be finite and > 0, got inf"),
+    (["trajectory", "--t-end", "inf"], None, None,
+     "t_end must be finite and > 0, got inf"),
+    (["steady", "--dedup-tol", "inf"], None, None,
+     "dedup_tol must be finite and >= 0, got inf"),
     (["trajectory", "--init", IN], None, {},
      "state is missing keys ['re_a', 'im_a', 're_s', 'im_s', 'z']"),
     (["trajectory", "--init", IN], None, 5,
@@ -223,7 +232,9 @@ NEGATIVE_SEED = "rng_seed must be >= 0, got -1"
         "config-text-workers", "config-fractional-steps", "config-bool-steps",
         "config-text-switch", "config-int-bc", "config-not-object",
         "text-n-list", "one-site-n-list", "profile-negative-settle-tol",
-        "profile-negative-t-end", "negative-dedup-tol", "init-missing-keys",
+        "profile-negative-t-end", "negative-dedup-tol",
+        "profile-infinite-settle-tol", "profile-infinite-t-end",
+        "trajectory-infinite-t-end", "infinite-dedup-tol", "init-missing-keys",
         "init-not-object", "steady-negative-rng-seed",
         "trajectory-negative-rng-seed", "phase-negative-rng-seed",
         "cut-negative-rng-seed", "profile-negative-rng-seed", "phase-nan-xi-max",

@@ -2,12 +2,14 @@ import csv
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from dickelattice import (BoundaryCondition, DomainError, LatticeParams,
                           MeanFieldState, ShapeError, hop_matrix, integrate,
                           jacobian_packed, normal_state, inverted_normal_state,
                           perturbed_normal_state, relax_to_steady,
-                          rhs_packed, rhs_sup_norm)
+                          rhs_packed, rhs_sup_norm, site_profile)
+from dickelattice import dynamics
 from dickelattice.dynamics import jacobian_fill
 from symmetry_reference import cyclic_shift, reflect, z2_flip
 
@@ -108,8 +110,9 @@ def test_integrate_record_cadence_and_drift():
     assert traj.times == pytest.approx([0, 1, 2, 3, 4, 5])
     assert len(traj.states) == 6
     assert traj.spin_drift < 1e-10  # short run, tight tolerances
-    with pytest.raises(DomainError):
-        integrate(s0, P, -1.0)
+    for t_end in (-1.0, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            integrate(s0, P, t_end)
     with pytest.raises(DomainError):
         integrate(s0, P, 5.0, record_every=0.0)
 
@@ -142,6 +145,47 @@ def test_relax_below_threshold_returns_to_dark_state():
     assert res.settled
     assert np.max(np.abs(res.state.a)) < 1e-8
     assert res.state.z == pytest.approx(np.full(3, -0.5), abs=1e-7)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"t_max": np.inf}, {"t_max": np.nan}, {"t_max": 0.0},
+    {"settle_tol": np.inf}, {"settle_tol": np.nan}, {"settle_tol": -1.0}])
+def test_relax_rejects_bad_limits_before_integrating(kwargs, monkeypatch):
+    # an infinite t_max on a state that never settles would loop forever,
+    # so the check must come before any integration
+    monkeypatch.setattr(dynamics, "solve_ivp", None)
+    with pytest.raises(DomainError):
+        relax_to_steady(perturbed_normal_state(3), P, **kwargs)
+
+
+def test_relax_flow_calls(monkeypatch):
+    # one N = 50 ring profile of the large_n benchmark; RK45 took 22,708
+    # flow calls for it, the eighth-order method 12,415
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return rhs_packed(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "rhs_packed", counted)
+    base = LatticeParams(n_sites=50, kappa=0.4, xi=0.2, bc=PBC)
+    profile = site_profile(base, 0.6)
+    assert profile.settled
+    assert len(calls) <= 13_000
+
+
+def test_integrators_read_the_method_constant(monkeypatch):
+    seen = []
+
+    def spy(*args, method, **kwargs):
+        seen.append(method)
+        return solve_ivp(*args, method=method, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", spy)
+    monkeypatch.setattr(dynamics, "METHOD", "RK23")
+    integrate(perturbed_normal_state(3), P, 1.0)
+    relax_to_steady(perturbed_normal_state(3), P, t_max=1.0)
+    assert seen == ["RK23", "RK23"]
 
 
 def test_perturbed_normal_state_properties():

@@ -20,7 +20,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, ShapeError, StepFailure
 from .model import LatticeParams, MeanFieldState, validate_rng_seed
@@ -219,6 +218,8 @@ def integrate(state0: MeanFieldState, params: LatticeParams, t_end: float, *,
             raise DomainError(f"{name} must be finite and > 0, got {tol}")
     if not record_every > 0:
         raise DomainError(f"record_every must be > 0, got {record_every}")
+    # imported here: scipy.integrate is most of the package's import time
+    from scipy.integrate import solve_ivp
 
     t_hop = hop_matrix(params)
 
@@ -270,6 +271,7 @@ def relax_to_steady(state0: MeanFieldState, params: LatticeParams, *,
     for name, value in (("t_max", t_max), ("settle_tol", settle_tol)):
         if not 0 < value < np.inf:
             raise DomainError(f"{name} must be finite and > 0, got {value}")
+    from scipy.integrate import solve_ivp
     t_hop = hop_matrix(params)
 
     def f(_t, y):

@@ -14,6 +14,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+# numpy 2 loads it lazily; imported here, no forked pool worker imports it
+import numpy.random
 
 from ._blas import pin_one_thread
 from ._version import __version__
@@ -229,13 +231,16 @@ def site_profile(params_base: LatticeParams, g: float,
     The initial spins sit exactly on the sphere at the inversion the
     coherence equation prefers for that amplitude.  Raises NotSettled
     (with the partial profile attached) when t_end is not enough, and
-    DomainError for an init_amplitude that is not finite.
+    DomainError for an init_amplitude that is not finite or a t_end that
+    is not finite and positive.
     """
     params = replace(params_base, g=float(g))
     validate(params)
     if not np.isfinite(init_amplitude):
         raise DomainError(
             f"init_amplitude must be finite, got {init_amplitude}")
+    if not 0 < t_end < np.inf:
+        raise DomainError(f"t_end must be finite and > 0, got {t_end}")
     state0 = MeanFieldState.from_packed(
         _dressed_seeds([np.ones(params.n_sites)], [init_amplitude], params)[0])
     res = relax_to_steady(state0, params, t_max=t_end, settle_tol=settle_tol)

@@ -189,13 +189,13 @@ NEGATIVE_SEED = "rng_seed must be >= 0, got -1"
     (PROFILE + ["--settle-tol", "-1"], None, None,
      "settle_tol must be finite and > 0, got -1.0"),
     (PROFILE + ["--t-end", "-1"], None, None,
-     "t_max must be finite and > 0, got -1.0"),
+     "t_end must be finite and > 0, got -1.0"),
     (["steady", "--dedup-tol", "-1"], None, None,
      "dedup_tol must be finite and >= 0, got -1.0"),
     (PROFILE + ["--settle-tol", "inf"], None, None,
      "settle_tol must be finite and > 0, got inf"),
     (PROFILE + ["--t-end", "inf"], None, None,
-     "t_max must be finite and > 0, got inf"),
+     "t_end must be finite and > 0, got inf"),
     (["trajectory", "--t-end", "inf"], None, None,
      "t_end must be finite and > 0, got inf"),
     (["steady", "--dedup-tol", "inf"], None, None,

@@ -2,7 +2,7 @@ import csv
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+import scipy.integrate
 
 from dickelattice import (BoundaryCondition, DomainError, LatticeParams,
                           MeanFieldState, ShapeError, hop_matrix, integrate,
@@ -152,8 +152,9 @@ def test_relax_below_threshold_returns_to_dark_state():
     {"settle_tol": np.inf}, {"settle_tol": np.nan}, {"settle_tol": -1.0}])
 def test_relax_rejects_bad_limits_before_integrating(kwargs, monkeypatch):
     # an infinite t_max on a state that never settles would loop forever,
-    # so the check must come before any integration
-    monkeypatch.setattr(dynamics, "solve_ivp", None)
+    # so the check must come before any integration; dynamics imports
+    # solve_ivp from scipy.integrate on each call
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", None)
     with pytest.raises(DomainError):
         relax_to_steady(perturbed_normal_state(3), P, **kwargs)
 
@@ -176,12 +177,13 @@ def test_relax_flow_calls(monkeypatch):
 
 def test_integrators_read_the_method_constant(monkeypatch):
     seen = []
+    solve_ivp = scipy.integrate.solve_ivp
 
     def spy(*args, method, **kwargs):
         seen.append(method)
         return solve_ivp(*args, method=method, **kwargs)
 
-    monkeypatch.setattr(dynamics, "solve_ivp", spy)
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", spy)
     monkeypatch.setattr(dynamics, "METHOD", "RK23")
     integrate(perturbed_normal_state(3), P, 1.0)
     relax_to_steady(perturbed_normal_state(3), P, t_max=1.0)

@@ -1,7 +1,9 @@
-"""The package's import layering, read from the `from .x import` lines of
-its modules: the root pipeline's stages import only stages below them."""
+"""The package's import layering, read from the import statements of its
+modules: the root pipeline's stages import only stages below them, and no
+module imports scipy when it is imported."""
 
 import ast
+import glob
 import os
 
 import dickelattice
@@ -13,10 +15,13 @@ LAYER = {"model": 0, "dynamics": 1, "steady_state": 2, "stability": 2,
          "classify": 3, "sweep": 4, "cli": 5}
 
 
-def _relative_imports(module):
+def _tree(module):
     with open(os.path.join(SRC, module + ".py")) as fh:
-        tree = ast.parse(fh.read())
-    return {node.module for node in ast.walk(tree)
+        return ast.parse(fh.read())
+
+
+def _relative_imports(module):
+    return {node.module for node in ast.walk(_tree(module))
             if isinstance(node, ast.ImportFrom) and node.level == 1}
 
 
@@ -29,3 +34,21 @@ def test_pipeline_modules_import_only_lower_layers():
 
 def test_stability_reads_states_not_root_searches():
     assert not _relative_imports("stability") & {"steady_state", "classify"}
+
+
+def test_no_module_imports_scipy_at_import_time():
+    # scipy.integrate is ~0.6 s of import: scipy is imported inside the
+    # functions that need it (_blas, the integrators)
+    wrong = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        for node in _tree(module).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            wrong += [(module, name) for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert wrong == []

@@ -1,0 +1,79 @@
+"""What a fresh interpreter loads: the commands that do not integrate never
+import scipy.integrate (about 0.6 s and 40 MB), and a sweep cell imports
+nothing, so forked pool workers start warm.  Each test runs its own
+interpreter, because this one has loaded scipy.integrate already."""
+
+import json
+import os
+import subprocess
+import sys
+
+import dickelattice
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(dickelattice.__file__)))
+
+
+def _run(script, cwd, *args):
+    """Last stdout line of script as JSON, from a fresh interpreter on this
+    checkout."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("DLP_WORKERS", None)
+    done = subprocess.run([sys.executable, "-c", script, *args], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+COMMANDS = [
+    ["dispersion"],
+    ["critical", "--xi-steps", "2"],
+    ["steady", "--n", "3"],
+    ["sweep", "--mode", "phase", "--xi-steps", "2", "--g-steps", "2",
+     "--workers", "1"],
+    ["sweep", "--mode", "cut", "--g-steps", "2"],
+    ["trajectory", "--t-end", "inf"],
+    ["sweep", "--mode", "profile", "--n", "3"],
+]
+
+MAIN_SCRIPT = """
+import contextlib, io, json, sys
+import dickelattice.cli as cli
+steps = [("import", None, "scipy.integrate" in sys.modules)]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
+    steps.append((" ".join(argv), rc, "scipy.integrate" in sys.modules))
+print(json.dumps(steps))
+"""
+
+
+def test_only_integrating_commands_load_the_integrator(tmp_path):
+    steps = _run(MAIN_SCRIPT, tmp_path, json.dumps(COMMANDS))
+    names = ["import"] + [" ".join(argv) for argv in COMMANDS]
+    codes = [None, 0, 0, 0, 0, 0, 2, 0]
+    loaded = [False] * 7 + [True]
+    assert steps == [list(s) for s in zip(names, codes, loaded)]
+
+
+CELL_SCRIPT = """
+import json, sys
+import dickelattice.cli
+from dickelattice import (BoundaryCondition, GridAxis, LatticeParams,
+                          SweepSpec, _blas, sweep)
+# a pool worker runs this initializer before its first cell
+_blas.pin_one_thread()
+added = []
+for bc in (BoundaryCondition.Periodic, BoundaryCondition.Open):
+    spec = SweepSpec(LatticeParams(n_sites=3, kappa=0.4, bc=bc),
+                     GridAxis(0.2, 0.2, 1), GridAxis(0.8, 0.8, 1))
+    before = set(sys.modules)
+    cell = sweep._compute_cell((spec, 0, 0, 0.2, 0.8))
+    assert not cell.error and cell.n_stable, cell
+    added.append(sorted(set(sys.modules) - before))
+print(json.dumps(added))
+"""
+
+
+def test_sweep_cells_import_nothing(tmp_path):
+    assert _run(CELL_SCRIPT, tmp_path) == [[], []]

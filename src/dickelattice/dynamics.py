@@ -31,6 +31,9 @@ ATOL = 1e-11
 METHOD = "DOP853"
 SETTLE_TOL = 1e-9
 T_MAX = 400.0
+# most records one trajectory may ask for (t_end / record_every); at N = 50
+# that many states take about 0.4 GB
+MAX_RECORDS = 100_000
 
 # Jacobian bytes of one stack of Newton solves or verdicts (256 KiB): ~100
 # seeds at N = 3, 13 at N = 10, one from N = 26 up.  Larger lattices gain
@@ -196,7 +199,8 @@ def integrate(state0: MeanFieldState, params: LatticeParams, t_end: float, *,
     t_end : float
         Final time, finite and > 0.
     record_every : float
-        Cadence of recorded samples; t_end itself is always recorded.
+        Cadence of recorded samples, at least t_end / MAX_RECORDS; t_end
+        itself is always recorded.
 
     Returns
     -------
@@ -218,6 +222,9 @@ def integrate(state0: MeanFieldState, params: LatticeParams, t_end: float, *,
             raise DomainError(f"{name} must be finite and > 0, got {tol}")
     if not record_every > 0:
         raise DomainError(f"record_every must be > 0, got {record_every}")
+    if not t_end / record_every <= MAX_RECORDS:
+        raise DomainError(f"t_end / record_every must be <= {MAX_RECORDS}, "
+                          f"got {t_end / record_every:.6g}")
     # imported here: scipy.integrate is most of the package's import time
     from scipy.integrate import solve_ivp
 

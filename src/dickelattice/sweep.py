@@ -10,14 +10,17 @@ package version.
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from multiprocessing.connection import wait
+from multiprocessing.util import Finalize
 
 import numpy as np
 # numpy 2 loads it lazily; imported here, no forked pool worker imports it
 import numpy.random
 
-from ._blas import pin_one_thread
+from ._blas import _openblas, pin_one_thread
 from ._version import __version__
 from .errors import DomainError, NotSettled
 # pattern_label and stability_classify are not called here; the tracer
@@ -105,18 +108,52 @@ def _compute_cell(job):
                          error=f"{type(exc).__name__}: {exc}")
 
 
+# os.getpid() -> the worker pool that the sweeps of that process share; a
+# forked child inherits its parent's entry and never touches it
+_pools = {}
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """This process's pool of `workers` processes, built on first use.
+
+    A forked worker runs its first cells several times slower than a warm
+    one, so the pool is kept: it is replaced only when the count changes
+    or a worker has died, and concurrent.futures joins it at exit.
+    """
+    pool = _pools.get(os.getpid())
+    if pool is not None:
+        sentinels = [p.sentinel for p in pool._processes.values()]
+        if pool._broken or wait(sentinels, 0):
+            # a dead worker may hold the call queue's lock, so a shutdown
+            # could wait forever: the pool's thread kills the others
+            pool._executor_manager_thread.join()
+        elif pool._max_workers == workers:
+            return pool
+        pool.shutdown()
+    _openblas()     # looked up here once, not in every forked worker
+    # each worker runs BLAS on one thread; the pool is the parallelism
+    pool = _pools[os.getpid()] = ProcessPoolExecutor(
+        max_workers=workers, initializer=pin_one_thread)
+    # a multiprocessing child joins its children before that exit hook
+    # runs: there the pool shuts down first, ahead of the finalizers that
+    # close its queues (priority 10)
+    Finalize(pool, pool.shutdown, exitpriority=20)
+    return pool
+
+
 def phase_diagram(spec: SweepSpec, workers: int = 1):
-    """One PhaseCell per grid point, in grid order (xi outer, g inner)."""
+    """One PhaseCell per grid point, in grid order (xi outer, g inner).
+
+    With workers > 1 the cells run on the process's shared worker pool,
+    which lives until the process exits.
+    """
     validate(spec.params_base)
     validate_rng_seed(spec.rng_seed)
     jobs = [(spec, i, j, xi, g)
             for i, xi in enumerate(spec.xi_grid.values())
             for j, g in enumerate(spec.g_grid.values())]
     if workers and workers > 1:
-        # each worker runs BLAS on one thread; the pool is the parallelism
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=pin_one_thread) as pool:
-            cells = list(pool.map(_compute_cell, jobs, chunksize=1))
+        cells = list(_worker_pool(workers).map(_compute_cell, jobs))
     else:
         cells = [_compute_cell(job) for job in jobs]
     return cells

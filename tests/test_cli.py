@@ -1,5 +1,5 @@
 import json
-from concurrent.futures import ProcessPoolExecutor
+import os
 
 import pytest
 
@@ -7,6 +7,7 @@ from dickelattice import (BoundaryCondition, DomainError, GridAxis,
                           LatticeParams, SweepSpec, _blas, cli, phase_diagram,
                           sweep)
 from dickelattice.cli import main
+from dickelattice.dynamics import MAX_RECORDS, T_MAX
 
 
 def test_dispersion_stdout(capsys):
@@ -227,6 +228,11 @@ NEGATIVE_SEED = "rng_seed must be >= 0, got -1"
      "rtol must be finite and > 0, got 0.0"),
     (["trajectory", "--atol", "nan"], None, None,
      "atol must be finite and > 0, got nan"),
+    (["trajectory", "--record-every", "1e-300"], None, None,
+     f"t_end / record_every must be <= {MAX_RECORDS}, got 4e+302"),
+    (["trajectory", "--record-every", repr(T_MAX / (MAX_RECORDS + 1))], None,
+     None, f"t_end / record_every must be <= {MAX_RECORDS}, "
+     f"got {MAX_RECORDS + 1}"),
 ], ids=["phase-xi-steps", "cut-g-steps", "negative-seeds", "negative-workers",
         "zero-env-workers", "text-env-workers", "fractional-env-workers",
         "config-text-workers", "config-fractional-steps", "config-bool-steps",
@@ -240,7 +246,8 @@ NEGATIVE_SEED = "rng_seed must be >= 0, got -1"
         "cut-negative-rng-seed", "profile-negative-rng-seed", "phase-nan-xi-max",
         "cut-nan-g-min", "phase-infinite-g-max", "trajectory-nan-scale",
         "profile-nan-init-amplitude", "trajectory-negative-rtol",
-        "trajectory-zero-rtol", "trajectory-nan-atol"])
+        "trajectory-zero-rtol", "trajectory-nan-atol",
+        "trajectory-tiny-record-every", "trajectory-records-past-bound"])
 def test_invalid_sweep_and_seed_counts_exit_2(tmp_path, capsys, monkeypatch,
                                               argv, workers_env, in_json,
                                               message):
@@ -316,21 +323,27 @@ def test_main_runs_on_one_blas_thread_and_restores(two_blas_threads,
     assert seen == [[1] * len(two_blas_threads)] * 2
 
 
+_COMPUTE_CELL = sweep._compute_cell
+
+
+def _probed_cell(job):
+    """A sweep cell, with the pid and BLAS thread counts it ran under."""
+    return os.getpid(), _blas.thread_counts(), _COMPUTE_CELL(job)
+
+
 def test_phase_diagram_workers_run_on_one_blas_thread(two_blas_threads,
                                                       monkeypatch):
-    seen = []
-
-    class ProbedPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            seen.append(self.submit(_blas.thread_counts).result(timeout=60))
-
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", ProbedPool)
     spec = SweepSpec(params_base=LatticeParams(n_sites=3, kappa=0.4,
                                                bc=BoundaryCondition.Periodic),
                      xi_grid=GridAxis(0.2, 0.2, 1), g_grid=GridAxis(0.4, 0.6, 2),
                      n_random_seeds=4)
-    cells = phase_diagram(spec, workers=2)
-    assert [c.error for c in cells] == ["", ""]
-    assert seen == [[1] * len(two_blas_threads)]
+    # the pool is forked (unless an earlier test did) before the probe is
+    # patched in, which its workers would otherwise keep for good; the
+    # cells then report for themselves
+    phase_diagram(spec, workers=2)
+    monkeypatch.setattr(sweep, "_compute_cell", _probed_cell)
+    probed = phase_diagram(spec, workers=2)
+    assert [cell.error for _, _, cell in probed] == ["", ""]
+    assert os.getpid() not in {pid for pid, _, _ in probed}
+    assert [counts for _, counts, _ in probed] == [[1] * len(two_blas_threads)] * 2
     assert _blas.thread_counts() == two_blas_threads

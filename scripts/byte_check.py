@@ -14,7 +14,8 @@ which holds each command's exit code and its stdout and stderr.  The set:
 - a trajectory CSV, and a critical CSV with its `_infinite` file.
 
 The outputs are named relative to the directory, so the configs of two
-runs name the same files.  Pin BLAS to one thread for comparable bytes:
+runs name the same files.  The worker pool of the 2-worker sweeps is shut
+down once they are done.  Pin BLAS to one thread for comparable bytes:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/byte_check.py DIR
 
@@ -27,7 +28,7 @@ import io
 import os
 import sys
 
-from dickelattice import cli
+from dickelattice import cli, sweep
 
 CUT = ["sweep", "--mode", "cut", "--g-steps", "40"]
 
@@ -76,6 +77,9 @@ def main():
     failed = 0
     with open("log.txt", "w") as log:
         for name, argv in _commands():
+            if "--workers" not in argv:
+                # the pool's sweeps come first: free its idle workers
+                sweep.shutdown_pool()
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 rc = cli.main(argv + ["--out", name])

@@ -20,23 +20,27 @@ import numpy as np
 # numpy 2 loads it lazily; imported here, no forked pool worker imports it
 import numpy.random
 
-from ._blas import _openblas, pin_one_thread
+from ._blas import _openblas, one_thread, pin_one_thread
 from ._version import __version__
 from .errors import DomainError, NotSettled
-# pattern_label and stability_classify are not called here; the tracer
-# self-test in benchmarks/test_benchmark.py expects both aliases in this
-# namespace, so they stay until that test drops them
+# pattern_label is not called here; the tracer self-test in
+# benchmarks/test_benchmark.py expects the alias in this namespace, so it
+# stays until that test drops it
 from .classify import label as pattern_label, stable_class_set  # noqa: F401
-from .dynamics import T_MAX, relax_to_steady
+from .dynamics import T_MAX, RelaxResult, relax_to_steady
 from .model import (LatticeParams, MeanFieldState, params_to_jsonable,
                     validate, validate_rng_seed)
 from .spectrum import critical_coupling_np, xi_stability_window
-from .stability import BISECT_BRACKET, BISECT_TOL, bisect_np_threshold, \
-    classify as stability_classify  # noqa: F401
-from .steady_state import N_RANDOM_SEEDS, _dressed_seeds, find_all
+from .stability import BISECT_BRACKET, BISECT_TOL, Verdict, \
+    bisect_np_threshold, classify as stability_classify
+from .steady_state import N_RANDOM_SEEDS, _dressed_seeds, find_all, \
+    newton_solve
 
 DEFAULT_STEPS = 140     # per axis, matching the phase-diagram resolution
 PROFILE_SETTLE_TOL = 1e-6   # flow sup norm at which a site profile has settled
+# flow sup norm at which a relaxing site profile is handed to Newton: the
+# N = 50 profiles of xi = 0.2, g = 0.6 read 5.9e-3 and 6.1e-3 at t = 25
+POLISH_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -122,14 +126,9 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
     """
     pool = _pools.get(os.getpid())
     if pool is not None:
-        sentinels = [p.sentinel for p in pool._processes.values()]
-        if pool._broken or wait(sentinels, 0):
-            # a dead worker may hold the call queue's lock, so a shutdown
-            # could wait forever: the pool's thread kills the others
-            pool._executor_manager_thread.join()
-        elif pool._max_workers == workers:
+        if not _lost_a_worker(pool) and pool._max_workers == workers:
             return pool
-        pool.shutdown()
+        shutdown_pool()
     _openblas()     # looked up here once, not in every forked worker
     # each worker runs BLAS on one thread; the pool is the parallelism
     pool = _pools[os.getpid()] = ProcessPoolExecutor(
@@ -141,11 +140,34 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
     return pool
 
 
+def _lost_a_worker(pool: ProcessPoolExecutor) -> bool:
+    """Whether the pool is broken or one of its workers has died."""
+    return pool._broken or bool(
+        wait([p.sentinel for p in pool._processes.values()], 0))
+
+
+def shutdown_pool() -> None:
+    """Stop and join this process's worker pool, if it has one.
+
+    For a process that is done sweeping: its idle workers stay resident
+    until it exits otherwise.  The next sweep with workers > 1 builds a
+    fresh pool.
+    """
+    pool = _pools.pop(os.getpid(), None)
+    if pool is None:
+        return
+    if _lost_a_worker(pool):
+        # a dead worker may hold the call queue's lock, so a shutdown
+        # could wait forever: the pool's thread kills the others
+        pool._executor_manager_thread.join()
+    pool.shutdown()
+
+
 def phase_diagram(spec: SweepSpec, workers: int = 1):
     """One PhaseCell per grid point, in grid order (xi outer, g inner).
 
     With workers > 1 the cells run on the process's shared worker pool,
-    which lives until the process exits.
+    which lives until the process exits or calls shutdown_pool.
     """
     validate(spec.params_base)
     validate_rng_seed(spec.rng_seed)
@@ -260,16 +282,29 @@ class SiteProfile:
     t_final: float
 
 
+def profile_start(params: LatticeParams,
+                  init_amplitude: float = 0.1) -> MeanFieldState:
+    """The initial state of a site profile: init_amplitude on every site,
+    the spins exactly on the sphere at the inversion the coherence
+    equation prefers for that amplitude."""
+    return MeanFieldState.from_packed(
+        _dressed_seeds([np.ones(params.n_sites)], [init_amplitude], params)[0])
+
+
 def site_profile(params_base: LatticeParams, g: float,
                  init_amplitude: float = 0.1, t_end: float = T_MAX, *,
                  settle_tol: float = PROFILE_SETTLE_TOL) -> SiteProfile:
-    """Relax a spatially homogeneous initial amplitude and read the profile.
+    """Relax a spatially homogeneous initial amplitude (profile_start) and
+    read the profile.
 
-    The initial spins sit exactly on the sphere at the inversion the
-    coherence equation prefers for that amplitude.  Raises NotSettled
-    (with the partial profile attached) when t_end is not enough, and
-    DomainError for an init_amplitude that is not finite or a t_end that
-    is not finite and positive.
+    The flow relaxes to the first checkpoint where its sup norm is below
+    POLISH_TOL, and Newton polishes that state.  The root is kept if
+    Newton converged, its verdict is Stable and its flow norm is below
+    settle_tol; otherwise the flow relaxes again from the start until its
+    norm is below settle_tol, exactly as relax_to_steady alone.  Raises
+    NotSettled (with the partial profile attached) when t_end is not
+    enough, and DomainError for an init_amplitude that is not finite or a
+    t_end that is not finite and positive.
     """
     params = replace(params_base, g=float(g))
     validate(params)
@@ -278,9 +313,13 @@ def site_profile(params_base: LatticeParams, g: float,
             f"init_amplitude must be finite, got {init_amplitude}")
     if not 0 < t_end < np.inf:
         raise DomainError(f"t_end must be finite and > 0, got {t_end}")
-    state0 = MeanFieldState.from_packed(
-        _dressed_seeds([np.ones(params.n_sites)], [init_amplitude], params)[0])
-    res = relax_to_steady(state0, params, t_max=t_end, settle_tol=settle_tol)
+    state0 = profile_start(params, init_amplitude)
+    res = relax_to_steady(state0, params, t_max=t_end,
+                          settle_tol=max(settle_tol, POLISH_TOL))
+    if res.settled and res.rhs_norm >= settle_tol:
+        res = (_polish(res, params, settle_tol)
+               or relax_to_steady(state0, params, t_max=t_end,
+                                  settle_tol=settle_tol))
     a = res.state.a
     homog = float(np.max(np.abs(a[:, None] - a[None, :])))
     profile = SiteProfile(a=a, z=res.state.z.copy(), homogeneity=homog,
@@ -290,6 +329,20 @@ def site_profile(params_base: LatticeParams, g: float,
             f"flow norm {res.rhs_norm:.3g} > {settle_tol:g} at t={res.t_final:g}",
             state=res.state, profile=profile)
     return profile
+
+
+def _polish(res: RelaxResult, params: LatticeParams, settle_tol: float):
+    """The Newton root reached from the relaxed state res, as a settled
+    RelaxResult at res's time, or None unless Newton converged to a Stable
+    root whose flow norm is below settle_tol."""
+    with one_thread():
+        y, residual, errors = newton_solve(res.state.pack()[None], params)
+        [report] = stability_classify(y, params)
+    if (errors[0] is not None or report.verdict is not Verdict.Stable
+            or not residual[0] < settle_tol):
+        return None
+    return RelaxResult(state=MeanFieldState.from_packed(y[0]), settled=True,
+                       t_final=res.t_final, rhs_norm=float(residual[0]))
 
 
 # ---------------------------------------------------------------------------

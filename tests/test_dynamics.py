@@ -9,8 +9,9 @@ from dickelattice import (BoundaryCondition, DomainError, LatticeParams,
                           jacobian_packed, normal_state, inverted_normal_state,
                           perturbed_normal_state, relax_to_steady,
                           rhs_packed, rhs_sup_norm, site_profile)
-from dickelattice import dynamics
+from dickelattice import dynamics, steady_state
 from dickelattice.dynamics import jacobian_fill
+from dickelattice.sweep import PROFILE_SETTLE_TOL, profile_start
 from symmetry_reference import cyclic_shift, reflect, z2_flip
 
 PBC = BoundaryCondition.Periodic
@@ -159,20 +160,39 @@ def test_relax_rejects_bad_limits_before_integrating(kwargs, monkeypatch):
         relax_to_steady(perturbed_normal_state(3), P, **kwargs)
 
 
-def test_relax_flow_calls(monkeypatch):
-    # one N = 50 ring profile of the large_n benchmark; RK45 took 22,708
-    # flow calls for it, the eighth-order method 12,415
+# the N = 50 ring profile of the large_n benchmark
+PROFILE_50 = LatticeParams(n_sites=50, kappa=0.4, xi=0.2, g=0.6, bc=PBC)
+
+
+def _count_flow_calls(monkeypatch, *modules):
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(None)
         return rhs_packed(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "rhs_packed", counted)
-    base = LatticeParams(n_sites=50, kappa=0.4, xi=0.2, bc=PBC)
-    profile = site_profile(base, 0.6)
-    assert profile.settled
+    for module in modules:
+        monkeypatch.setattr(module, "rhs_packed", counted)
+    return calls
+
+
+def test_relax_flow_calls(monkeypatch):
+    # the pure relaxation of that profile's initial state to t = 375; RK45
+    # took 22,708 flow calls for it, the eighth-order method 12,415
+    state0 = profile_start(PROFILE_50)
+    calls = _count_flow_calls(monkeypatch, dynamics)
+    res = relax_to_steady(state0, PROFILE_50, settle_tol=PROFILE_SETTLE_TOL)
+    assert res.settled
     assert len(calls) <= 13_000
+
+
+def test_site_profile_flow_calls(monkeypatch):
+    # the profile relaxes to t = 25 and Newton polishes it: 1,039 flow
+    # calls of the integrator and 5 of Newton
+    calls = _count_flow_calls(monkeypatch, dynamics, steady_state)
+    profile = site_profile(PROFILE_50, 0.6)
+    assert profile.settled and profile.t_final == 25.0
+    assert len(calls) <= 1_100
 
 
 def test_integrators_read_the_method_constant(monkeypatch):

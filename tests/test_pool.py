@@ -1,6 +1,7 @@
 """The sweeps of one process share one worker pool: built on the first
 sweep with workers > 1, kept while the count stays the same, replaced when
-it changes or a worker dies, and joined when the interpreter exits."""
+it changes or a worker dies, and joined by shutdown_pool or when the
+interpreter exits."""
 
 import json
 import multiprocessing
@@ -15,6 +16,7 @@ import pytest
 import dickelattice
 from dickelattice import (BoundaryCondition, GridAxis, LatticeParams,
                           SweepSpec, phase_diagram)
+from dickelattice.sweep import shutdown_pool
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(dickelattice.__file__)))
 
@@ -37,6 +39,23 @@ def test_sweeps_share_one_pool_until_the_count_changes():
     assert phase_diagram(spec, workers=3) == serial
     third = _worker_pids()
     assert len(third) == 3 and not set(third) & set(first)
+
+
+def test_shutdown_pool_stops_the_workers_and_the_next_sweep_forks_anew():
+    spec = SweepSpec(LatticeParams(n_sites=3, kappa=0.4,
+                                   bc=BoundaryCondition.Open),
+                     GridAxis(0.1, 0.2, 2), GridAxis(0.4, 0.8, 2),
+                     n_random_seeds=8)
+    serial = phase_diagram(spec, workers=1)
+    assert phase_diagram(spec, workers=2) == serial
+    first = _worker_pids()
+    assert len(first) == 2
+    shutdown_pool()
+    assert _worker_pids() == []
+    shutdown_pool()                 # no pool left: nothing to do
+    assert phase_diagram(spec, workers=2) == serial
+    second = _worker_pids()
+    assert len(second) == 2 and not set(second) & set(first)
 
 
 def _run(script, cwd):

@@ -10,10 +10,11 @@ from dickelattice import (BoundaryCondition, GridAxis, LatticeParams,
                           critical_line_scan, cut_csv, find_all,
                           homogeneous_srp_branch, label, order_parameter_cut,
                           phase_diagram, phase_diagram_csv, profile_csv,
-                          site_profile, stable_class_set)
+                          relax_to_steady, site_profile, stable_class_set)
 from dickelattice import sweep
 from dickelattice.errors import DomainError
-from dickelattice.sweep import _cell_seed
+from dickelattice.stability import classify as stability_classify
+from dickelattice.sweep import PROFILE_SETTLE_TOL, _cell_seed, profile_start
 
 PBC = BoundaryCondition.Periodic
 OBC = BoundaryCondition.Open
@@ -215,3 +216,36 @@ def test_site_profile_not_settled_carries_partial(tmp_path):
     assert lines[0].startswith("# dickelattice ")
     assert lines[1] == "j,re_a,im_a,z"
     assert len(lines) == 2 + 3
+
+
+def test_site_profile_polish_settles_a_slow_relaxation():
+    # the pure relaxation of this profile is still above 1e-6 at t = 400
+    # (NotSettled); Newton lands where a long relaxation ends
+    params = LatticeParams(n_sites=3, kappa=0.4, xi=0.0, g=0.8, bc=PBC)
+    state0 = profile_start(params)
+    assert not relax_to_steady(state0, params, settle_tol=1e-6).settled
+    prof = site_profile(params, 0.8)
+    assert prof.settled and prof.t_final < 400.0
+    far = relax_to_steady(state0, params, t_max=1000.0, settle_tol=1e-6)
+    assert far.settled
+    assert np.max(np.abs(prof.a - far.state.a)) < 1e-6
+    assert np.max(np.abs(prof.z - far.state.z)) < 1e-6
+
+
+def test_site_profile_refused_polish_is_the_pure_relaxation(monkeypatch):
+    polished = []
+
+    def unstable(rows, params):
+        polished.append(len(rows))
+        return [replace(rep, verdict=Verdict.Unstable)
+                for rep in stability_classify(rows, params)]
+
+    monkeypatch.setattr(sweep, "stability_classify", unstable)
+    params = LatticeParams(n_sites=6, kappa=0.4, xi=0.2, g=0.6, bc=PBC)
+    prof = site_profile(params, 0.6)
+    assert polished == [1]
+    res = relax_to_steady(profile_start(params), params,
+                          settle_tol=PROFILE_SETTLE_TOL)
+    assert prof.settled and prof.t_final == res.t_final
+    assert prof.a.tobytes() == res.state.a.tobytes()
+    assert prof.z.tobytes() == res.state.z.tobytes()

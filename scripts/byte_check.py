@@ -14,8 +14,11 @@ which holds each command's exit code and its stdout and stderr.  The set:
 - a trajectory CSV, and a critical CSV with its `_infinite` file.
 
 The outputs are named relative to the directory, so the configs of two
-runs name the same files.  The worker pool of the 2-worker sweeps is shut
-down once they are done.  Pin BLAS to one thread for comparable bytes:
+runs name the same files.  The 2-worker sweeps fork the process's worker
+pool; the steady points and cuts of N >= 26 that follow run their root
+searches on it (one worker per CPU unless DLP_WORKERS says otherwise),
+and it is shut down at the end.  Pin BLAS to one thread for comparable
+bytes:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/byte_check.py DIR
 
@@ -77,9 +80,6 @@ def main():
     failed = 0
     with open("log.txt", "w") as log:
         for name, argv in _commands():
-            if "--workers" not in argv:
-                # the pool's sweeps come first: free its idle workers
-                sweep.shutdown_pool()
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 rc = cli.main(argv + ["--out", name])
@@ -87,6 +87,7 @@ def main():
                       f"exit {rc}\n{out.getvalue()}{err.getvalue()}")
             print(f"{name}: exit {rc}")
             failed += rc != 0
+    sweep.shutdown_pool()
     return 1 if failed else 0
 
 

@@ -4,7 +4,7 @@ Writes phase_pbc.csv and phase_obc.csv (stable-class sets per (xi, g)
 cell), each with its .config.json, through `dickelattice sweep --mode
 phase` on the command line's default window and model.  Full resolution
 is 140x140 and takes minutes; use --steps for a coarse pass and
---workers (0: DLP_WORKERS, then 1) for the pool size.
+--workers (0: DLP_WORKERS, then the CPUs available) for the pool size.
 """
 
 import argparse

@@ -1,0 +1,88 @@
+"""One kept worker pool per process, and the stacks of a root search
+mapped over it.
+
+Phase sweeps run their cells on the pool, and a large lattice's root
+search runs its Newton and verdict stacks on it.  Every worker runs BLAS
+on one thread; the pool is the parallelism.
+"""
+
+from __future__ import annotations
+
+import os
+from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
+from multiprocessing.connection import wait
+from multiprocessing.util import Finalize
+
+from ._blas import _openblas, pin_one_thread
+
+# os.getpid() -> the worker pool that the sweeps and root searches of that
+# process share; a forked child inherits its parent's entry and never
+# touches it
+_pools = {}
+
+
+def worker_pool(workers: int) -> ProcessPoolExecutor:
+    """This process's pool of `workers` processes, built on first use.
+
+    A forked worker runs its first tasks several times slower than a warm
+    one, so the pool is kept: it is replaced only when the count changes
+    or a worker has died, and concurrent.futures joins it at exit.
+    """
+    pool = _pools.get(os.getpid())
+    if pool is not None:
+        if not _lost_a_worker(pool) and pool._max_workers == workers:
+            return pool
+        shutdown_pool()
+    _openblas()     # looked up here once, not in every forked worker
+    pool = _pools[os.getpid()] = ProcessPoolExecutor(
+        max_workers=workers, initializer=pin_one_thread)
+    # a multiprocessing child joins its children before that exit hook
+    # runs: there the pool shuts down first, ahead of the finalizers that
+    # close its queues (priority 10)
+    Finalize(pool, pool.shutdown, exitpriority=20)
+    return pool
+
+
+def _lost_a_worker(pool: ProcessPoolExecutor) -> bool:
+    """Whether the pool is broken or one of its workers has died."""
+    return pool._broken or bool(
+        wait([p.sentinel for p in pool._processes.values()], 0))
+
+
+def shutdown_pool() -> None:
+    """Stop and join this process's worker pool, if it has one.
+
+    For a process that is done with the pool: its idle workers stay
+    resident until it exits otherwise.  The next call that needs a pool
+    builds a fresh one.
+    """
+    pool = _pools.pop(os.getpid(), None)
+    if pool is None:
+        return
+    if _lost_a_worker(pool):
+        # a dead worker may hold the call queue's lock, so a shutdown
+        # could wait forever: the pool's thread kills the others
+        pool._executor_manager_thread.join()
+    pool.shutdown()
+
+
+def map_stacks(func, rows, size: int, workers: int, *args) -> list:
+    """[func(rows[s:s + size], *args) for s in range(0, len(rows), size)].
+
+    The stacks run on the worker pool when workers > 1, each stack is a
+    single matrix (size == 1: at STACK_BYTES, N >= 26, each one a
+    BLAS-bound solve or eigendecomposition) and there is more than one
+    of them; otherwise here, in order, where func may write into its
+    stack.  Smaller lattices stay here: their stacks are cheap, and a
+    one-shot command would pay more for forking the pool than it saves.
+    func must be a module-level function, so that a worker can unpickle
+    it, and must not reach the pool itself.
+    """
+    stacks = [rows[s:s + size] for s in range(0, len(rows), size)]
+    if workers > 1 and size == 1 and len(stacks) > 1:
+        # four stacks a task: fewer round trips through the call queue,
+        # and the workers still end within a few stacks of each other
+        return list(worker_pool(workers).map(
+            func, stacks, *map(repeat, args), chunksize=4))
+    return [func(stack, *args) for stack in stacks]

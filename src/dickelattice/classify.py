@@ -167,14 +167,15 @@ class StableClasses:
         return Counter(kind for kind, _ in self.classes)
 
 
-def stable_class_set(result: RootSearchResult,
-                     params: LatticeParams) -> StableClasses:
+def stable_class_set(result: RootSearchResult, params: LatticeParams,
+                     workers: int = 1) -> StableClasses:
     """Stability verdict per root of a find_all result, then the distinct
     stable orbit classes.
 
     Roots that share an `orbit` are exact symmetry images of one Newton
     root and share its spectrum, so the first root of each orbit is
-    classified, all in one stacked call, and the rest reuse its report.
+    classified, all in one stacked call (on `workers` processes, see
+    stability.classify), and the rest reuse its report.
     Symmetry partners collapse onto one canonical representative each,
     so a six-member broken-symmetry family counts once: the counts total
     1 for monostable cells, 2 for bistable, 3 for tristable.
@@ -184,7 +185,7 @@ def stable_class_set(result: RootSearchResult,
     for i, k in enumerate(orbit):
         first.setdefault(k, i)
     reps = dict(zip(first, stability_classify(
-        result.roots[list(first.values())], params)))
+        result.roots[list(first.values())], params, workers=workers)))
     found = StableClasses(
         reports=[reps[k] for k in orbit], classes=[],
         marginal=any(r.verdict is Verdict.Marginal for r in reps.values()))
@@ -231,9 +232,11 @@ def phase_letter(class_counts: Counter, bc: BoundaryCondition):
 # ---------------------------------------------------------------------------
 # JSON-friendly root dossier
 
-def root_dossier(params: LatticeParams, result: RootSearchResult) -> dict:
-    """Full account of a root search: states, verdicts, labels, classes."""
-    found = stable_class_set(result, params)
+def root_dossier(params: LatticeParams, result: RootSearchResult,
+                 workers: int = 1) -> dict:
+    """Full account of a root search: states, verdicts, labels, classes.
+    workers goes to the verdicts (stable_class_set)."""
+    found = stable_class_set(result, params, workers=workers)
     entries = []
     for y, residual, tag, rep in zip(result.roots, result.residual,
                                      result.seed_tags, found.reports):

@@ -72,7 +72,8 @@ _OPTIONS = [
     ("g_steps", int, DEFAULT_STEPS, None, ("sweep",)),
     ("n_random_seeds", int, N_RANDOM_SEEDS, None, ("steady",)),
     ("rng_seed", int, 0, None, ("steady", "sweep")),
-    ("workers", int, 0, "sweep pool size (fallback: DLP_WORKERS, then 1)",
+    ("workers", int, 0,
+     "worker processes (fallback: DLP_WORKERS, then the CPUs available)",
      ("sweep",)),
     ("g_cut", float, 0.6, "coupling for --mode profile", ("sweep",)),
     ("init_amplitude", float, 0.1, None, ("sweep",)),
@@ -143,6 +144,26 @@ def _params(cfg: dict) -> LatticeParams:
                            bc=BoundaryCondition(cfg["bc"]))
     validate(params)
     return params
+
+
+def _workers(cfg: dict) -> int:
+    """The worker count of a command: --workers (sweep), then DLP_WORKERS,
+    then the CPUs this process may run on.  It is not a config value of
+    steady, so a dossier's config does not depend on the machine."""
+    workers = cfg.get("workers")
+    if not workers:
+        raw = os.environ.get("DLP_WORKERS")
+        if raw is None:
+            return (len(os.sched_getaffinity(0))
+                    if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise DomainError(
+                f"DLP_WORKERS must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
+    return workers
 
 
 def _write_config(cfg: dict, out_path: str) -> None:
@@ -226,9 +247,11 @@ def cmd_trajectory(cfg: dict, params: LatticeParams) -> int:
 
 
 def cmd_steady(cfg: dict, params: LatticeParams) -> int:
+    workers = _workers(cfg)
     result = find_all(params, n_random_seeds=cfg["n_random_seeds"],
-                      rng_seed=cfg["rng_seed"], dedup_tol=cfg["dedup_tol"])
-    dossier = root_dossier(params, result)
+                      rng_seed=cfg["rng_seed"], dedup_tol=cfg["dedup_tol"],
+                      workers=workers)
+    dossier = root_dossier(params, result, workers=workers)
     text = json.dumps(dossier, indent=2, sort_keys=True)
     if cfg["out"]:
         with open(cfg["out"], "w") as fh:
@@ -242,16 +265,7 @@ def cmd_steady(cfg: dict, params: LatticeParams) -> int:
 
 
 def cmd_sweep(cfg: dict, params: LatticeParams) -> int:
-    workers = cfg["workers"]
-    if not workers:
-        raw = os.environ.get("DLP_WORKERS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise DomainError(
-                f"DLP_WORKERS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
+    workers = _workers(cfg)
     validate_rng_seed(cfg["rng_seed"])      # every mode takes the flag
     mode = cfg["mode"]
     if mode == "phase":
@@ -269,7 +283,7 @@ def cmd_sweep(cfg: dict, params: LatticeParams) -> int:
     elif mode == "cut":
         g_values = GridAxis(cfg["g_min"], cfg["g_max"], cfg["g_steps"]).values()
         rows = order_parameter_cut(params, cfg["xi"], g_values,
-                                   rng_seed=cfg["rng_seed"])
+                                   rng_seed=cfg["rng_seed"], workers=workers)
         cut_csv(rows, params, cfg["xi"], cfg["out"])
         _write_config(cfg, cfg["out"])
         print(f"wrote {cfg['out']} ({len(rows)} rows)")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._pool import map_stacks
 from .errors import BisectionFailure, ZeroModeMismatch
 from .dynamics import jacobian_fill, jacobian_packed, stack_size
 from .model import LatticeParams, normal_state, validate
@@ -84,17 +85,23 @@ def projected_jacobian(rows, params: LatticeParams) -> np.ndarray:
     return np.matmul(np.matmul(b.transpose(0, 2, 1), jac), b)
 
 
-def classify(rows, params: LatticeParams) -> list:
+def classify(rows, params: LatticeParams, workers: int = 1) -> list:
     """One stability verdict per packed state of the stack rows (K, 5N),
     from the 4N eigenvalues of its projected Jacobian.  An abscissa within
     EPS_MARGINAL of 0 gives Marginal.  The matrices go to eigvals in
-    stacks of at most STACK_BYTES of Jacobians.
+    stacks of at most STACK_BYTES of Jacobians; with workers > 1 and one
+    Jacobian per stack (N >= 26) the stacks run on the process's worker
+    pool (_pool.map_stacks), with the same bits.
     """
     y = np.asarray(rows, dtype=float)
-    size = stack_size(params.n_sites)
-    return [_report(w) for start in range(0, len(y), size)
-            for w in np.linalg.eigvals(
-                projected_jacobian(y[start:start + size], params))]
+    return [_report(w) for stack in map_stacks(
+        _stack_eigvals, y, stack_size(params.n_sites), workers, params)
+        for w in stack]
+
+
+def _stack_eigvals(rows, params):
+    """The eigenvalues of the projected Jacobians at one stack of rows."""
+    return np.linalg.eigvals(projected_jacobian(rows, params))
 
 
 def _report(w) -> StabilityReport:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_thread
+from ._pool import map_stacks
 from .errors import (BoundaryError, DomainError, NotConverged, ShapeError,
                      SingularJacobian, UnstableWindowError)
 from .dynamics import (hop_matrix, jacobian_fill, jacobian_packed, rhs_packed,
@@ -169,19 +170,24 @@ def _row_norms(f):
     return np.sqrt(np.matmul(f[:, None, :], f[:, :, None])[:, 0, 0])
 
 
-def _newton_stack(y, params, t_hop, jac, newton_tol, max_iter, damping):
+def _newton_stack(y, params, t_hop, newton_tol, max_iter, damping):
     """Newton iteration on the stack y of packed seeds, in place.
 
-    Each row of y ends at its seed's last iterate.  Returns one entry per
-    seed, in order: None once its augmented residual is within
+    Each row of y ends at its seed's last iterate.  Returns y and one
+    entry per seed, in order: None once its augmented residual is within
     newton_tol, else the NotConverged or SingularJacobian that stopped
     it.  Each step makes one batched solve over the seeds still
     iterating and at most two stacked flow evaluations, one for the full
     steps and one for all the halvings of the seeds that reject theirs;
     each seed backtracks on its own.  A seed leaves the stack once it
-    has converged or failed.  jac holds at least len(y)
-    augmented Jacobians of params, overwritten in place.
+    has converged or failed.
     """
+    n = params.n_sites
+    # the augmented Jacobian at y = 0: the flow's, its last N rows zero;
+    # _jacobian_stack writes the entries that depend on the state
+    jac = np.repeat(jacobian_packed(np.zeros(5 * n), params, t_hop)[None],
+                    len(y), axis=0)
+    jac[:, 4 * n:] = 0.0
     errors = [None] * len(y)
     # step lengths 1, 1/2, ..., 2**-damping, exact powers of two, so that
     # x - alpha * step rounds as each halving did one at a time
@@ -242,12 +248,12 @@ def _newton_stack(y, params, t_hop, jac, newton_tol, max_iter, damping):
                 "backtracking could not reduce the residual")
         keep[trial] = False
         live, x, f = live[keep], x[keep], f[keep]
-    return errors
+    return y, errors
 
 
 def newton_solve(seeds, params: LatticeParams, *,
                  newton_tol: float = NEWTON_TOL, max_iter: int = MAX_ITER,
-                 damping: int = DAMPING):
+                 damping: int = DAMPING, workers: int = 1):
     """Damped Newton iteration on the constraint-augmented 5N system.
 
     Per site the unknowns are (Re a, Im a, Re s, Im s, z) and the
@@ -257,9 +263,11 @@ def newton_solve(seeds, params: LatticeParams, *,
 
     seeds is a stack of packed states of shape (S, 5N), solved in stacks
     of at most STACK_BYTES of Jacobians; each seed takes exactly the steps it
-    would take alone.  Returns (y, residual, errors): the final row of
-    each seed (S, 5N), the sup norm of the full flow at each row (S,),
-    and one entry per seed: None for a root, or the NotConverged (budget
+    would take alone.  With workers > 1 and one Jacobian per stack
+    (N >= 26) the stacks run on the process's worker pool
+    (_pool.map_stacks), with the same bits.  Returns (y, residual,
+    errors): the final row of each seed (S, 5N), the sup norm of the
+    full flow at each row (S,), and one entry per seed: None for a root, or the NotConverged (budget
     exhausted, step rejected, or the replaced inversion equation fails
     the post-check) or SingularJacobian that stopped it.  A stack of the
     wrong shape raises ShapeError, and a seed off the spin sphere by more
@@ -281,15 +289,11 @@ def newton_solve(seeds, params: LatticeParams, *,
                           f"(> SEED_SPIN_TOL = {SEED_SPIN_TOL:g})")
 
     t_hop = hop_matrix(params)
-    size = stack_size(n)
-    # the augmented Jacobian at y = 0: the flow's, its last N rows zero
-    jac = np.repeat(jacobian_packed(np.zeros(5 * n), params, t_hop)[None],
-                    min(size, len(y)), axis=0)
-    jac[:, 4 * n:] = 0.0
-    errors = []
-    for start in range(0, len(y), size):
-        errors += _newton_stack(y[start:start + size], params, t_hop, jac,
-                                newton_tol, max_iter, damping)
+    stacks = map_stacks(_newton_stack, y, stack_size(n), workers, params,
+                        t_hop, newton_tol, max_iter, damping)
+    if stacks:
+        y = np.concatenate([rows for rows, _ in stacks])
+    errors = [err for _, stack_errors in stacks for err in stack_errors]
 
     # the replaced inversion equations must vanish on their own
     full = rhs_packed(y, params, t_hop)
@@ -413,8 +417,8 @@ class RootSearchResult:
 
 
 def find_all(params: LatticeParams, *, n_random_seeds: int = N_RANDOM_SEEDS,
-             rng_seed: int = 0,
-             dedup_tol: float = DEDUP_TOL) -> RootSearchResult:
+             rng_seed: int = 0, dedup_tol: float = DEDUP_TOL,
+             workers: int = 1) -> RootSearchResult:
     """Multistart enumeration of fixed points.
 
     Seeds: the two dark states, the homogeneous branch pair (ring), a set
@@ -426,7 +430,8 @@ def find_all(params: LatticeParams, *, n_random_seeds: int = N_RANDOM_SEEDS,
     therefore closed under the symmetry group within dedup_tol.
 
     All seeds go to one newton_solve call, run with BLAS on one thread
-    whatever the caller's threading, so the roots do not depend on it.
+    whatever the caller's threading, so the roots do not depend on it;
+    workers goes to it too, and the roots do not depend on that either.
     Non-convergent seeds are dropped and counted in seed_metadata.  A
     negative n_random_seeds or rng_seed, or a dedup_tol that is not
     finite and non-negative, raises DomainError.
@@ -440,7 +445,7 @@ def find_all(params: LatticeParams, *, n_random_seeds: int = N_RANDOM_SEEDS,
     seeds, tags = _seed_list(params, n_random_seeds,
                              np.random.default_rng(rng_seed))
     with one_thread():
-        y, residual, errors = newton_solve(seeds, params)
+        y, residual, errors = newton_solve(seeds, params, workers=workers)
     converged = np.flatnonzero([err is None for err in errors])
 
     # the roots as MeanFieldState stores them: u + 1j v turns a -0.0 into

@@ -10,17 +10,16 @@ package version.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from multiprocessing.connection import wait
-from multiprocessing.util import Finalize
 
 import numpy as np
 # numpy 2 loads it lazily; imported here, no forked pool worker imports it
 import numpy.random
 
-from ._blas import _openblas, one_thread, pin_one_thread
+from ._blas import one_thread
+# shutdown_pool is not called here; sweep.shutdown_pool is where scripts
+# and callers have found it
+from ._pool import shutdown_pool, worker_pool  # noqa: F401
 from ._version import __version__
 from .errors import DomainError, NotSettled
 # pattern_label is not called here; the tracer self-test in
@@ -93,6 +92,8 @@ def _cell_seed(rng_seed, i, j) -> int:
 
 
 def _compute_cell(job):
+    # a pool task: its root search keeps the serial default (workers=1),
+    # so that a worker never opens a pool of its own
     spec, i, j, xi, g = job
     params = replace(spec.params_base, xi=float(xi), g=float(g))
     try:
@@ -112,57 +113,6 @@ def _compute_cell(job):
                          error=f"{type(exc).__name__}: {exc}")
 
 
-# os.getpid() -> the worker pool that the sweeps of that process share; a
-# forked child inherits its parent's entry and never touches it
-_pools = {}
-
-
-def _worker_pool(workers: int) -> ProcessPoolExecutor:
-    """This process's pool of `workers` processes, built on first use.
-
-    A forked worker runs its first cells several times slower than a warm
-    one, so the pool is kept: it is replaced only when the count changes
-    or a worker has died, and concurrent.futures joins it at exit.
-    """
-    pool = _pools.get(os.getpid())
-    if pool is not None:
-        if not _lost_a_worker(pool) and pool._max_workers == workers:
-            return pool
-        shutdown_pool()
-    _openblas()     # looked up here once, not in every forked worker
-    # each worker runs BLAS on one thread; the pool is the parallelism
-    pool = _pools[os.getpid()] = ProcessPoolExecutor(
-        max_workers=workers, initializer=pin_one_thread)
-    # a multiprocessing child joins its children before that exit hook
-    # runs: there the pool shuts down first, ahead of the finalizers that
-    # close its queues (priority 10)
-    Finalize(pool, pool.shutdown, exitpriority=20)
-    return pool
-
-
-def _lost_a_worker(pool: ProcessPoolExecutor) -> bool:
-    """Whether the pool is broken or one of its workers has died."""
-    return pool._broken or bool(
-        wait([p.sentinel for p in pool._processes.values()], 0))
-
-
-def shutdown_pool() -> None:
-    """Stop and join this process's worker pool, if it has one.
-
-    For a process that is done sweeping: its idle workers stay resident
-    until it exits otherwise.  The next sweep with workers > 1 builds a
-    fresh pool.
-    """
-    pool = _pools.pop(os.getpid(), None)
-    if pool is None:
-        return
-    if _lost_a_worker(pool):
-        # a dead worker may hold the call queue's lock, so a shutdown
-        # could wait forever: the pool's thread kills the others
-        pool._executor_manager_thread.join()
-    pool.shutdown()
-
-
 def phase_diagram(spec: SweepSpec, workers: int = 1):
     """One PhaseCell per grid point, in grid order (xi outer, g inner).
 
@@ -175,7 +125,7 @@ def phase_diagram(spec: SweepSpec, workers: int = 1):
             for i, xi in enumerate(spec.xi_grid.values())
             for j, g in enumerate(spec.g_grid.values())]
     if workers and workers > 1:
-        cells = list(_worker_pool(workers).map(_compute_cell, jobs))
+        cells = list(worker_pool(workers).map(_compute_cell, jobs))
     else:
         cells = [_compute_cell(job) for job in jobs]
     return cells
@@ -193,12 +143,15 @@ class CutRow:
 
 def order_parameter_cut(params_base: LatticeParams, xi: float, g_values, *,
                         rng_seed: int = 0,
-                        n_random_seeds: int = N_RANDOM_SEEDS):
+                        n_random_seeds: int = N_RANDOM_SEEDS,
+                        workers: int = 1):
     """Stable-branch amplitudes |a_j| along a fixed-xi cut.
 
     xi must sit inside the normal-state stability window.  Each row maps
     every stable class to the site amplitudes of its canonical
     representative, so multivalued (multistable) ranges stay visible.
+    The rows run one after another; workers goes to each row's root
+    search and verdicts (find_all, stable_class_set).
     """
     validate(params_base)
     validate_rng_seed(rng_seed)
@@ -212,8 +165,9 @@ def order_parameter_cut(params_base: LatticeParams, xi: float, g_values, *,
         params = replace(params_base, xi=float(xi), g=float(g))
         try:
             result = find_all(params, n_random_seeds=n_random_seeds,
-                              rng_seed=_cell_seed(rng_seed, 0, j))
-            found = stable_class_set(result, params)
+                              rng_seed=_cell_seed(rng_seed, 0, j),
+                              workers=workers)
+            found = stable_class_set(result, params, workers=workers)
             branches = {}
             for kind, canon in found.classes:
                 key = kind

@@ -152,9 +152,9 @@ def test_stable_class_set_classifies_once_per_orbit(params, monkeypatch):
     assert len(set(orbits)) < len(orbits)
     calls = []
 
-    def counting(rows, p):
+    def counting(rows, p, **kw):
         calls.append(rows)
-        return stability.classify(rows, p)
+        return stability.classify(rows, p, **kw)
 
     monkeypatch.setattr(classify_module, "stability_classify", counting)
     found = stable_class_set(result, params)

@@ -10,9 +10,10 @@ import dickelattice
 
 SRC = os.path.dirname(dickelattice.__file__)
 
-# model -> dynamics -> {steady_state, stability} -> classify -> sweep -> cli
-LAYER = {"model": 0, "dynamics": 1, "steady_state": 2, "stability": 2,
-         "classify": 3, "sweep": 4, "cli": 5}
+# model -> dynamics -> {steady_state, stability} -> classify -> sweep -> cli,
+# with the worker pool (_pool) below the root search and the verdicts
+LAYER = {"model": 0, "dynamics": 1, "_pool": 1, "steady_state": 2,
+         "stability": 2, "classify": 3, "sweep": 4, "cli": 5}
 
 
 def _tree(module):

@@ -1,7 +1,7 @@
 """The sweeps of one process share one worker pool: built on the first
 sweep with workers > 1, kept while the count stays the same, replaced when
 it changes or a worker dies, and joined by shutdown_pool or when the
-interpreter exits."""
+interpreter exits.  No task on the pool opens a pool of its own."""
 
 import json
 import multiprocessing
@@ -10,12 +10,15 @@ import signal
 import subprocess
 import sys
 import time
+from multiprocessing import process
 
 import pytest
 
 import dickelattice
 from dickelattice import (BoundaryCondition, GridAxis, LatticeParams,
-                          SweepSpec, phase_diagram)
+                          SweepSpec, _pool, phase_diagram)
+from dickelattice.classify import stable_class_set
+from dickelattice.steady_state import find_all
 from dickelattice.sweep import shutdown_pool
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(dickelattice.__file__)))
@@ -58,15 +61,16 @@ def test_shutdown_pool_stops_the_workers_and_the_next_sweep_forks_anew():
     assert len(second) == 2 and not set(second) & set(first)
 
 
-def _run(script, cwd):
+def _run(script, cwd, *args):
     """Last stdout line of script as JSON, from a fresh interpreter on this
     checkout.  A hung script is killed with its workers: a failure, not a
     hang of the suite."""
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("DLP_WORKERS", None)
-    proc = subprocess.Popen([sys.executable, "-c", script], cwd=cwd, env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True, start_new_session=True)
+    proc = subprocess.Popen([sys.executable, "-c", script, *args], cwd=cwd,
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
     try:
         out, err = proc.communicate(timeout=120)
     except subprocess.TimeoutExpired:
@@ -200,3 +204,95 @@ def test_a_forked_child_builds_its_own_pool(tmp_path):
     # also exit: multiprocessing joins its children before the exit hook
     # of concurrent.futures would stop them
     assert _run(FORK_SCRIPT, tmp_path) == [True, 0]
+
+
+NESTED_SCRIPT = """
+import json, os, sys
+from multiprocessing import active_children, process
+from dickelattice import (BoundaryCondition, GridAxis, LatticeParams,
+                          SweepSpec, _pool, stability, steady_state, sweep)
+from dickelattice.classify import stable_class_set
+
+PARENT, LOG = os.getpid(), sys.argv[1]
+
+
+def record(entry):
+    with open(LOG, "a") as fh:
+        fh.write(json.dumps(entry) + "\\n")
+
+
+START = process.BaseProcess.start
+
+
+def start(self):
+    if os.getpid() != PARENT:
+        record(["start", os.getpid()])
+    return START(self)
+
+
+process.BaseProcess.start = start
+TASKS = {"newton": steady_state._newton_stack,
+         "eigvals": stability._stack_eigvals, "cell": sweep._compute_cell}
+
+
+def probed(name, *args):
+    out = TASKS[name](*args)
+    # a task that had opened a pool would hold its workers and its entry
+    record([name, os.getpid(), os.getpid() in _pool._pools,
+            len(active_children())])
+    return out
+
+
+def newton(*args):
+    return probed("newton", *args)
+
+
+def eigvals(*args):
+    return probed("eigvals", *args)
+
+
+def cell(*args):
+    return probed("cell", *args)
+
+
+steady_state._newton_stack, stability._stack_eigvals = newton, eigvals
+sweep._compute_cell = cell
+chain = LatticeParams(n_sites=30, kappa=0.4, xi=0.2, g=0.8,
+                      bc=BoundaryCondition.Open)
+result = steady_state.find_all(chain, workers=2)
+stable_class_set(result, chain, workers=2)
+spec = SweepSpec(chain, GridAxis(0.2, 0.2, 1), GridAxis(0.8, 0.9, 2),
+                 n_random_seeds=8)
+cells = sweep.phase_diagram(spec, workers=2)
+assert [c.error for c in cells] == ["", ""], cells
+with open(LOG) as fh:
+    entries = [json.loads(line) for line in fh]
+print(json.dumps({
+    "starts": [e for e in entries if e[0] == "start"],
+    "tasks": sorted({e[0] for e in entries if e[0] != "start"}),
+    "in_parent": [e for e in entries if e[0] != "start" and e[1] == PARENT],
+    "nested": [e for e in entries if e[0] != "start" and (e[2] or e[3])]}))
+"""
+
+
+def test_pool_tasks_never_open_a_pool(tmp_path):
+    # a task that reached the pool from inside a worker would fork a chain
+    # of processes; every task, and every serial stack of a sweep cell,
+    # runs in a worker that starts no process and keeps no pool
+    out = _run(NESTED_SCRIPT, tmp_path, str(tmp_path / "log.jsonl"))
+    assert out == {"starts": [], "tasks": ["cell", "eigvals", "newton"],
+                   "in_parent": [], "nested": []}
+
+
+@pytest.mark.parametrize("n", [3, 10, 25])
+def test_small_lattice_root_searches_start_no_process(n, monkeypatch):
+    # below N = 26 a stack holds several Jacobians and stays in-process
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(process.BaseProcess, "start", refuse)
+    monkeypatch.setattr(_pool, "worker_pool", refuse)
+    params = LatticeParams(n_sites=n, kappa=0.4, xi=0.2, g=0.8,
+                           bc=BoundaryCondition.Open)
+    result = find_all(params, n_random_seeds=8, workers=2)
+    assert stable_class_set(result, params, workers=2).classes

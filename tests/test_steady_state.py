@@ -770,9 +770,9 @@ def test_find_all_builds_states_only_for_kept_roots(params, seed_states,
         states.append(self)
         post_init(self)
 
-    def marking(seeds, params):
+    def marking(seeds, params, **kw):
         marks.append(len(states))
-        return solve(seeds, params)
+        return solve(seeds, params, **kw)
 
     monkeypatch.setattr(MeanFieldState, "__post_init__", counting)
     monkeypatch.setattr(steady_state, "newton_solve", marking)

@@ -3,8 +3,8 @@
 Labels: NP / InvertedNP (dark states), P1 (homogeneous, ring only), P2
 (pair plus opposite-sign third, three-site ring), O1-O4 (three-site open
 chain), OTHER (fallback with a site-profile fingerprint).  Template
-matching uses eps_pattern for amplitude equality, and asserts a sign for
-Re a_j only when |Re a_j| > eps_pattern.
+matching uses EPS_PATTERN for amplitude equality, and asserts a sign for
+Re a_j only when |Re a_j| > EPS_PATTERN.
 
 stable_class_set is the one pipeline from roots to stable classes:
 verdict per orbit, keep Stable, canonicalize, dedup at CLASS_TOL, label.
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (BoundaryCondition, LatticeParams, MeanFieldState,
-                    packed_to_jsonable, params_to_jsonable, symmetry_orbit)
+                    packed_to_jsonable, params_to_jsonable, symmetry_group,
+                    symmetry_orbit)
 from .steady_state import RootSearchResult
 from .stability import Verdict, classify as stability_classify
 
@@ -69,8 +70,7 @@ def _fingerprint(a, eps):
     return "".join(letters)
 
 
-def label(state: MeanFieldState, params: LatticeParams,
-          eps_pattern: float = EPS_PATTERN) -> PatternLabel:
+def label(state: MeanFieldState, params: LatticeParams) -> PatternLabel:
     """Deterministic template match, most to least constrained.
 
     Precedence: NP / InvertedNP -> P1 -> P2 -> O2 -> O1 -> O4 -> O3 ->
@@ -80,7 +80,7 @@ def label(state: MeanFieldState, params: LatticeParams,
     a = state.a
     z = state.z
     n = state.n
-    eps = eps_pattern
+    eps = EPS_PATTERN
     periodic = params.bc is BoundaryCondition.Periodic
 
     dark = bool(np.all(np.abs(a) < eps))
@@ -138,19 +138,20 @@ def _lex_less(x, y, tol):
     return False
 
 
-def canonicalize(rows, params: LatticeParams, tol: float = CANON_TOL):
+def canonicalize(rows, params: LatticeParams):
     """For each packed state of the stack rows (K, 5N), the smallest member
     of its symmetry_orbit under a fixed coordinate-wise total order, as
     (K, 5N) rows; orbit members of one numeric root are exact images, so
-    the minimum is well defined up to tol."""
-    y = np.array(rows, dtype=float)
-    for r in range(len(y)):
-        images, best = symmetry_orbit(y[r:r + 1], params.bc), 0
-        for k in range(1, len(images)):
-            if _lex_less(images[k], images[best], tol):
-                best = k
-        y[r] = images[best]
-    return y
+    the minimum is well defined up to CANON_TOL."""
+    y = np.asarray(rows, dtype=float)
+    group = len(symmetry_group(params.n_sites, params.bc)[0])
+    images = symmetry_orbit(y, params.bc).reshape(len(y), group, y.shape[1])
+    best = [0] * len(y)
+    for r, orbit in enumerate(images):
+        for k in range(1, group):
+            if _lex_less(orbit[k], orbit[best[r]], CANON_TOL):
+                best[r] = k
+    return images[np.arange(len(y)), best]
 
 
 @dataclass

@@ -26,16 +26,17 @@ from .errors import (BisectionFailure, BoundaryError, DomainError,
                      NotConverged, NotSettled, ShapeError, SingularJacobian,
                      StepFailure, UnstableWindowError, ZeroModeMismatch)
 from .classify import root_dossier
-from .dynamics import RTOL, ATOL, T_MAX, integrate, perturbed_normal_state
+from .dynamics import (ATOL, PERTURB_SCALE, RTOL, T_MAX, integrate,
+                       perturbed_normal_state)
 from .model import (BoundaryCondition, LatticeParams, normal_state,
                     state_from_jsonable, validate, validate_rng_seed)
 from .spectrum import (critical_coupling_np_infinite, mode_frequencies,
                        xi_stability_window)
 from .steady_state import DEDUP_TOL, N_RANDOM_SEEDS, find_all
-from .sweep import (DEFAULT_STEPS, PROFILE_SETTLE_TOL, GridAxis, SweepSpec,
-                    critical_csv, critical_line_scan, cut_csv,
-                    order_parameter_cut, phase_diagram, phase_diagram_csv,
-                    profile_csv, site_profile)
+from .sweep import (DEFAULT_STEPS, INIT_AMPLITUDE, PROFILE_SETTLE_TOL,
+                    GridAxis, SweepSpec, critical_csv, critical_line_scan,
+                    cut_csv, order_parameter_cut, phase_diagram,
+                    phase_diagram_csv, profile_csv, site_profile)
 
 UNITS_NOTE = ("Units: frequencies (omega_a, kappa, xi, g) in units of the "
               "cavity frequency omega_c = 1; times in 1/omega_c.")
@@ -76,12 +77,12 @@ _OPTIONS = [
      "worker processes (fallback: DLP_WORKERS, then the CPUs available)",
      ("sweep",)),
     ("g_cut", float, 0.6, "coupling for --mode profile", ("sweep",)),
-    ("init_amplitude", float, 0.1, None, ("sweep",)),
+    ("init_amplitude", float, INIT_AMPLITUDE, None, ("sweep",)),
     ("init", str, "perturbed-np", "np, perturbed-np, or a JSON state file",
      ("trajectory",)),
     ("t_end", float, T_MAX, None, ("trajectory", "sweep")),
     ("rng_seed", int, 0, "perturbation seed", ("trajectory",)),
-    ("scale", float, 1e-3, "perturbation amplitude", ("trajectory",)),
+    ("scale", float, PERTURB_SCALE, "perturbation amplitude", ("trajectory",)),
     ("record_every", float, 1.0, None, ("trajectory",)),
     ("rtol", float, RTOL, None, ("trajectory",)),
     ("atol", float, ATOL, None, ("trajectory",)),

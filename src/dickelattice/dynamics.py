@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, StepFailure
-from .model import LatticeParams, MeanFieldState, validate_rng_seed
+from .model import (LatticeParams, MeanFieldState, validate_n_sites,
+                    validate_rng_seed)
 
 # Chosen so that the spin-sphere drift over a t = 400 run stays below 1e-8
 # (measured 4.9e-10); at these tolerances order 8 halves RK45's flow calls.
@@ -31,6 +32,8 @@ ATOL = 1e-11
 METHOD = "DOP853"
 SETTLE_TOL = 1e-9
 T_MAX = 400.0
+RELAX_CHECKPOINT = 25.0     # time between relax_to_steady's settle checks
+PERTURB_SCALE = 1e-3        # perturbed_normal_state's kick, by default
 # most records one trajectory may ask for (t_end / record_every); at N = 50
 # that many states take about 0.4 GB
 MAX_RECORDS = 100_000
@@ -187,39 +190,31 @@ class Trajectory:
                 writer.writerow([repr(float(t))] + [repr(float(x)) for x in y])
 
 
-def integrate(state0: MeanFieldState, params: LatticeParams, t_end: float, *,
-              rtol: float = RTOL, atol: float = ATOL,
-              record_every: float = 1.0) -> Trajectory:
-    """Adaptive explicit integration of the mean-field flow.
-
-    Parameters
-    ----------
-    state0 : MeanFieldState
-        Initial condition; should satisfy the spin constraint.
-    t_end : float
-        Final time, finite and > 0.
-    record_every : float
-        Cadence of recorded samples, at least t_end / MAX_RECORDS; t_end
-        itself is always recorded.
-
-    Returns
-    -------
-    Trajectory with the max spin-sphere defect over the records in
-    spin_drift.
-
-    Raises
-    ------
-    StepFailure
-        If the step size underflows; carries the last good state.
-    """
+def _flow(state0: MeanFieldState, params: LatticeParams):
+    """The flow f(t, y) that solve_ivp integrates, for states of params;
+    a state0 of another site count raises ShapeError."""
     if state0.n != params.n_sites:
         raise ShapeError(
             f"state has {state0.n} sites, params expect {params.n_sites}")
-    if not 0 < t_end < np.inf:
-        raise DomainError(f"t_end must be finite and > 0, got {t_end}")
-    for name, tol in (("rtol", rtol), ("atol", atol)):
-        if not 0 < tol < np.inf:
-            raise DomainError(f"{name} must be finite and > 0, got {tol}")
+    t_hop = hop_matrix(params)
+    return lambda _t, y: rhs_packed(y, params, t_hop)
+
+
+def integrate(state0: MeanFieldState, params: LatticeParams, t_end: float, *,
+              rtol: float = RTOL, atol: float = ATOL,
+              record_every: float = 1.0) -> Trajectory:
+    """Adaptive explicit integration of the mean-field flow from state0,
+    which should satisfy the spin constraint, to t_end, finite and > 0.
+
+    Records a state every record_every, at least t_end / MAX_RECORDS, and
+    always at t_end.  Returns a Trajectory whose spin_drift is the largest
+    spin-sphere defect over the records.  A step size that underflows
+    raises StepFailure, which carries the last good state.
+    """
+    f = _flow(state0, params)
+    for name, value in (("t_end", t_end), ("rtol", rtol), ("atol", atol)):
+        if not 0 < value < np.inf:
+            raise DomainError(f"{name} must be finite and > 0, got {value}")
     if not record_every > 0:
         raise DomainError(f"record_every must be > 0, got {record_every}")
     if not t_end / record_every <= MAX_RECORDS:
@@ -227,11 +222,6 @@ def integrate(state0: MeanFieldState, params: LatticeParams, t_end: float, *,
                           f"got {t_end / record_every:.6g}")
     # imported here: scipy.integrate is most of the package's import time
     from scipy.integrate import solve_ivp
-
-    t_hop = hop_matrix(params)
-
-    def f(_t, y):
-        return rhs_packed(y, params, t_hop)
 
     t_eval = np.arange(0.0, t_end, record_every)
     if t_eval.size == 0 or t_eval[-1] < t_end:
@@ -267,28 +257,25 @@ def relax_to_steady(state0: MeanFieldState, params: LatticeParams, *,
                     settle_tol: float = SETTLE_TOL) -> RelaxResult:
     """Integrate until the sup norm of the flow drops below settle_tol.
 
-    Checks at multiples of 25 time units; stops early once settled,
-    otherwise runs to t_max and reports settled=False.  StepFailure
-    propagates; a t_max or settle_tol that is not finite and positive
-    raises DomainError.
+    Checks at multiples of RELAX_CHECKPOINT; stops early once settled,
+    otherwise runs to t_max and reports settled=False.  settle_tol bounds
+    the flow's sup norm, not the distance to the fixed point: near a slow
+    mode of decay rate lambda that distance is up to about rhs_norm /
+    |lambda| (the N = 50 open chain at xi = 0.45, g = 0.5, kappa = 0.4 has
+    lambda = -1.6e-3: its flow of 9.5e-7 lies 1.5e-4 from the root).
+    StepFailure propagates; a t_max or settle_tol that is not finite and
+    positive raises DomainError.
     """
-    if state0.n != params.n_sites:
-        raise ShapeError(
-            f"state has {state0.n} sites, params expect {params.n_sites}")
+    f = _flow(state0, params)
     for name, value in (("t_max", t_max), ("settle_tol", settle_tol)):
         if not 0 < value < np.inf:
             raise DomainError(f"{name} must be finite and > 0, got {value}")
     from scipy.integrate import solve_ivp
-    t_hop = hop_matrix(params)
-
-    def f(_t, y):
-        return rhs_packed(y, params, t_hop)
-
     y = state0.pack()
     t = 0.0
     norm = float(np.max(np.abs(f(t, y))))
     while norm >= settle_tol and t < t_max:
-        t_next = min(t + 25.0, t_max)
+        t_next = min(t + RELAX_CHECKPOINT, t_max)
         sol = solve_ivp(f, (t, t_next), y, method=METHOD, rtol=RTOL,
                         atol=ATOL, t_eval=[t_next])
         if not sol.success:
@@ -302,12 +289,14 @@ def relax_to_steady(state0: MeanFieldState, params: LatticeParams, *,
 
 
 def perturbed_normal_state(n_sites: int, rng_seed: int = 0,
-                           scale: float = 1e-3) -> MeanFieldState:
+                           scale: float = PERTURB_SCALE) -> MeanFieldState:
     """Normal state kicked by a small seeded perturbation.
 
     Each a_j gets magnitude scale at a random phase; each spin is moved
-    tangentially by the same scale and kept exactly on the sphere.
+    tangentially by the same scale and kept exactly on the sphere.  An
+    n_sites that is not an integer >= 1 raises DomainError.
     """
+    validate_n_sites(n_sites)
     validate_rng_seed(rng_seed)
     if not abs(scale) <= 0.5:       # NaN too
         raise DomainError(f"scale must be finite, |scale| <= 0.5, got {scale}")

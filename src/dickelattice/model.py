@@ -122,12 +122,17 @@ class MeanFieldState:
         return float(np.max(np.abs(np.abs(self.s) ** 2 + self.z ** 2 - 0.25)))
 
 
-def _dark_state(n_sites, z) -> MeanFieldState:
-    """a = s = 0 and the inversion z on every site."""
+def validate_n_sites(n_sites) -> None:
+    """Raise DomainError unless a state's site count is an integer >= 1."""
     if isinstance(n_sites, bool) or not isinstance(n_sites, (int, np.integer)):
         raise DomainError(f"n_sites must be an integer, got {n_sites!r}")
     if n_sites < 1:
         raise DomainError(f"n_sites must be >= 1, got {n_sites}")
+
+
+def _dark_state(n_sites, z) -> MeanFieldState:
+    """a = s = 0 and the inversion z on every site."""
+    validate_n_sites(n_sites)
     n = int(n_sites)
     return MeanFieldState(
         a=np.zeros(n, complex), s=np.zeros(n, complex), z=np.full(n, z))

@@ -127,41 +127,38 @@ def eigenvalue_csv(report: StabilityReport, path) -> None:
 
 BISECT_BRACKET = (0.05, 2.0)    # g range searched for the threshold
 BISECT_TOL = 1e-6               # bracket width at which bisection stops
+BISECT_MAX_ITER = 60            # most halvings of the bracket
 
 
 def normal_state_abscissa(params: LatticeParams) -> float:
-    """Leading growth rate of the flow linearized about the normal state.
-
-    The inversion directions decouple there (their rows vanish), leaving
-    the verdict to the 4N x 4N photon-coherence block.
-    """
+    """Leading growth rate of the flow linearized about the normal state:
+    the spectral abscissa of its classify verdict."""
     validate(params)
-    n = params.n_sites
-    j = jacobian_packed(normal_state(n).pack(), params)
-    block = j[:4 * n, :4 * n]
-    return float(np.max(np.linalg.eigvals(block).real))
+    [report] = classify(normal_state(params.n_sites).pack()[None], params)
+    return report.spectral_abscissa
 
 
-def bisect_np_threshold(params: LatticeParams, *, bracket=BISECT_BRACKET,
-                        tol: float = BISECT_TOL, max_iter: int = 60) -> float:
+def bisect_np_threshold(params: LatticeParams) -> float:
     """Locate the g where the normal state's abscissa changes sign.
 
-    The fixed bracket makes the midpoint sequence, and hence the result,
-    identical for every parameter set sharing the same threshold.  Raises
-    BisectionFailure when the bracket does not straddle a sign change.
+    The fixed bracket BISECT_BRACKET makes the midpoint sequence, and
+    hence the result, identical for every parameter set sharing the same
+    threshold; it stops at width BISECT_TOL or after BISECT_MAX_ITER
+    halvings.  Raises BisectionFailure when the bracket does not straddle
+    a sign change.
     """
-    lo, hi = bracket
+    lo, hi = BISECT_BRACKET
     if not (normal_state_abscissa(replace(params, g=lo)) < 0
             < normal_state_abscissa(replace(params, g=hi))):
         raise BisectionFailure(
             f"no stable-to-unstable crossing over g in [{lo}, {hi}] "
             f"at xi={params.xi}")
-    it = 0
-    while hi - lo > tol and it < max_iter:
+    for _ in range(BISECT_MAX_ITER):
+        if hi - lo <= BISECT_TOL:
+            break
         mid = 0.5 * (lo + hi)
         if normal_state_abscissa(replace(params, g=mid)) > 0:
             hi = mid
         else:
             lo = mid
-        it += 1
     return 0.5 * (lo + hi)

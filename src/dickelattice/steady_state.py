@@ -29,6 +29,8 @@ NEWTON_TOL = 1e-11
 MAX_ITER = 100
 DAMPING = 30          # max step halvings per iteration
 DEDUP_TOL = 1e-6
+DEDUP_KEY_DECIMALS = 9   # decimals of the coordinates _dedup sorts on
+DEDUP_WINDOW_SLACK = 1e-8   # widens _dedup's search window past dedup_tol
 N_RANDOM_SEEDS = 64
 
 
@@ -194,7 +196,7 @@ def _newton_stack(y, params, t_hop, newton_tol, max_iter, damping):
     alphas = np.ldexp(1.0, -np.arange(damping + 1))
     live = np.arange(len(y))               # seed index of each stack row
     x, f = y[live], _augmented(y, params, t_hop)
-    for it in range(max(max_iter, 0) + 1):
+    for it in range(max_iter + 1):
         res = np.max(np.abs(f), axis=1)
         ok = res <= newton_tol
         if it >= max_iter:
@@ -251,28 +253,27 @@ def _newton_stack(y, params, t_hop, newton_tol, max_iter, damping):
     return y, errors
 
 
-def newton_solve(seeds, params: LatticeParams, *,
-                 newton_tol: float = NEWTON_TOL, max_iter: int = MAX_ITER,
-                 damping: int = DAMPING, workers: int = 1):
+def newton_solve(seeds, params: LatticeParams, *, workers: int = 1):
     """Damped Newton iteration on the constraint-augmented 5N system.
 
     Per site the unknowns are (Re a, Im a, Re s, Im s, z) and the
     equations are the four photon/coherence flow components plus
-    |s|^2 + z^2 - 1/4 = 0.  Backtracking halves the step up to `damping`
-    times whenever the 2-norm of the residual fails to decrease.
+    |s|^2 + z^2 - 1/4 = 0.  Each seed stops once that residual is within
+    NEWTON_TOL, or after MAX_ITER steps; backtracking halves the step up
+    to DAMPING times whenever the 2-norm of the residual fails to decrease.
 
-    seeds is a stack of packed states of shape (S, 5N), solved in stacks
-    of at most STACK_BYTES of Jacobians; each seed takes exactly the steps it
+    seeds is a stack of packed states (S, 5N), solved in stacks of at
+    most STACK_BYTES of Jacobians; each seed takes exactly the steps it
     would take alone.  With workers > 1 and one Jacobian per stack
     (N >= 26) the stacks run on the process's worker pool
     (_pool.map_stacks), with the same bits.  Returns (y, residual,
-    errors): the final row of each seed (S, 5N), the sup norm of the
-    full flow at each row (S,), and one entry per seed: None for a root, or the NotConverged (budget
-    exhausted, step rejected, or the replaced inversion equation fails
-    the post-check) or SingularJacobian that stopped it.  A stack of the
-    wrong shape raises ShapeError, and a seed off the spin sphere by more
-    than SEED_SPIN_TOL, or with a NaN spin coordinate, raises DomainError,
-    for the whole call.
+    errors): the final row of each seed (S, 5N), the sup norm of the full
+    flow at each row (S,), and per seed None for a root or the
+    NotConverged (budget exhausted, step rejected, or the replaced
+    inversion equation fails the post-check) or SingularJacobian that
+    stopped it.  A stack of the wrong shape raises ShapeError, and a seed
+    off the spin sphere by more than SEED_SPIN_TOL, or with a NaN spin
+    coordinate, raises DomainError, for the whole call.
     """
     validate(params)
     n = params.n_sites
@@ -290,7 +291,7 @@ def newton_solve(seeds, params: LatticeParams, *,
 
     t_hop = hop_matrix(params)
     stacks = map_stacks(_newton_stack, y, stack_size(n), workers, params,
-                        t_hop, newton_tol, max_iter, damping)
+                        t_hop, NEWTON_TOL, MAX_ITER, DAMPING)
     if stacks:
         y = np.concatenate([rows for rows, _ in stacks])
     errors = [err for _, stack_errors in stacks for err in stack_errors]
@@ -298,7 +299,7 @@ def newton_solve(seeds, params: LatticeParams, *,
     # the replaced inversion equations must vanish on their own
     full = rhs_packed(y, params, t_hop)
     inversion = np.max(np.abs(full[:, 4 * n:]), axis=1)
-    for k in np.flatnonzero(inversion > newton_tol):
+    for k in np.flatnonzero(inversion > NEWTON_TOL):
         if errors[k] is None:
             errors[k] = NotConverged(
                 f"inversion-rate residual {inversion[k]:.3g} survives the "
@@ -377,12 +378,13 @@ def _seed_list(params, n_random_seeds, rng):
 
 
 def _dedup(rows, dedup_tol):
-    """Keep-first dedup: sort the rows by their coordinates rounded to 1e-9,
-    keep each row farther than dedup_tol (sup norm) from every row kept
-    before it, and return the kept indices.  Only kept rows whose first
-    rounded coordinate is at most dedup_tol + 1e-8 below this row's are
-    searched, after the kept first row of its run of equal rounded rows."""
-    keys = np.round(rows, 9)
+    """Keep-first dedup: sort the rows by their coordinates rounded to
+    DEDUP_KEY_DECIMALS, keep each row farther than dedup_tol (sup norm)
+    from every row kept before it, and return the kept indices.  Only
+    kept rows whose first rounded coordinate is at most dedup_tol +
+    DEDUP_WINDOW_SLACK below this row's are searched, after the kept
+    first row of its run of equal rounded rows."""
+    keys = np.round(rows, DEDUP_KEY_DECIMALS)
     order = np.lexsort(keys.T[::-1])
     # whether each row is within dedup_tol of its run's first row
     head = np.r_[True, (keys[order[1:]] != keys[order[:-1]]).any(axis=1)]
@@ -394,7 +396,7 @@ def _dedup(rows, dedup_tol):
             head_kept = False
         elif head_kept and i_near:
             continue
-        lo = bisect_left(kept_first, keys[i, 0] - (dedup_tol + 1e-8))
+        lo = bisect_left(kept_first, keys[i, 0] - (dedup_tol + DEDUP_WINDOW_SLACK))
         if (np.abs(rows[kept[lo:]] - rows[i]).max(axis=1) < dedup_tol).any():
             continue
         head_kept |= i_head

@@ -38,8 +38,10 @@ from .steady_state import N_RANDOM_SEEDS, _dressed_seeds, find_all, \
 DEFAULT_STEPS = 140     # per axis, matching the phase-diagram resolution
 PROFILE_SETTLE_TOL = 1e-6   # flow sup norm at which a site profile has settled
 # flow sup norm at which a relaxing site profile is handed to Newton: the
-# N = 50 profiles of xi = 0.2, g = 0.6 read 5.9e-3 and 6.1e-3 at t = 25
+# N = 50 profiles of xi = 0.2, g = 0.6 read 5.9e-3 and 6.1e-3 at the first
+# checkpoint, t = dynamics.RELAX_CHECKPOINT = 25
 POLISH_TOL = 1e-2
+INIT_AMPLITUDE = 0.1        # a site profile's start amplitude, by default
 
 
 @dataclass(frozen=True)
@@ -237,7 +239,7 @@ class SiteProfile:
 
 
 def profile_start(params: LatticeParams,
-                  init_amplitude: float = 0.1) -> MeanFieldState:
+                  init_amplitude: float = INIT_AMPLITUDE) -> MeanFieldState:
     """The initial state of a site profile: init_amplitude on every site,
     the spins exactly on the sphere at the inversion the coherence
     equation prefers for that amplitude."""
@@ -246,7 +248,7 @@ def profile_start(params: LatticeParams,
 
 
 def site_profile(params_base: LatticeParams, g: float,
-                 init_amplitude: float = 0.1, t_end: float = T_MAX, *,
+                 init_amplitude: float = INIT_AMPLITUDE, t_end: float = T_MAX, *,
                  settle_tol: float = PROFILE_SETTLE_TOL) -> SiteProfile:
     """Relax a spatially homogeneous initial amplitude (profile_start) and
     read the profile.
@@ -255,10 +257,12 @@ def site_profile(params_base: LatticeParams, g: float,
     POLISH_TOL, and Newton polishes that state.  The root is kept if
     Newton converged, its verdict is Stable and its flow norm is below
     settle_tol; otherwise the flow relaxes again from the start until its
-    norm is below settle_tol, exactly as relax_to_steady alone.  Raises
-    NotSettled (with the partial profile attached) when t_end is not
-    enough, and DomainError for an init_amplitude that is not finite or a
-    t_end that is not finite and positive.
+    norm is below settle_tol, exactly as relax_to_steady alone, and then
+    settle_tol bounds the flow, not the profile's distance to its root
+    (see relax_to_steady).  Raises NotSettled (with the partial profile
+    attached) when t_end is not enough, and DomainError for an
+    init_amplitude that is not finite or a t_end that is not finite and
+    positive.
     """
     params = replace(params_base, g=float(g))
     validate(params)

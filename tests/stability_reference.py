@@ -3,7 +3,8 @@ sphere-tangent projected Jacobian: a left eigendecomposition of the full
 5N x 5N Jacobian, with the N structural (spin-length) zero modes matched
 against the constraint gradients and excluded.  The reference the
 tangent-space verdict is checked against, with the per-site loop that
-built the tangent basis before it was vectorized."""
+built the tangent basis before it was vectorized, and the normal state's
+abscissa as its photon-coherence block gave it."""
 
 from dataclasses import dataclass
 
@@ -12,7 +13,7 @@ import scipy.linalg
 
 from dickelattice.dynamics import jacobian_packed
 from dickelattice.errors import ZeroModeMismatch
-from dickelattice.model import LatticeParams, MeanFieldState
+from dickelattice.model import LatticeParams, MeanFieldState, normal_state
 from dickelattice.stability import EPS_MARGINAL, Verdict
 
 EPS_ZERO = 1e-8
@@ -112,3 +113,13 @@ def tangent_basis(state: MeanFieldState) -> np.ndarray:
         b[[2 * n + k, 3 * n + k, 4 * n + k], col] = t2
         col += 1
     return b
+
+
+def normal_state_block_abscissa(params: LatticeParams) -> float:
+    """The normal state's spectral abscissa as stability computed it
+    before it read the normal state's classify verdict: at the normal
+    state the inversion rows of the Jacobian vanish, so the 4N x 4N
+    photon-coherence block carries the verdict."""
+    n = params.n_sites
+    j = jacobian_packed(normal_state(n).pack(), params)
+    return float(np.max(np.linalg.eigvals(j[:4 * n, :4 * n]).real))

@@ -79,11 +79,12 @@ def test_other_fingerprint():
     assert "aa0" in lab.detail
 
 
-def test_eps_shrink_moves_toward_other():
+def test_eps_shrink_moves_toward_other(monkeypatch):
     st = _state([0.4, 1e-6, -0.4])
-    assert label(st, P_OPEN, eps_pattern=1e-5).kind is PatternKind.O2
-    smaller = label(st, P_OPEN, eps_pattern=1e-8).kind
-    assert smaller is not PatternKind.O2
+    assert classify_module.EPS_PATTERN == 1e-5
+    assert label(st, P_OPEN).kind is PatternKind.O2
+    monkeypatch.setattr(classify_module, "EPS_PATTERN", 1e-8)
+    assert label(st, P_OPEN).kind is not PatternKind.O2
 
 
 def test_label_orbit_invariance():

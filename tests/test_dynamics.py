@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -219,6 +220,15 @@ def test_perturbed_normal_state_properties():
     assert s1.spin_defect() < 1e-15
     s3 = perturbed_normal_state(4, rng_seed=10, scale=1e-3)
     assert not np.array_equal(s1.pack(), s3.pack())
+
+
+@pytest.mark.parametrize("n_sites", [0, -1, 2.5, True, np.float64(3.0)])
+def test_perturbed_normal_state_checks_site_count(n_sites):
+    # the same check, and the same message, as the dark states'
+    with pytest.raises(DomainError) as exc:
+        perturbed_normal_state(n_sites)
+    with pytest.raises(DomainError, match=re.escape(str(exc.value))):
+        normal_state(n_sites)
 
 
 # ---------------------------------------------------------------------------

@@ -53,3 +53,72 @@ def test_no_module_imports_scipy_at_import_time():
             wrong += [(module, name) for name in names
                       if name.split(".")[0] == "scipy"]
     assert wrong == []
+
+
+def _small_float_literals(module):
+    """(line, value) of each float literal with 0 < |x| < 1e-2 in module
+    that is not the whole value of a module-level NAME = literal."""
+    tree = _tree(module)
+    named = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            value = node.value
+            if isinstance(value, ast.UnaryOp):     # NAME = -1e-3
+                value = value.operand
+            named.add(id(value))
+    return [(node.lineno, node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            and 0 < abs(node.value) < 1e-2 and id(node) not in named]
+
+
+def test_small_float_literals_are_named_module_constants():
+    # a tolerance is defined once, with a name: a small float written out
+    # in a function body or a default is a second, unnamed definition
+    wrong = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        wrong += [(module, line, value)
+                  for line, value in _small_float_literals(module)]
+    assert wrong == []
+
+
+def _constant_defaults():
+    """Parameter name -> the ALL-CAPS names that parameters of that name
+    default to in the package's functions, cli's aside."""
+    found = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        if module == "cli":
+            continue
+        for fn in ast.walk(_tree(module)):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args.posonlyargs + fn.args.args
+            pairs = list(zip(args[len(args) - len(fn.args.defaults):],
+                             fn.args.defaults))
+            pairs += zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            for arg, default in pairs:
+                if isinstance(default, ast.Name) and default.id.isupper():
+                    found.setdefault(arg.arg, set()).add(default.id)
+    return found
+
+
+def test_cli_defaults_are_the_library_constants():
+    # an option whose library parameter defaults to a module constant
+    # takes that constant by name, not a copy of its value
+    constants = _constant_defaults()
+    [options] = [node.value for node in _tree("cli").body
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "_OPTIONS"]
+    checked, wrong = set(), []
+    for row in options.elts:
+        key, default = row.elts[0].value, row.elts[2]
+        if key in constants:
+            checked.add(key)
+            if not (isinstance(default, ast.Name)
+                    and default.id in constants[key]):
+                wrong.append((key, ast.unparse(default)))
+    assert wrong == []
+    assert {"n_random_seeds", "dedup_tol", "t_end", "settle_tol", "rtol",
+            "atol", "init_amplitude", "scale"} <= checked

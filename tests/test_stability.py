@@ -9,7 +9,7 @@ from dickelattice import (BisectionFailure, BoundaryCondition,
                           projected_jacobian, tangent_basis)
 from dickelattice._blas import one_thread
 from dickelattice.errors import ZeroModeMismatch
-from dickelattice.stability import classify
+from dickelattice.stability import BISECT_BRACKET, classify
 import stability_reference
 from routh_reference import char_poly, routh_rhp_count, routh_verdict
 
@@ -175,9 +175,8 @@ def test_normal_state_abscissa_matches_full_spectrum():
     for bc in (PBC, OBC):
         for g in (0.3, 0.6):
             p = _params(g, bc=bc)
-            full = _classify(normal_state(3), p).spectral_abscissa
-            fast = normal_state_abscissa(p)
-            assert fast == pytest.approx(full, abs=1e-9)
+            block = stability_reference.normal_state_block_abscissa(p)
+            assert normal_state_abscissa(p) == pytest.approx(block, abs=1e-9)
 
 
 def test_eigenvalue_csv(tmp_path):
@@ -210,9 +209,11 @@ def test_bisection_open_chain():
 
 
 def test_bisection_needs_a_straddling_bracket():
-    p = LatticeParams(n_sites=3, kappa=0.4, xi=0.2, bc=PBC)
+    # omega_a = 100 puts the threshold near 4.8, above BISECT_BRACKET
+    p = LatticeParams(n_sites=3, omega_a=100.0, kappa=0.4, xi=0.2, bc=PBC)
+    assert critical_coupling_np(p).g_c > BISECT_BRACKET[1]
     with pytest.raises(BisectionFailure):
-        bisect_np_threshold(p, bracket=(0.05, 0.1))
+        bisect_np_threshold(p)
 
 
 # ---------------------------------------------------------------------------

@@ -203,13 +203,27 @@ def _flow(state0: MeanFieldState, params: LatticeParams):
 def integrate(state0: MeanFieldState, params: LatticeParams, t_end: float, *,
               rtol: float = RTOL, atol: float = ATOL,
               record_every: float = 1.0) -> Trajectory:
-    """Adaptive explicit integration of the mean-field flow from state0,
-    which should satisfy the spin constraint, to t_end, finite and > 0.
+    """Adaptive explicit integration of the mean-field flow.
 
-    Records a state every record_every, at least t_end / MAX_RECORDS, and
-    always at t_end.  Returns a Trajectory whose spin_drift is the largest
-    spin-sphere defect over the records.  A step size that underflows
-    raises StepFailure, which carries the last good state.
+    Parameters
+    ----------
+    state0 : MeanFieldState
+        Initial condition; should satisfy the spin constraint.
+    t_end : float
+        Final time, finite and > 0.
+    record_every : float
+        Cadence of recorded samples, at least t_end / MAX_RECORDS; t_end
+        itself is always recorded.
+
+    Returns
+    -------
+    Trajectory with the max spin-sphere defect over the records in
+    spin_drift.
+
+    Raises
+    ------
+    StepFailure
+        If the step size underflows; carries the last good state.
     """
     f = _flow(state0, params)
     for name, value in (("t_end", t_end), ("rtol", rtol), ("atol", atol)):

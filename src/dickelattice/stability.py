@@ -48,30 +48,38 @@ def tangent_basis(rows) -> np.ndarray:
     """
     y = np.asarray(rows, dtype=float)
     n = y.shape[1] // 5
-    # (K, N, 3): the spin vector of each site
-    normal = y[:, 2 * n:].reshape(len(y), 3, n).transpose(0, 2, 1).copy()
-    length = np.linalg.norm(normal, axis=2)
-    if np.any(length == 0):
+    # (K, 3, N): the spin vector of each site, by component
+    normal = y[:, 2 * n:].reshape(len(y), 3, n)
+    length = np.linalg.norm(normal, axis=1)
+    if (length == 0).any():
         raise ZeroModeMismatch("a site's spin vanished (s = z = 0): "
                                "no tangent plane")
-    normal /= length[:, :, None]
-    # any axis far from the normal seeds the first tangent
+    normal = normal / length[:, None]
+    # any axis far from the normal seeds the first tangent: e_x, else e_y
     ref = np.zeros(normal.shape)
-    np.put_along_axis(ref, (np.abs(normal[:, :, :1]) >= 0.9).astype(int),
-                      1.0, axis=2)
-    t1 = np.cross(normal, ref)
-    t1 /= np.linalg.norm(t1, axis=2)[:, :, None]
-    t2 = np.cross(normal, t1)
-    t2 /= np.linalg.norm(t2, axis=2)[:, :, None]
+    ref[:, 1] = np.abs(normal[:, 0]) >= 0.9
+    ref[:, 0] = 1.0 - ref[:, 1]
+    t1 = _cross(normal, ref)
+    t1 /= np.linalg.norm(t1, axis=1)[:, None]
+    t2 = _cross(normal, t1)
+    t2 /= np.linalg.norm(t2, axis=1)[:, None]
 
     k = np.arange(n)
     spin = np.arange(2, 5)[:, None] * n + k     # rows of Re s, Im s, z
     b = np.zeros((len(y), 5 * n, 4 * n))
     b[:, k, 4 * k] = 1.0
     b[:, n + k, 4 * k + 1] = 1.0
-    b[:, spin, 4 * k + 2] = t1.transpose(0, 2, 1)
-    b[:, spin, 4 * k + 3] = t2.transpose(0, 2, 1)
+    b[:, spin, 4 * k + 2] = t1
+    b[:, spin, 4 * k + 3] = t2
     return b
+
+
+def _cross(u, v):
+    """np.cross(u, v, axis=1) of (K, 3, N) stacks, with its bits but
+    without its per-call overhead, most of a small stack's cost."""
+    (u0, u1, u2), (v0, v1, v2) = u.transpose(1, 0, 2), v.transpose(1, 0, 2)
+    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2,
+                     u0 * v1 - u1 * v0], axis=1)
 
 
 def projected_jacobian(rows, params: LatticeParams) -> np.ndarray:

@@ -9,7 +9,7 @@ from dickelattice import (BisectionFailure, BoundaryCondition,
                           projected_jacobian, tangent_basis)
 from dickelattice._blas import one_thread
 from dickelattice.errors import ZeroModeMismatch
-from dickelattice.stability import BISECT_BRACKET, classify
+from dickelattice.stability import BISECT_BRACKET, _cross, classify
 import stability_reference
 from routh_reference import char_poly, routh_rhp_count, routh_verdict
 
@@ -70,6 +70,16 @@ def test_branch_point_spectrum_matches_projection():
     for (ra, ia), (rb, ib) in zip(key(w_phys), key(w_proj)):
         assert ra == pytest.approx(rb, abs=1e-6)
         assert ia == pytest.approx(ib, abs=1e-6)
+
+
+def test_cross_has_the_bits_of_np_cross():
+    # tangent_basis's spelled-out cross product keeps np.cross's rounding,
+    # its signed zeros and its NaN propagation
+    u, v = np.random.default_rng(7).normal(size=(2, 4, 3, 5))
+    u[0, :, 0] = (0.0, -0.0, 1.0)
+    v[0, :, 0] = (-0.0, 0.0, 1.0)
+    u[1, 2, 1] = np.nan
+    assert _cross(u, v).tobytes() == np.cross(u, v, axis=1).tobytes()
 
 
 def test_tangent_basis_annihilates_constraint_gradients():

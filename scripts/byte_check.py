@@ -15,9 +15,10 @@ which holds each command's exit code and its stdout and stderr.  The set:
 
 The outputs are named relative to the directory, so the configs of two
 runs name the same files.  The 2-worker sweeps fork the process's worker
-pool; the steady points and cuts of N >= 26 that follow run their root
-searches on it (one worker per CPU unless DLP_WORKERS says otherwise),
-and it is shut down at the end.  Pin BLAS to one thread for comparable
+pool; the steady points and cuts of N >= 26 that follow run their
+verdict stacks on it (one worker per CPU unless DLP_WORKERS says
+otherwise; their Newton stacks stay in-process below N = 65), and it is
+shut down at the end.  Pin BLAS to one thread for comparable
 bytes:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/byte_check.py DIR

@@ -2,7 +2,8 @@
 mapped over it.
 
 Phase sweeps run their cells on the pool, and a large lattice's root
-search runs its Newton and verdict stacks on it.  Every worker runs BLAS
+search runs its verdict stacks (N >= 26) and Newton stacks (N >= 65) on
+it.  Every worker runs BLAS
 on one thread; the pool is the parallelism.
 """
 
@@ -71,10 +72,11 @@ def map_stacks(func, rows, size: int, workers: int, *args) -> list:
     """[func(rows[s:s + size], *args) for s in range(0, len(rows), size)].
 
     The stacks run on the worker pool when workers > 1, each stack is a
-    single matrix (size == 1: at STACK_BYTES, N >= 26, each one a
-    BLAS-bound solve or eigendecomposition) and there is more than one
-    of them; otherwise here, in order, where func may write into its
-    stack.  Smaller lattices stay here: their stacks are cheap, and a
+    single matrix (size == 1: at STACK_BYTES, a 5N x 5N verdict Jacobian
+    from N = 26 up and a 2N x 2N Newton matrix from N = 65 up, each one
+    a BLAS-bound eigendecomposition or chain of solves) and there is
+    more than one of them; otherwise here, in order, where func may
+    write into its stack.  Smaller lattices stay here: their stacks are cheap, and a
     one-shot command would pay more for forking the pool than it saves.
     func must be a module-level function, so that a worker can unpickle
     it, and must not reach the pool itself.

@@ -38,16 +38,18 @@ PERTURB_SCALE = 1e-3        # perturbed_normal_state's kick, by default
 # that many states take about 0.4 GB
 MAX_RECORDS = 100_000
 
-# Jacobian bytes of one stack of Newton solves or verdicts (256 KiB): ~100
-# seeds at N = 3, 13 at N = 10, one from N = 26 up.  Larger lattices gain
-# nothing from stacking BLAS-bound solves, and 2 MiB stacks raised the peak
-# resident memory of the large_n benchmark (N = 30 and 50) by 0.5 MB.
+# Matrix bytes of one stack of Newton solves or verdicts (256 KiB).  A
+# Newton stack holds 2N x 2N matrices (~900 seeds at N = 3, 9 at N = 30,
+# one from N = 65 up), a verdict stack 5N x 5N Jacobians (~145 at N = 3,
+# 13 at N = 10, one from N = 26 up).  Larger lattices gain nothing from
+# stacking BLAS-bound solves, and 2 MiB stacks raised the peak resident
+# memory of the large_n benchmark (N = 30 and 50) by 0.5 MB.
 STACK_BYTES = 2 ** 18
 
 
-def stack_size(n_sites: int) -> int:
-    """How many 5N x 5N Jacobians fit in STACK_BYTES; at least one."""
-    return max(1, STACK_BYTES // (8 * (5 * n_sites) ** 2))
+def stack_size(order: int) -> int:
+    """How many order x order matrices fit in STACK_BYTES; at least one."""
+    return max(1, STACK_BYTES // (8 * order ** 2))
 
 
 def hop_matrix(params: LatticeParams) -> np.ndarray:
@@ -126,6 +128,15 @@ def jacobian_packed(y, params: LatticeParams, t_hop=None) -> np.ndarray:
         raise ShapeError(f"expected packed length {5 * n}, got shape {y.shape}")
     if t_hop is None:
         t_hop = hop_matrix(params)
+    return jacobian_fill(jacobian_template(params, t_hop)[None], y[None],
+                         params)[0]
+
+
+def jacobian_template(params: LatticeParams, t_hop) -> np.ndarray:
+    """The 5N x 5N Jacobian with only its state-independent entries
+    written, the signed zeros of the bilinear blocks included; jacobian_fill
+    writes the rest."""
+    n = params.n_sites
     wc, wa, g, kap = params.omega_c, params.omega_a, params.g, params.kappa
     i_n = np.eye(n)
     j = np.zeros((5 * n, 5 * n))
@@ -139,23 +150,22 @@ def jacobian_packed(y, params: LatticeParams, t_hop=None) -> np.ndarray:
                     for r, c, coef, _ in _BILINEAR)
     for r, c, block in blocks:
         j[r * n:(r + 1) * n, c * n:(c + 1) * n] = block
-    return jacobian_fill(j[None], y[None], params)[0]
+    return j
 
 
-def jacobian_fill(jac, y, params: LatticeParams, row_blocks: int = 5):
+def jacobian_fill(jac, y, params: LatticeParams):
     """The Jacobians at the rows of the stack y (S, 5N), written into jac[:S].
 
-    jac is a stack of jacobian_packed results of these params, at any
-    states; only the entries that depend on the state are written, in the
-    first row_blocks blocks of N rows.  Each written matrix has exactly
-    the bits of jacobian_packed at its row of y.
+    jac is a stack of jacobian_template or jacobian_packed results of
+    these params, at any states; only the entries that depend on the
+    state are written.  Each written matrix has exactly the bits of
+    jacobian_packed at its row of y.
     """
     n = params.n_sites
     i = np.arange(n)
     out = jac[:len(y)]
     for r, c, coef, b in _BILINEAR:
-        if r < row_blocks:
-            out[:, r * n + i, c * n + i] = coef * params.g * y[:, b * n:(b + 1) * n]
+        out[:, r * n + i, c * n + i] = coef * params.g * y[:, b * n:(b + 1) * n]
     return out
 
 

@@ -97,13 +97,13 @@ def classify(rows, params: LatticeParams, workers: int = 1) -> list:
     """One stability verdict per packed state of the stack rows (K, 5N),
     from the 4N eigenvalues of its projected Jacobian.  An abscissa within
     EPS_MARGINAL of 0 gives Marginal.  The matrices go to eigvals in
-    stacks of at most STACK_BYTES of Jacobians; with workers > 1 and one
-    Jacobian per stack (N >= 26) the stacks run on the process's worker
-    pool (_pool.map_stacks), with the same bits.
+    stacks of at most STACK_BYTES of 5N x 5N Jacobians; with workers > 1
+    and one Jacobian per stack (N >= 26) the stacks run on the process's
+    worker pool (_pool.map_stacks), with the same bits.
     """
     y = np.asarray(rows, dtype=float)
     return [_report(w) for stack in map_stacks(
-        _stack_eigvals, y, stack_size(params.n_sites), workers, params)
+        _stack_eigvals, y, stack_size(5 * params.n_sites), workers, params)
         for w in stack]
 
 

@@ -5,7 +5,9 @@ with symmetry-aware multistart for everything else.  The Newton system
 replaces each site's inversion equation with the algebraic spin
 constraint, which removes the dark-state degeneracy (a = s = 0 with
 arbitrary z) that would otherwise make the Jacobian singular there; the
-replaced equation is checked after convergence.
+replaced equation is checked after convergence.  The photon and Im s
+equations of that system are linear with constant coefficients, so each
+Newton step eliminates them and factors only a 2N x 2N matrix per seed.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from ._blas import one_thread
 from ._pool import map_stacks
 from .errors import (BoundaryError, DomainError, NotConverged, ShapeError,
                      SingularJacobian, UnstableWindowError)
-from .dynamics import (hop_matrix, jacobian_fill, jacobian_packed, rhs_packed,
-                       stack_size)
+from .dynamics import hop_matrix, rhs_packed, stack_size
 from .model import (BoundaryCondition, LatticeParams, MeanFieldState,
                     inverted_normal_state, normal_state, symmetry_group,
                     symmetry_orbit, validate, validate_rng_seed)
@@ -151,18 +152,75 @@ def _augmented(y, params, t_hop):
     return f
 
 
-def _jacobian_stack(jac, y, params):
-    """The augmented Jacobians at the rows of y, written into jac[:len(y)]:
-    the flow's first 4N rows, then the gradient 2 (Re s, Im s, z) of the
-    spin constraint.  jac is a stack of augmented Jacobians of these
-    params, at any states; only the entries that depend on the state are
-    written."""
+def _photon_solvers(params, t_hop):
+    """(R, K) with A = omega_c - T, R = (A^2 + kappa^2)^-1 and K = A R.
+
+    They solve the photon rows of the Newton system: -kappa du + A dv = f_0
+    and -A du - kappa dv = f_1 give du = -kappa R f_0 - K f_1 and dv =
+    K f_0 - kappa R f_1.  With kappa = 0 and omega_c an eigenvalue of T (a
+    free photon mode) A^2 + kappa^2 is singular: DomainError.
+    """
     n = params.n_sites
+    a = params.omega_c * np.eye(n) - t_hop
+    try:
+        r = np.linalg.inv(a @ a + params.kappa ** 2 * np.eye(n))
+    except np.linalg.LinAlgError:
+        raise DomainError(
+            "A^2 + kappa^2 (A = omega_c - T) is singular: kappa = 0 and "
+            f"omega_c = {params.omega_c:g} is a free photon mode of the "
+            "hopping matrix") from None
+    return r, a @ r
+
+
+def _apply(mat, rows):
+    # mat times each row, as its own matrix-vector product: a row's bits
+    # do not depend on the stack it shares (see dynamics._rhs_rows)
+    return np.matmul(mat, rows[:, :, None])[:, :, 0]
+
+
+def _spin_matrices(x, params, k):
+    """The 2N x 2N Newton matrices M in (d Re s, dz) at the rows of x:
+    [[-omega_a - 8 g^2 diag(z) K, 4 g diag(Re a)], [2 diag(Re s), 2 diag(z)]],
+    the augmented Jacobian with its photon and Im s unknowns eliminated.
+    Given a regular A^2 + kappa^2, M is singular exactly when the
+    augmented Jacobian is."""
+    n = params.n_sites
+    g = params.g
+    u, p, z = x[:, :n], x[:, 2 * n:3 * n], x[:, 4 * n:]
     i = np.arange(n)
-    out = jacobian_fill(jac, y, params, row_blocks=4)
-    for b in (2, 3, 4):
-        out[:, 4 * n + i, b * n + i] = 2.0 * y[:, b * n:(b + 1) * n]
-    return out
+    m = np.zeros((len(x), 2 * n, 2 * n))
+    m[:, :n, :n] = (-8.0 * g * g) * z[:, :, None] * k
+    m[:, i, i] -= params.omega_a
+    m[:, i, n + i] = 4.0 * g * u
+    m[:, n + i, i] = 2.0 * p
+    m[:, n + i, n + i] = 2.0 * z
+    return m
+
+
+def _newton_steps(x, f, m, params, photon):
+    """The Newton steps J^-1 f of the augmented system at the rows of x,
+    whose residuals are f and spin matrices m, by elimination: dq =
+    f_2 / omega_a, then (dp, dz) from m, then (du, dv) from the photon
+    solvers (R, K).  A singular m raises np.linalg.LinAlgError."""
+    n = params.n_sites
+    g, kap = params.g, params.kappa
+    r, k = photon
+    f0, f1, f2, f3, f4 = (f[:, :n], f[:, n:2 * n], f[:, 2 * n:3 * n],
+                          f[:, 3 * n:4 * n], f[:, 4 * n:])
+    q, z = x[:, 3 * n:4 * n], x[:, 4 * n:]
+    # a non-finite residual gives a non-finite step, which the caller
+    # reports; the invalid operations on the way need no warning
+    with np.errstate(invalid="ignore"):
+        dq = f2 / params.omega_a
+        rf0 = _apply(r, f0)
+        c = -kap * rf0 - _apply(k, f1)
+        rhs = np.hstack([f3 - 4.0 * g * z * c, f4 - 2.0 * q * dq])
+        dpz = np.linalg.solve(m, rhs[:, :, None])[:, :, 0]
+        dp, dz = dpz[:, :n], dpz[:, n:]
+        f1 = f1 + 2.0 * g * dp
+        du = -kap * rf0 - _apply(k, f1)
+        dv = _apply(k, f0) - kap * _apply(r, f1)
+    return np.hstack([du, dv, dp, dq, dz])
 
 
 def _row_norms(f):
@@ -172,24 +230,18 @@ def _row_norms(f):
     return np.sqrt(np.matmul(f[:, None, :], f[:, :, None])[:, 0, 0])
 
 
-def _newton_stack(y, params, t_hop, newton_tol, max_iter, damping):
+def _newton_stack(y, params, t_hop, photon, newton_tol, max_iter, damping):
     """Newton iteration on the stack y of packed seeds, in place.
 
     Each row of y ends at its seed's last iterate.  Returns y and one
     entry per seed, in order: None once its augmented residual is within
     newton_tol, else the NotConverged or SingularJacobian that stopped
-    it.  Each step makes one batched solve over the seeds still
-    iterating and at most two stacked flow evaluations, one for the full
-    steps and one for all the halvings of the seeds that reject theirs;
-    each seed backtracks on its own.  A seed leaves the stack once it
-    has converged or failed.
+    it.  Each step makes one batched 2N x 2N solve over the seeds still
+    iterating (_newton_steps, with the photon solvers (R, K)) and at most
+    two stacked flow evaluations, one for the full steps and one for all
+    the halvings of the seeds that reject theirs; each seed backtracks on
+    its own.  A seed leaves the stack once it has converged or failed.
     """
-    n = params.n_sites
-    # the augmented Jacobian at y = 0: the flow's, its last N rows zero;
-    # _jacobian_stack writes the entries that depend on the state
-    jac = np.repeat(jacobian_packed(np.zeros(5 * n), params, t_hop)[None],
-                    len(y), axis=0)
-    jac[:, 4 * n:] = 0.0
     errors = [None] * len(y)
     # step lengths 1, 1/2, ..., 2**-damping, exact powers of two, so that
     # x - alpha * step rounds as each halving did one at a time
@@ -207,24 +259,26 @@ def _newton_stack(y, params, t_hop, newton_tol, max_iter, damping):
         live, x, f = live[~ok], x[~ok], f[~ok]
         if not live.size:
             break
-        jf = _jacobian_stack(jac, x, params)
+        m = _spin_matrices(x, params, photon[1])
         keep = np.ones(live.size, bool)     # rows that stay in the stack
         try:
-            step = np.linalg.solve(jf, f[:, :, None])[:, :, 0]
+            step = _newton_steps(x, f, m, params, photon)
         except np.linalg.LinAlgError:
             # find the singular matrices one at a time
             step = np.full_like(f, np.nan)
             for r in range(live.size):
+                rows = slice(r, r + 1)
                 try:
-                    step[r] = np.linalg.solve(jf[r], f[r])
+                    step[rows] = _newton_steps(x[rows], f[rows], m[rows],
+                                               params, photon)
                 except np.linalg.LinAlgError as exc:
                     errors[live[r]] = SingularJacobian(
                         f"singular Newton matrix: {exc}",
-                        cond=float(np.linalg.cond(jf[r])))
+                        cond=float(np.linalg.cond(m[r])))
                     keep[r] = False
         for r in np.flatnonzero(keep & ~np.isfinite(step).all(axis=1)):
             errors[live[r]] = SingularJacobian(
-                "non-finite Newton step", cond=float(np.linalg.cond(jf[r])))
+                "non-finite Newton step", cond=float(np.linalg.cond(m[r])))
             keep[r] = False
 
         # backtracking: each seed takes its longest step alpha * step that
@@ -262,10 +316,17 @@ def newton_solve(seeds, params: LatticeParams, *, workers: int = 1):
     NEWTON_TOL, or after MAX_ITER steps; backtracking halves the step up
     to DAMPING times whenever the 2-norm of the residual fails to decrease.
 
+    Each step is the solve with the 5N x 5N augmented Jacobian J, done
+    by elimination (_newton_steps): with A = omega_c - T, R =
+    (A^2 + kappa^2)^-1 and K = A R built once per call, only a 2N x 2N
+    matrix M in (Re s, z) is factored per seed, and SingularJacobian
+    reports M's condition number.  Given a regular A^2 + kappa^2, M is
+    singular exactly when J is.
+
     seeds is a stack of packed states (S, 5N), solved in stacks of at
-    most STACK_BYTES of Jacobians; each seed takes exactly the steps it
-    would take alone.  With workers > 1 and one Jacobian per stack
-    (N >= 26) the stacks run on the process's worker pool
+    most STACK_BYTES of matrices M; each seed takes exactly the steps it
+    would take alone.  With workers > 1 and one matrix per stack
+    (N >= 65) the stacks run on the process's worker pool
     (_pool.map_stacks), with the same bits.  Returns (y, residual,
     errors): the final row of each seed (S, 5N), the sup norm of the full
     flow at each row (S,), and per seed None for a root or the
@@ -273,7 +334,8 @@ def newton_solve(seeds, params: LatticeParams, *, workers: int = 1):
     inversion equation fails the post-check) or SingularJacobian that
     stopped it.  A stack of the wrong shape raises ShapeError, and a seed
     off the spin sphere by more than SEED_SPIN_TOL, or with a NaN spin
-    coordinate, raises DomainError, for the whole call.
+    coordinate, raises DomainError, for the whole call; so does a
+    singular A^2 + kappa^2 (kappa = 0 and omega_c an eigenvalue of T).
     """
     validate(params)
     n = params.n_sites
@@ -290,8 +352,9 @@ def newton_solve(seeds, params: LatticeParams, *, workers: int = 1):
                           f"(> SEED_SPIN_TOL = {SEED_SPIN_TOL:g})")
 
     t_hop = hop_matrix(params)
-    stacks = map_stacks(_newton_stack, y, stack_size(n), workers, params,
-                        t_hop, NEWTON_TOL, MAX_ITER, DAMPING)
+    stacks = map_stacks(_newton_stack, y, stack_size(2 * n), workers, params,
+                        t_hop, _photon_solvers(params, t_hop), NEWTON_TOL,
+                        MAX_ITER, DAMPING)
     if stacks:
         y = np.concatenate([rows for rows, _ in stacks])
     errors = [err for _, stack_errors in stacks for err in stack_errors]

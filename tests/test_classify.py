@@ -229,7 +229,7 @@ def test_classify_stacks_fit_the_stack_bytes(n, monkeypatch):
 
     monkeypatch.setattr(stability.np.linalg, "eigvals", recording)
     reports = stability.classify(rows, params)
-    size = dynamics.stack_size(n)
+    size = dynamics.stack_size(5 * n)
     assert size == (145 if n == 3 else 13 if n == 10 else 1)
     assert sizes == [min(size, len(rows) - k)
                      for k in range(0, len(rows), size)]

@@ -11,7 +11,7 @@ from dickelattice import (BoundaryCondition, DomainError, LatticeParams,
                           perturbed_normal_state, relax_to_steady,
                           rhs_packed, rhs_sup_norm, site_profile)
 from dickelattice import dynamics, steady_state
-from dickelattice.dynamics import jacobian_fill
+from dickelattice.dynamics import jacobian_fill, jacobian_template
 from dickelattice.sweep import PROFILE_SETTLE_TOL, profile_start
 from symmetry_reference import cyclic_shift, reflect, z2_flip
 
@@ -306,6 +306,22 @@ def test_stacked_rhs_and_jacobian_match_one_state_calls(bc, n):
             assert _same_bits(jacobians[k], jacobian_packed(y_k, params))
             assert _same_bits(jacobians[k], _jacobian_reference(
                 y_k, params, hop_matrix(params)))
+
+
+@pytest.mark.parametrize("bc", [PBC, OBC])
+def test_jacobian_template_is_the_jacobian_at_zero(bc):
+    # the state-independent entries, and signed zeros where jacobian_fill
+    # writes: the bits of jacobian_packed at y = 0, which jacobian_fill
+    # turns into those of jacobian_packed at any y
+    rng = np.random.default_rng(7)
+    for g, kappa in ((0.6, 0.4), (0.0, 0.0)):
+        params = LatticeParams(n_sites=4, kappa=kappa, xi=0.2, g=g, bc=bc)
+        t_hop = hop_matrix(params)
+        template = jacobian_template(params, t_hop)
+        assert _same_bits(template, jacobian_packed(np.zeros(20), params))
+        y = _random_sphere_state(rng, 4).pack()
+        assert _same_bits(jacobian_fill(template[None], y[None], params)[0],
+                          jacobian_packed(y, params))
 
 
 @pytest.mark.parametrize("shape", [(14,), (16,), (2, 14), (2, 3, 15), ()])

@@ -1,7 +1,8 @@
-"""A large lattice's root search on the worker pool: with one Jacobian per
-stack (N >= 26) and workers > 1, newton_solve and stability.classify run
-their stacks on the process's kept pool, and every bit of their output,
-of a steady dossier and of a cut CSV is the one serial run's."""
+"""A large lattice's root search on the worker pool: with one matrix per
+stack and workers > 1, newton_solve (N >= 65, or forced here by shrinking
+STACK_BYTES) and stability.classify (N >= 26) run their stacks on the
+process's kept pool, and every bit of their output, of a steady dossier
+and of a cut CSV is the one serial run's, at any stack size."""
 
 import os
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from dickelattice import (BoundaryCondition, LatticeParams, MeanFieldState,
-                          _blas, _pool, normal_state, stability)
+                          _blas, _pool, dynamics, normal_state, stability)
 from dickelattice.cli import main
 from dickelattice.dynamics import stack_size
 from dickelattice.errors import SingularJacobian
@@ -22,8 +23,8 @@ RING = LatticeParams(n_sites=26, kappa=0.4, xi=0.2, g=0.8, bc=PBC)
 
 def _singular_case():
     """Chain N = 30 at g = 0, where a site on the equator makes the
-    augmented Jacobian singular (its spin block has determinant
-    2 omega_a^2 z per site), between two seeds that converge."""
+    Newton matrix singular (in (Re s, z) it has determinant
+    -2 omega_a z per site), between two seeds that converge."""
     n = 30
     params = LatticeParams(n_sites=n, kappa=0.4, xi=0.2, g=0.0, bc=OBC)
     s, z = np.full(n, 0.3 + 0j), np.full(n, -0.4)
@@ -51,36 +52,61 @@ def _on_pool(workers, call):
 
 @pytest.fixture(scope="module")
 def serial():
-    """Each case's newton_solve and classify outcome at workers=1."""
+    """Each case's newton_solve and classify outcome at workers=1 and
+    the default stack sizes: several seeds per Newton stack, one
+    Jacobian per verdict stack."""
     out = {}
     with _blas.one_thread():
         for name, (params, seeds) in CASES.items():
-            assert stack_size(params.n_sites) == 1
+            assert stack_size(2 * params.n_sites) > 1
+            assert stack_size(5 * params.n_sites) == 1
             y, residual, errors = newton_solve(seeds, params)
             roots = y[[err is None for err in errors]]
             out[name] = (y, residual, errors), roots, stability.classify(roots, params)
+    errors = out["singular-30"][0][2]
+    assert [type(e) for e in errors] == [type(None), SingularJacobian,
+                                         type(None)]
+    # at g = 0 the equator site's z column of the Newton matrix is exactly
+    # zero, so its condition number is infinite (the 5N x 5N augmented
+    # Jacobian's read finite, by rounding)
+    assert errors[1].cond == np.inf
     return out
+
+
+def _assert_same_newton(got, want):
+    (y, residual, errors), (y_want, residual_want, errors_want) = got, want
+    # tobytes compares every bit, the signs of zeros included
+    assert y.tobytes() == y_want.tobytes()
+    assert residual.tobytes() == residual_want.tobytes()
+    assert len(errors) == len(errors_want) == len(y)
+    for g, w in zip(errors, errors_want):
+        assert type(g) is type(w) and str(g) == str(w)
+        if isinstance(w, SingularJacobian):
+            assert g.cond == w.cond
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_newton_stacks_on_the_pool_match_serial(case, workers, serial):
+def test_newton_stacks_on_the_pool_match_serial(case, workers, serial,
+                                                monkeypatch):
+    # one matrix per stack, so that the stacks go to the pool
+    monkeypatch.setattr(dynamics, "STACK_BYTES", 1)
     params, seeds = CASES[case]
-    (y_want, residual_want, errors_want), _, _ = serial[case]
-    y, residual, errors = _on_pool(
-        workers, lambda: newton_solve(seeds, params, workers=workers))
-    # tobytes compares every bit, the signs of zeros included
-    assert y.tobytes() == y_want.tobytes()
-    assert residual.tobytes() == residual_want.tobytes()
-    assert len(errors) == len(errors_want) == len(seeds)
-    for got, want in zip(errors, errors_want):
-        assert type(got) is type(want) and str(got) == str(want)
-        if isinstance(want, SingularJacobian):
-            assert got.cond == want.cond
-    if case == "singular-30":
-        assert [type(e) for e in errors] == [type(None), SingularJacobian,
-                                             type(None)]
-        assert np.isfinite(errors[1].cond)
+    got = _on_pool(workers,
+                   lambda: newton_solve(seeds, params, workers=workers))
+    _assert_same_newton(got, serial[case][0])
+
+
+@pytest.mark.parametrize("stack_bytes", [1, 2 ** 30],
+                         ids=["one-seed-stacks", "one-stack"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_newton_stack_sizes_match_serial(case, stack_bytes, serial,
+                                         monkeypatch):
+    monkeypatch.setattr(dynamics, "STACK_BYTES", stack_bytes)
+    params, seeds = CASES[case]
+    with _blas.one_thread():
+        got = newton_solve(seeds, params)
+    _assert_same_newton(got, serial[case][0])
 
 
 @pytest.mark.parametrize("workers", [2, 3])

@@ -149,6 +149,20 @@ def test_newton_rejects_malformed_stacks(shape):
         newton_solve(np.zeros(shape), P)
 
 
+def test_free_photon_mode_raises_domain_error():
+    # open chain N = 2 at xi = omega_c = 1: A = omega_c - T is
+    # [[1, -1], [-1, 1]], exactly singular, and with kappa = 0 so is
+    # A^2 + kappa^2, which the Newton step inverts
+    params = LatticeParams(n_sites=2, kappa=0.0, xi=1.0, omega_c=1.0, g=0.8,
+                           bc=OBC)
+    with pytest.raises(DomainError, match="free photon mode"):
+        find_all(params)
+    with pytest.raises(DomainError, match="free photon mode"):
+        newton_solve(normal_state(2).pack()[None], params)
+    # any loss makes it regular
+    assert find_all(replace(params, kappa=0.4)).seed_metadata["n_converged"]
+
+
 # ---------------------------------------------------------------------------
 # multistart search
 
@@ -405,9 +419,48 @@ def _augmented_jacobian_one(y, params, t_hop):
     return np.vstack([j[:4 * n], grad])
 
 
+def _photon_one(params, t_hop):
+    """R = (A^2 + kappa^2)^-1 and K = A R, A = omega_c - T."""
+    eye = np.eye(params.n_sites)
+    a = params.omega_c * eye - t_hop
+    r = np.linalg.inv(a @ a + params.kappa ** 2 * eye)
+    return r, a @ r
+
+
+def _spin_matrix_one(y, params, k):
+    """The 2N x 2N matrix in (dp, dz) left when the photon and Im s
+    unknowns of the augmented system are eliminated."""
+    n, g, wa = params.n_sites, params.g, params.omega_a
+    u, p, z = y[:n], y[2 * n:3 * n], y[4 * n:5 * n]
+    return np.block([[(-8.0 * g * g) * z[:, None] * k - wa * np.eye(n),
+                      np.diag(4.0 * g * u)],
+                     [np.diag(2.0 * p), np.diag(2.0 * z)]])
+
+
+def _newton_step_one(y, f, params, photon):
+    """The augmented system's Newton step at y with residual f, by
+    elimination: dq, then (dp, dz) from the spin matrix, then (du, dv)."""
+    n, g, kap = params.n_sites, params.g, params.kappa
+    r, k = photon
+    f0, f1, f2, f3, f4 = np.split(f, 5)
+    q, z = y[3 * n:4 * n], y[4 * n:5 * n]
+    with np.errstate(invalid="ignore"):     # a non-finite f
+        dq = f2 / params.omega_a
+        c = -kap * (r @ f0) - k @ f1
+        dp, dz = np.split(np.linalg.solve(
+            _spin_matrix_one(y, params, k),
+            np.concatenate([f3 - 4.0 * g * z * c, f4 - 2.0 * q * dq])), 2)
+        f1 = f1 + 2.0 * g * dp
+        du = -kap * (r @ f0) - k @ f1
+        dv = k @ f0 - kap * (r @ f1)
+    return np.concatenate([du, dv, dp, dq, dz])
+
+
 @pytest.mark.parametrize("bc", [PBC, OBC])
 @pytest.mark.parametrize("n", [2, 3, 30])
 def test_stacked_residual_and_jacobian_match_one_state(bc, n):
+    # the augmented residuals, the spin matrices and the Newton steps of a
+    # stack against one state at a time, every bit
     rng = np.random.default_rng(200 + n)
     rows = [seed_reference.random_seed(rng, n) for _ in range(5)]
     rows += [normal_state(n).pack(), np.zeros(5 * n), -np.zeros(5 * n)]
@@ -416,41 +469,82 @@ def test_stacked_residual_and_jacobian_match_one_state(bc, n):
         params = LatticeParams(n_sites=n, kappa=kappa, xi=0.2, g=g,
                                omega_a=0.9, bc=bc)
         t_hop = hop_matrix(params)
+        photon = steady_state._photon_solvers(params, t_hop)
+        assert all(got.tobytes() == want.tobytes() for got, want
+                   in zip(photon, _photon_one(params, t_hop)))
         augmented = steady_state._augmented(y, params, t_hop)
-        # a stack that held other Jacobians: only the varying diagonals move
-        jac = np.repeat(
-            _augmented_jacobian_one(np.zeros(5 * n), params, t_hop)[None],
-            len(y) + 2, axis=0)
-        steady_state._jacobian_stack(jac, y[::-1], params)
-        jacobians = steady_state._jacobian_stack(jac, y, params)
+        matrices = steady_state._spin_matrices(y, params, photon[1])
         assert augmented.shape == y.shape
-        assert jacobians.shape == (len(y), 5 * n, 5 * n)
+        assert matrices.shape == (len(y), 2 * n, 2 * n)
+        # the zero rows have singular spin matrices
+        regular = np.abs(y[:, 4 * n:]).min(axis=1) > 0
+        steps = iter(steady_state._newton_steps(
+            y[regular], augmented[regular], matrices[regular], params, photon))
         for k, y_k in enumerate(y):
             # tobytes compares every bit, the signs of zeros included
-            assert augmented[k].tobytes() == \
-                _augmented_one(y_k, params, t_hop).tobytes()
-            want = _augmented_jacobian_one(y_k, params, t_hop).tobytes()
-            assert jacobians[k].tobytes() == want
+            f_k = _augmented_one(y_k, params, t_hop)
+            assert augmented[k].tobytes() == f_k.tobytes()
+            assert matrices[k].tobytes() == \
+                _spin_matrix_one(y_k, params, photon[1]).tobytes()
+            if regular[k]:
+                assert next(steps).tobytes() == \
+                    _newton_step_one(y_k, f_k, params, photon).tobytes()
+        assert next(steps, None) is None
+
+
+@pytest.mark.parametrize("bc", [PBC, OBC])
+@pytest.mark.parametrize("n", [2, 3, 30])
+def test_eliminated_step_matches_dense_augmented_solve(bc, n):
+    # the eliminated step equals the dense 5N x 5N solve in exact
+    # arithmetic.  In floating point each differs from the exact step by
+    # a small multiple of eps * cond(J) relative (a stable solve of a
+    # system of condition cond(J)); the bound allows 10 eps cond(J)
+    rng = np.random.default_rng(300 + n)
+    y = np.array([seed_reference.random_seed(rng, n) for _ in range(6)])
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for g, kappa in ((0.8, 0.4), (0.0, 0.4), (0.8, 0.0), (0.0, 0.0),
+                     (1.3, 0.05)):
+        params = LatticeParams(n_sites=n, kappa=kappa, xi=0.2, g=g,
+                               omega_a=0.9, bc=bc)
+        t_hop = hop_matrix(params)
+        # omega_c = 1 lies outside the band [-2 xi, 2 xi] of T, so A is
+        # regular, at kappa = 0 too
+        photon = steady_state._photon_solvers(params, t_hop)
+        f = steady_state._augmented(y, params, t_hop)
+        steps = steady_state._newton_steps(
+            y, f, steady_state._spin_matrices(y, params, photon[1]), params,
+            photon)
+        for y_k, f_k, step in zip(y, f, steps):
+            jac = _augmented_jacobian_one(y_k, params, t_hop)
+            dense = np.linalg.solve(jac, f_k)
+            err = np.linalg.norm(step - dense) / np.linalg.norm(dense)
+            bound = 10 * eps * np.linalg.cond(jac)
+            assert err <= bound
+            worst = max(worst, err / bound)
+    # the two routes round differently
+    assert worst > 0
 
 
 def _newton_solve_reference(seed, params, *, newton_tol=steady_state.NEWTON_TOL,
                             max_iter=steady_state.MAX_ITER,
                             damping=steady_state.DAMPING):
     """The damped Newton iteration newton_solve used to run on one seed,
-    started from its packed row.  Returns the last iterate, the sup norm
-    of the full flow there, and None for a root or the exception that
-    stopped the iteration."""
+    started from its packed row, each step eliminated as newton_solve
+    does.  Returns the last iterate, the sup norm of the full flow there,
+    and None for a root or the exception that stopped the iteration."""
     n = params.n_sites
     t_hop = hop_matrix(params)
+    photon = _photon_one(params, t_hop)
     y = np.array(seed, dtype=float)
     f = _augmented_one(y, params, t_hop)
     error = None
     for _ in range(max_iter):
         if np.max(np.abs(f)) <= newton_tol:
             break
-        jf = _augmented_jacobian_one(y, params, t_hop)
+        jf = _spin_matrix_one(y, params, photon[1])
         try:
-            step = np.linalg.solve(jf, f)
+            step = _newton_step_one(y, f, params, photon)
         except np.linalg.LinAlgError as exc:
             error = SingularJacobian(f"singular Newton matrix: {exc}",
                                      cond=float(np.linalg.cond(jf)))
@@ -569,7 +663,7 @@ def test_newton_tries_all_halvings_in_one_flow_evaluation(monkeypatch):
     params = LatticeParams(n_sites=3, kappa=0.4, xi=xi, g=g, bc=PBC)
     seeds, _ = _seed_list(params, N_RANDOM_SEEDS,
                           np.random.default_rng(sweep._cell_seed(0, 1, 1)))
-    calls = dict.fromkeys(["_augmented", "_jacobian_stack"], 0)
+    calls = dict.fromkeys(["_augmented", "_spin_matrices"], 0)
     for name in calls:
         def counting(*args, _name=name, _fn=getattr(steady_state, name)):
             calls[_name] += 1
@@ -577,9 +671,9 @@ def test_newton_tries_all_halvings_in_one_flow_evaluation(monkeypatch):
         monkeypatch.setattr(steady_state, name, counting)
     with _blas.one_thread():
         _, _, errors = newton_solve(seeds, params)
-    assert len(seeds) * (5 * 3) ** 2 * 8 <= dynamics.STACK_BYTES
-    # one Jacobian stack per Newton iteration
-    iterations = calls["_jacobian_stack"]
+    assert len(seeds) * (2 * 3) ** 2 * 8 <= dynamics.STACK_BYTES
+    # one stack of Newton matrices per Newton iteration
+    iterations = calls["_spin_matrices"]
     assert iterations > 50
     assert "backtracking could not reduce the residual" in map(str, errors)
     # the full steps, then every halving: at most two flow evaluations
@@ -597,8 +691,8 @@ def test_one_state_newton_returns_or_raises_like_one_seed_loop(oracle_cases):
 
 
 def test_stacked_newton_isolates_singular_seeds():
-    # at g = 0 the spin block of the augmented Jacobian has determinant
-    # 2 omega_a^2 z per site, so a seed with a site on the equator is singular
+    # at g = 0 the Newton matrix in (Re s, z) has determinant
+    # -2 omega_a z per site, so a seed with a site on the equator is singular
     params = LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.0, bc=PBC)
     equator = MeanFieldState(a=np.full(3, 0.1 + 0j),
                              s=np.array([0.5, 0.3 + 0.4j, 0.3j]),
@@ -739,8 +833,8 @@ def test_non_finite_step_is_a_singular_jacobian(monkeypatch):
         want = _reference_outcomes(seeds, params)
         got = newton_solve(seeds, params)
         alone = newton_solve(seeds[1:2], params)
-        cond = float(np.linalg.cond(_augmented_jacobian_one(
-            marked.pack(), params, hop_matrix(params))))
+        cond = float(np.linalg.cond(_spin_matrix_one(
+            marked.pack(), params, _photon_one(params, hop_matrix(params))[1])))
     _assert_same_outcomes(got, want)
     _assert_same_outcomes(alone, _rows(want, 1))
     err = got[2][1]

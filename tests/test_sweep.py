@@ -121,6 +121,20 @@ def test_onset_cell_is_marginal_not_an_error():
     assert lit and all(rep.verdict is Verdict.Marginal for rep in lit)
 
 
+def test_free_photon_mode_cell_is_an_error():
+    # open chain N = 2 at xi = omega_c = 1 and kappa = 0 has a free photon
+    # mode: the root search raises, and the cell reads as failed, not as a
+    # cell without a stable state
+    params = LatticeParams(n_sites=2, kappa=0.0, xi=1.0, omega_c=1.0, g=0.8,
+                           bc=OBC)
+    spec = SweepSpec(params_base=params, xi_grid=GridAxis(1.0, 1.0, 1),
+                     g_grid=GridAxis(0.8, 0.8, 1))
+    [cell] = phase_diagram(spec)
+    assert cell.error.startswith("DomainError: ")
+    assert "free photon mode" in cell.error
+    assert cell.stable_classes == {} and cell.seed_metadata == {}
+
+
 def test_phase_diagram_csv_layout(tmp_path, small_spec, small_cells):
     path = tmp_path / "phase.csv"
     phase_diagram_csv(small_cells, small_spec, path)

@@ -38,20 +38,6 @@ PERTURB_SCALE = 1e-3        # perturbed_normal_state's kick, by default
 # that many states take about 0.4 GB
 MAX_RECORDS = 100_000
 
-# Matrix bytes of one stack of Newton solves or verdicts (256 KiB).  A
-# Newton stack holds 2N x 2N matrices (~900 seeds at N = 3, 9 at N = 30,
-# one from N = 65 up), a verdict stack 5N x 5N Jacobians (~145 at N = 3,
-# 13 at N = 10, one from N = 26 up).  Larger lattices gain nothing from
-# stacking BLAS-bound solves, and 2 MiB stacks raised the peak resident
-# memory of the large_n benchmark (N = 30 and 50) by 0.5 MB.
-STACK_BYTES = 2 ** 18
-
-
-def stack_size(order: int) -> int:
-    """How many order x order matrices fit in STACK_BYTES; at least one."""
-    return max(1, STACK_BYTES // (8 * order ** 2))
-
-
 def hop_matrix(params: LatticeParams) -> np.ndarray:
     """Symmetric photon hopping matrix: xi on nearest-neighbour bonds,
     lam across the ends."""
@@ -89,24 +75,28 @@ def rhs_packed(y, params: LatticeParams, t_hop=None) -> np.ndarray:
 
 
 def _rhs_rows(y, params, t_hop):
-    # rhs_packed's expressions on the rows of a stack, with t_hop applied
-    # to each row as its own matrix-vector product (one matrix-matrix
-    # product rounds differently).  One body for both shapes would need
-    # y[..., :n] slicing, which made each one-state call 5-9% slower at
-    # N = 3 and 50 (2-CPU x86-64, OpenBLAS on one thread), and time
-    # integration makes tens of thousands of those calls.
+    # rhs_packed's expressions on the rows of a stack.  One body for both
+    # shapes would need y[..., :n] slicing, which made each one-state call
+    # 5-9% slower at N = 3 and 50 (2-CPU x86-64, OpenBLAS on one thread),
+    # and time integration makes tens of thousands of those calls.
     n = params.n_sites
     u, v, p, q, z = (y[:, :n], y[:, n:2 * n], y[:, 2 * n:3 * n],
                      y[:, 3 * n:4 * n], y[:, 4 * n:])
     wc, wa, g, kap = params.omega_c, params.omega_a, params.g, params.kappa
     out = np.empty(y.shape)
-    out[:, :n] = -kap * u + wc * v - np.matmul(t_hop, v[:, :, None])[:, :, 0]
-    out[:, n:2 * n] = (-kap * v - wc * u
-                       + np.matmul(t_hop, u[:, :, None])[:, :, 0] - 2.0 * g * p)
+    out[:, :n] = -kap * u + wc * v - matvec_rows(t_hop, v)
+    out[:, n:2 * n] = -kap * v - wc * u + matvec_rows(t_hop, u) - 2.0 * g * p
     out[:, 2 * n:3 * n] = wa * q
     out[:, 3 * n:4 * n] = -wa * p + 4.0 * g * u * z
     out[:, 4 * n:] = -4.0 * g * u * q
     return out
+
+
+def matvec_rows(mat, rows):
+    """mat @ row for each row of the stack rows, each as its own
+    matrix-vector product: a row's bits do not depend on the stack it
+    shares (one matrix-matrix product rounds differently)."""
+    return np.matmul(mat, rows[:, :, None])[:, :, 0]
 
 
 def rhs_sup_norm(state: MeanFieldState, params: LatticeParams) -> float:
@@ -121,26 +111,19 @@ _BILINEAR = ((3, 0, 4.0, 4), (3, 4, 4.0, 0), (4, 0, -4.0, 3), (4, 3, -4.0, 0))
 
 
 def jacobian_packed(y, params: LatticeParams, t_hop=None) -> np.ndarray:
-    """Analytic 5N x 5N derivative of rhs_packed at y."""
+    """Analytic 5N x 5N derivative of rhs_packed at one packed state y,
+    or at each row of a stack y of shape (S, 5N) as (S, 5N, 5N); each
+    matrix gets exactly the bits of a one-state call."""
     y = np.asarray(y, dtype=float)
     n = params.n_sites
-    if y.shape != (5 * n,):
+    if y.shape != (5 * n,) and (y.ndim != 2 or y.shape[1] != 5 * n):
         raise ShapeError(f"expected packed length {5 * n}, got shape {y.shape}")
     if t_hop is None:
         t_hop = hop_matrix(params)
-    return jacobian_fill(jacobian_template(params, t_hop)[None], y[None],
-                         params)[0]
-
-
-def jacobian_template(params: LatticeParams, t_hop) -> np.ndarray:
-    """The 5N x 5N Jacobian with only its state-independent entries
-    written, the signed zeros of the bilinear blocks included; jacobian_fill
-    writes the rest."""
-    n = params.n_sites
     wc, wa, g, kap = params.omega_c, params.omega_a, params.g, params.kappa
     i_n = np.eye(n)
-    j = np.zeros((5 * n, 5 * n))
-    # (block row, block column, value) of the state-independent blocks
+    # (block row, block column, value) of the state-independent blocks,
+    # then the signed zeros of the bilinear blocks
     blocks = (
         (0, 0, -kap * i_n), (0, 1, wc * i_n - t_hop),
         (1, 0, -wc * i_n + t_hop), (1, 1, -kap * i_n), (1, 2, -2.0 * g * i_n),
@@ -148,25 +131,15 @@ def jacobian_template(params: LatticeParams, t_hop) -> np.ndarray:
     )
     blocks += tuple((r, c, coef * g * np.zeros((n, n)))
                     for r, c, coef, _ in _BILINEAR)
+    template = np.zeros((5 * n, 5 * n))
     for r, c, block in blocks:
-        j[r * n:(r + 1) * n, c * n:(c + 1) * n] = block
-    return j
-
-
-def jacobian_fill(jac, y, params: LatticeParams):
-    """The Jacobians at the rows of the stack y (S, 5N), written into jac[:S].
-
-    jac is a stack of jacobian_template or jacobian_packed results of
-    these params, at any states; only the entries that depend on the
-    state are written.  Each written matrix has exactly the bits of
-    jacobian_packed at its row of y.
-    """
-    n = params.n_sites
+        template[r * n:(r + 1) * n, c * n:(c + 1) * n] = block
+    rows = y.reshape(-1, 5 * n)
+    jac = np.repeat(template[None], len(rows), axis=0)
     i = np.arange(n)
-    out = jac[:len(y)]
     for r, c, coef, b in _BILINEAR:
-        out[:, r * n + i, c * n + i] = coef * params.g * y[:, b * n:(b + 1) * n]
-    return out
+        jac[:, r * n + i, c * n + i] = coef * g * rows[:, b * n:(b + 1) * n]
+    return jac if y.ndim == 2 else jac[0]
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,7 @@ class LatticeParams:
 def validate(params: LatticeParams) -> None:
     """Raise DomainError naming the violated invariant; return None if ok."""
     n = params.n_sites
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"n_sites must be an integer, got {n!r}")
+    _check_integer_sites(n)
     if n < 2:
         raise DomainError(f"n_sites must be >= 2, got {n}")
     for name in ("omega_c", "omega_a", "g", "xi", "kappa"):
@@ -66,6 +65,11 @@ def validate(params: LatticeParams) -> None:
         raise DomainError(f"g must be >= 0, got {params.g}")
     if not isinstance(params.bc, BoundaryCondition):
         raise DomainError(f"bc must be a BoundaryCondition, got {params.bc!r}")
+
+
+def _check_integer_sites(n_sites) -> None:
+    if isinstance(n_sites, bool) or not isinstance(n_sites, (int, np.integer)):
+        raise DomainError(f"n_sites must be an integer, got {n_sites!r}")
 
 
 def validate_rng_seed(rng_seed) -> None:
@@ -124,8 +128,7 @@ class MeanFieldState:
 
 def validate_n_sites(n_sites) -> None:
     """Raise DomainError unless a state's site count is an integer >= 1."""
-    if isinstance(n_sites, bool) or not isinstance(n_sites, (int, np.integer)):
-        raise DomainError(f"n_sites must be an integer, got {n_sites!r}")
+    _check_integer_sites(n_sites)
     if n_sites < 1:
         raise DomainError(f"n_sites must be >= 1, got {n_sites}")
 

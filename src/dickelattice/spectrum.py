@@ -51,11 +51,9 @@ def xi_stability_window(n_sites: int, omega_c: float, bc: BoundaryCondition):
     """Open interval of xi over which every mode frequency stays positive.
 
     Computed from the extremal mode cosines; both signs of xi supported.
+    The arguments are checked as validate checks them.
     """
-    if n_sites < 2:
-        raise DomainError(f"n_sites must be >= 2, got {n_sites}")
-    if omega_c <= 0:
-        raise DomainError(f"omega_c must be > 0, got {omega_c}")
+    validate(LatticeParams(n_sites=n_sites, omega_c=omega_c, bc=bc))
     cos = mode_cosines(n_sites, bc)
     cmax = float(np.max(cos))
     cmin = float(np.min(cos))
@@ -118,6 +116,10 @@ def critical_coupling_np_infinite(omega_a: float, omega_c: float,
     Piecewise in xi with a kink at (omega_c - kappa)/2, where the band
     minimum omega_c - 2 xi crosses kappa.  Valid for 0 < xi < omega_c / 2.
     """
+    for name, value in (("omega_a", omega_a), ("omega_c", omega_c),
+                        ("kappa", kappa)):
+        if not np.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
     if omega_a <= 0:
         raise DomainError(f"omega_a must be > 0, got {omega_a}")
     if omega_c <= 0:

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._pool import map_stacks
 from .errors import BisectionFailure, ZeroModeMismatch
-from .dynamics import jacobian_fill, jacobian_packed, stack_size
+from .dynamics import jacobian_packed
 from .model import LatticeParams, normal_state, validate
 
 EPS_MARGINAL = 1e-7
@@ -88,8 +88,7 @@ def projected_jacobian(rows, params: LatticeParams) -> np.ndarray:
     bits of b.T @ jacobian_packed(row, params) @ b for its basis b."""
     y = np.asarray(rows, dtype=float)
     b = tangent_basis(y)
-    template = jacobian_packed(np.zeros(y.shape[1]), params)
-    jac = jacobian_fill(np.repeat(template[None], len(y), axis=0), y, params)
+    jac = jacobian_packed(y, params)
     return np.matmul(np.matmul(b.transpose(0, 2, 1), jac), b)
 
 
@@ -97,13 +96,13 @@ def classify(rows, params: LatticeParams, workers: int = 1) -> list:
     """One stability verdict per packed state of the stack rows (K, 5N),
     from the 4N eigenvalues of its projected Jacobian.  An abscissa within
     EPS_MARGINAL of 0 gives Marginal.  The matrices go to eigvals in
-    stacks of at most STACK_BYTES of 5N x 5N Jacobians; with workers > 1
-    and one Jacobian per stack (N >= 26) the stacks run on the process's
-    worker pool (_pool.map_stacks), with the same bits.
+    stacks of 5N x 5N Jacobians, which _pool.map_stacks sizes and, with
+    workers > 1 on a large lattice, runs on the process's worker pool,
+    with the same bits.
     """
     y = np.asarray(rows, dtype=float)
     return [_report(w) for stack in map_stacks(
-        _stack_eigvals, y, stack_size(5 * params.n_sites), workers, params)
+        _stack_eigvals, y, 5 * params.n_sites, workers, params)
         for w in stack]
 
 

@@ -21,7 +21,7 @@ from ._blas import one_thread
 from ._pool import map_stacks
 from .errors import (BoundaryError, DomainError, NotConverged, ShapeError,
                      SingularJacobian, UnstableWindowError)
-from .dynamics import hop_matrix, rhs_packed, stack_size
+from .dynamics import hop_matrix, matvec_rows, rhs_packed
 from .model import (BoundaryCondition, LatticeParams, MeanFieldState,
                     inverted_normal_state, normal_state, symmetry_group,
                     symmetry_orbit, validate, validate_rng_seed)
@@ -172,12 +172,6 @@ def _photon_solvers(params, t_hop):
     return r, a @ r
 
 
-def _apply(mat, rows):
-    # mat times each row, as its own matrix-vector product: a row's bits
-    # do not depend on the stack it shares (see dynamics._rhs_rows)
-    return np.matmul(mat, rows[:, :, None])[:, :, 0]
-
-
 def _spin_matrices(x, params, k):
     """The 2N x 2N Newton matrices M in (d Re s, dz) at the rows of x:
     [[-omega_a - 8 g^2 diag(z) K, 4 g diag(Re a)], [2 diag(Re s), 2 diag(z)]],
@@ -212,14 +206,14 @@ def _newton_steps(x, f, m, params, photon):
     # reports; the invalid operations on the way need no warning
     with np.errstate(invalid="ignore"):
         dq = f2 / params.omega_a
-        rf0 = _apply(r, f0)
-        c = -kap * rf0 - _apply(k, f1)
+        rf0 = matvec_rows(r, f0)
+        c = -kap * rf0 - matvec_rows(k, f1)
         rhs = np.hstack([f3 - 4.0 * g * z * c, f4 - 2.0 * q * dq])
         dpz = np.linalg.solve(m, rhs[:, :, None])[:, :, 0]
         dp, dz = dpz[:, :n], dpz[:, n:]
         f1 = f1 + 2.0 * g * dp
-        du = -kap * rf0 - _apply(k, f1)
-        dv = _apply(k, f0) - kap * _apply(r, f1)
+        du = -kap * rf0 - matvec_rows(k, f1)
+        dv = matvec_rows(k, f0) - kap * matvec_rows(r, f1)
     return np.hstack([du, dv, dp, dq, dz])
 
 
@@ -323,14 +317,13 @@ def newton_solve(seeds, params: LatticeParams, *, workers: int = 1):
     reports M's condition number.  Given a regular A^2 + kappa^2, M is
     singular exactly when J is.
 
-    seeds is a stack of packed states (S, 5N), solved in stacks of at
-    most STACK_BYTES of matrices M; each seed takes exactly the steps it
-    would take alone.  With workers > 1 and one matrix per stack
-    (N >= 65) the stacks run on the process's worker pool
-    (_pool.map_stacks), with the same bits.  Returns (y, residual,
-    errors): the final row of each seed (S, 5N), the sup norm of the full
-    flow at each row (S,), and per seed None for a root or the
-    NotConverged (budget exhausted, step rejected, or the replaced
+    seeds is a stack of packed states (S, 5N), solved in stacks of
+    matrices M, which _pool.map_stacks sizes and, with workers > 1 on a
+    large lattice, runs on the process's worker pool; each seed takes
+    exactly the steps it would take alone, with the same bits.  Returns
+    (y, residual, errors): the final row of each seed (S, 5N), the sup
+    norm of the full flow at each row (S,), and per seed None for a root
+    or the NotConverged (budget exhausted, step rejected, or the replaced
     inversion equation fails the post-check) or SingularJacobian that
     stopped it.  A stack of the wrong shape raises ShapeError, and a seed
     off the spin sphere by more than SEED_SPIN_TOL, or with a NaN spin
@@ -352,9 +345,9 @@ def newton_solve(seeds, params: LatticeParams, *, workers: int = 1):
                           f"(> SEED_SPIN_TOL = {SEED_SPIN_TOL:g})")
 
     t_hop = hop_matrix(params)
-    stacks = map_stacks(_newton_stack, y, stack_size(2 * n), workers, params,
-                        t_hop, _photon_solvers(params, t_hop), NEWTON_TOL,
-                        MAX_ITER, DAMPING)
+    stacks = map_stacks(_newton_stack, y, 2 * n, workers, params, t_hop,
+                        _photon_solvers(params, t_hop), NEWTON_TOL, MAX_ITER,
+                        DAMPING)
     if stacks:
         y = np.concatenate([rows for rows, _ in stacks])
     errors = [err for _, stack_errors in stacks for err in stack_errors]

@@ -10,7 +10,7 @@ from dickelattice import (BoundaryCondition, GridAxis, LatticeParams,
                           find_all, homogeneous_srp_branch, label,
                           normal_state, inverted_normal_state, phase_letter,
                           root_dossier, stable_class_set, symmetry_orbit)
-from dickelattice import _blas, dynamics, stability, sweep
+from dickelattice import _blas, _pool, stability, sweep
 from dickelattice import classify as classify_module
 from symmetry_reference import orbit_by_elementary_ops
 import verdict_reference
@@ -229,7 +229,7 @@ def test_classify_stacks_fit_the_stack_bytes(n, monkeypatch):
 
     monkeypatch.setattr(stability.np.linalg, "eigvals", recording)
     reports = stability.classify(rows, params)
-    size = dynamics.stack_size(5 * n)
+    size = _pool.stack_size(5 * n)
     assert size == (145 if n == 3 else 13 if n == 10 else 1)
     assert sizes == [min(size, len(rows) - k)
                      for k in range(0, len(rows), size)]

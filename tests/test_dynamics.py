@@ -11,7 +11,6 @@ from dickelattice import (BoundaryCondition, DomainError, LatticeParams,
                           perturbed_normal_state, relax_to_steady,
                           rhs_packed, rhs_sup_norm, site_profile)
 from dickelattice import dynamics, steady_state
-from dickelattice.dynamics import jacobian_fill, jacobian_template
 from dickelattice.sweep import PROFILE_SETTLE_TOL, profile_start
 from symmetry_reference import cyclic_shift, reflect, z2_flip
 
@@ -222,7 +221,8 @@ def test_perturbed_normal_state_properties():
     assert not np.array_equal(s1.pack(), s3.pack())
 
 
-@pytest.mark.parametrize("n_sites", [0, -1, 2.5, True, np.float64(3.0)])
+@pytest.mark.parametrize("n_sites", [0, -1, 2.5, True, np.float64(3.0),
+                                     np.nan])
 def test_perturbed_normal_state_checks_site_count(n_sites):
     # the same check, and the same message, as the dark states'
     with pytest.raises(DomainError) as exc:
@@ -297,9 +297,9 @@ def test_stacked_rhs_and_jacobian_match_one_state_calls(bc, n):
                                omega_a=0.9, bc=bc)
         flow = rhs_packed(y, params)
         assert flow.shape == y.shape
-        # a stack that held Jacobians at other states
-        jac = np.array([jacobian_packed(y_k, params) for y_k in y[::-1]] * 2)
-        jacobians = jacobian_fill(jac, y, params)
+        # the +0.0 and -0.0 rows pin the signed zeros of the bilinear
+        # blocks, on their diagonals and off them
+        jacobians = jacobian_packed(y, params)
         assert jacobians.shape == (len(y), 5 * n, 5 * n)
         for k, y_k in enumerate(y):
             assert _same_bits(flow[k], rhs_packed(y_k, params))
@@ -308,23 +308,8 @@ def test_stacked_rhs_and_jacobian_match_one_state_calls(bc, n):
                 y_k, params, hop_matrix(params)))
 
 
-@pytest.mark.parametrize("bc", [PBC, OBC])
-def test_jacobian_template_is_the_jacobian_at_zero(bc):
-    # the state-independent entries, and signed zeros where jacobian_fill
-    # writes: the bits of jacobian_packed at y = 0, which jacobian_fill
-    # turns into those of jacobian_packed at any y
-    rng = np.random.default_rng(7)
-    for g, kappa in ((0.6, 0.4), (0.0, 0.0)):
-        params = LatticeParams(n_sites=4, kappa=kappa, xi=0.2, g=g, bc=bc)
-        t_hop = hop_matrix(params)
-        template = jacobian_template(params, t_hop)
-        assert _same_bits(template, jacobian_packed(np.zeros(20), params))
-        y = _random_sphere_state(rng, 4).pack()
-        assert _same_bits(jacobian_fill(template[None], y[None], params)[0],
-                          jacobian_packed(y, params))
-
-
 @pytest.mark.parametrize("shape", [(14,), (16,), (2, 14), (2, 3, 15), ()])
 def test_rhs_packed_rejects_other_shapes(shape):
-    with pytest.raises(ShapeError):
-        rhs_packed(np.zeros(shape), P)
+    for packed in (rhs_packed, jacobian_packed):
+        with pytest.raises(ShapeError):
+            packed(np.zeros(shape), P)

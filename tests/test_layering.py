@@ -37,6 +37,34 @@ def test_stability_reads_states_not_root_searches():
     assert not _relative_imports("stability") & {"steady_state", "classify"}
 
 
+def _identifiers(module):
+    """Every name that module defines, imports, reads or looks up as an
+    attribute."""
+    found = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found
+
+
+def test_only_the_pool_sizes_stacks():
+    # how many matrices a stack holds, and so whether it goes to the
+    # pool, is decided in _pool alone: callers pass the matrix order
+    wrong = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        if module != "_pool":
+            wrong += [(module, name) for name in sorted(
+                _identifiers(module) & {"STACK_BYTES", "stack_size"})]
+    assert wrong == []
+
+
 def test_no_module_imports_scipy_at_import_time():
     # scipy.integrate is ~0.6 s of import: scipy is imported inside the
     # functions that need it (_blas, the integrators)

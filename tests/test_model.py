@@ -31,6 +31,8 @@ def test_lam_follows_boundary_condition():
     (dict(n_sites=3, g=-0.5), "g"),
     (dict(n_sites=3, xi=np.inf), "xi"),
     (dict(n_sites=3, bc="periodic"), "bc"),
+    (dict(n_sites=0), "n_sites must be >= 2, got 0"),
+    (dict(n_sites=np.nan), "n_sites must be an integer, got nan"),
 ])
 def test_validate_names_the_offending_field(kwargs, field):
     with pytest.raises(DomainError, match=field):

@@ -210,8 +210,7 @@ NESTED_SCRIPT = """
 import json, os, sys
 from multiprocessing import active_children, process
 from dickelattice import (BoundaryCondition, GridAxis, LatticeParams,
-                          SweepSpec, _pool, dynamics, stability, steady_state,
-                          sweep)
+                          SweepSpec, _pool, stability, steady_state, sweep)
 from dickelattice.classify import stable_class_set
 
 PARENT, LOG = os.getpid(), sys.argv[1]
@@ -259,7 +258,7 @@ def cell(*args):
 steady_state._newton_stack, stability._stack_eigvals = newton, eigvals
 sweep._compute_cell = cell
 # one matrix per stack: the N = 30 Newton stacks go to the pool too
-dynamics.STACK_BYTES = 1
+_pool.STACK_BYTES = 1
 chain = LatticeParams(n_sites=30, kappa=0.4, xi=0.2, g=0.8,
                       bc=BoundaryCondition.Open)
 result = steady_state.find_all(chain, workers=2)

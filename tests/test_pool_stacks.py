@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from dickelattice import (BoundaryCondition, LatticeParams, MeanFieldState,
-                          _blas, _pool, dynamics, normal_state, stability)
+                          _blas, _pool, normal_state, stability)
 from dickelattice.cli import main
-from dickelattice.dynamics import stack_size
+from dickelattice._pool import stack_size
 from dickelattice.errors import SingularJacobian
 from dickelattice.steady_state import _seed_list, newton_solve
 
@@ -90,7 +90,7 @@ def _assert_same_newton(got, want):
 def test_newton_stacks_on_the_pool_match_serial(case, workers, serial,
                                                 monkeypatch):
     # one matrix per stack, so that the stacks go to the pool
-    monkeypatch.setattr(dynamics, "STACK_BYTES", 1)
+    monkeypatch.setattr(_pool, "STACK_BYTES", 1)
     params, seeds = CASES[case]
     got = _on_pool(workers,
                    lambda: newton_solve(seeds, params, workers=workers))
@@ -102,7 +102,7 @@ def test_newton_stacks_on_the_pool_match_serial(case, workers, serial,
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_newton_stack_sizes_match_serial(case, stack_bytes, serial,
                                          monkeypatch):
-    monkeypatch.setattr(dynamics, "STACK_BYTES", stack_bytes)
+    monkeypatch.setattr(_pool, "STACK_BYTES", stack_bytes)
     params, seeds = CASES[case]
     with _blas.one_thread():
         got = newton_solve(seeds, params)

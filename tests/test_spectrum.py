@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +49,28 @@ def test_window_open_n3_and_n50():
     lo50, hi50 = xi_stability_window(50, 1.0, OBC)
     assert hi50 == pytest.approx(0.50095, abs=1e-4)
     assert hi50 > 0.5  # open chain is stable slightly past the ring edge
+
+
+@pytest.mark.parametrize("func, args, message", [
+    (xi_stability_window, (1, 1.0, PBC), "n_sites must be >= 2, got 1"),
+    (xi_stability_window, (2.5, 1.0, PBC), "n_sites must be an integer, got 2.5"),
+    (xi_stability_window, (np.nan, 1.0, OBC), "n_sites must be an integer, got nan"),
+    (xi_stability_window, (3, np.nan, OBC), "omega_c must be finite, got nan"),
+    (xi_stability_window, (3, np.inf, PBC), "omega_c must be finite, got inf"),
+    (critical_coupling_np_infinite, (np.nan, 1.0, 0.4, 0.2),
+     "omega_a must be finite, got nan"),
+    (critical_coupling_np_infinite, (1.0, np.nan, 0.4, 0.2),
+     "omega_c must be finite, got nan"),
+    (critical_coupling_np_infinite, (1.0, 1.0, np.nan, 0.2),
+     "kappa must be finite, got nan"),
+    (critical_coupling_np_infinite, (1.0, 1.0, np.inf, 0.2),
+     "kappa must be finite, got inf"),
+], ids=["window-n1", "window-n2.5", "window-n-nan", "window-omega_c-nan",
+        "window-omega_c-inf", "infinite-omega_a-nan", "infinite-omega_c-nan",
+        "infinite-kappa-nan", "infinite-kappa-inf"])
+def test_closed_forms_check_inputs_as_validate_does(func, args, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        func(*args)
 
 
 @given(n=st.integers(2, 12), xi=st.floats(-0.9, 0.9),

@@ -18,7 +18,7 @@ from dickelattice import (NO_BRANCH, BoundaryCondition, BoundaryError,
                           inverted_normal_state, perturbed_normal_state,
                           rhs_packed, rhs_sup_norm, stable_class_set,
                           symmetry_orbit)
-from dickelattice import _blas, dynamics, steady_state, sweep
+from dickelattice import _blas, _pool, steady_state, sweep
 from dickelattice.steady_state import DEDUP_TOL, N_RANDOM_SEEDS, _seed_list
 import seed_reference
 from symmetry_reference import orbit_by_elementary_ops
@@ -626,11 +626,11 @@ def oracle_cases():
     return cases
 
 
-@pytest.mark.parametrize("stack_bytes", [dynamics.STACK_BYTES, 2 ** 21, 1],
+@pytest.mark.parametrize("stack_bytes", [_pool.STACK_BYTES, 2 ** 21, 1],
                          ids=["default", "2MiB", "one-seed-stacks"])
 def test_stacked_newton_matches_one_seed_loop(oracle_cases, stack_bytes,
                                              monkeypatch):
-    monkeypatch.setattr(dynamics, "STACK_BYTES", stack_bytes)
+    monkeypatch.setattr(_pool, "STACK_BYTES", stack_bytes)
     kinds = set()
     with _blas.one_thread():
         for params, seeds, want in oracle_cases:
@@ -671,7 +671,7 @@ def test_newton_tries_all_halvings_in_one_flow_evaluation(monkeypatch):
         monkeypatch.setattr(steady_state, name, counting)
     with _blas.one_thread():
         _, _, errors = newton_solve(seeds, params)
-    assert len(seeds) * (2 * 3) ** 2 * 8 <= dynamics.STACK_BYTES
+    assert len(seeds) * (2 * 3) ** 2 * 8 <= _pool.STACK_BYTES
     # one stack of Newton matrices per Newton iteration
     iterations = calls["_spin_matrices"]
     assert iterations > 50

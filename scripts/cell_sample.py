@@ -13,12 +13,13 @@ cell show the tail of cells whose seeds stall, which the mean hides.
 
 import argparse
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from dickelattice import BoundaryCondition, GridAxis, LatticeParams, SweepSpec
 from dickelattice._blas import one_thread
-from dickelattice.sweep import DEFAULT_STEPS, _compute_cell
+from dickelattice.sweep import DEFAULT_STEPS, _cell_seed, _compute_cell
 
 STRIDE = 7
 XI_START, G_START = 3, 5
@@ -36,7 +37,8 @@ def main():
                 xi_grid=GridAxis(0.0, 0.45, steps),
                 g_grid=GridAxis(0.3, 1.1, steps))
             xi, g = spec.xi_grid.values(), spec.g_grid.values()
-            jobs = [(spec, i, j, xi[i], g[j])
+            jobs = [(replace(spec.params_base, xi=float(xi[i]), g=float(g[j])),
+                     _cell_seed(spec.rng_seed, i, j), spec.n_random_seeds)
                     for i in range(XI_START, steps, STRIDE)
                     for j in range(G_START, steps, STRIDE)]
             times, errors = [], 0
@@ -51,8 +53,8 @@ def main():
                   f"{ms:.1f} ms/cell; {steps} x {steps} on one core: "
                   f"{ms * steps * steps / 60e3:.1f} min")
             print(f"{'':>8}  p50 {p50:.1f} ms, p90 {p90:.1f} ms, slowest "
-                  f"{times[slow]:.1f} ms at xi = {jobs[slow][3]:.6g}, "
-                  f"g = {jobs[slow][4]:.6g}")
+                  f"{times[slow]:.1f} ms at xi = {jobs[slow][0].xi:.6g}, "
+                  f"g = {jobs[slow][0].g:.6g}")
 
 
 if __name__ == "__main__":

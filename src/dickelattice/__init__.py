@@ -24,11 +24,11 @@ from .steady_state import (NO_BRANCH, HomogeneityWitness, NoBranch,
 # the stability-report op stays at stability.classify: the top-level name
 # `classify` belongs to the pattern-label module
 from .stability import (StabilityReport, Verdict, bisect_np_threshold,
-                        eigenvalue_csv, normal_state_abscissa,
-                        projected_jacobian, tangent_basis)
+                        normal_state_abscissa, projected_jacobian,
+                        tangent_basis)
 from .classify import (PatternKind, PatternLabel, canonicalize, label,
                        phase_letter, root_dossier, stable_class_set)
-from .sweep import (CriticalPoint, CutRow, GridAxis, PhaseCell, SiteProfile,
+from .sweep import (CriticalPoint, GridAxis, PhaseCell, SiteProfile,
                     SweepSpec, critical_csv, critical_line_scan, cut_csv,
                     order_parameter_cut, phase_diagram, phase_diagram_csv,
                     profile_csv, site_profile)

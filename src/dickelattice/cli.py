@@ -269,26 +269,7 @@ def cmd_sweep(cfg: dict, params: LatticeParams) -> int:
     workers = _workers(cfg)
     validate_rng_seed(cfg["rng_seed"])      # every mode takes the flag
     mode = cfg["mode"]
-    if mode == "phase":
-        spec = SweepSpec(params_base=params,
-                         xi_grid=GridAxis(cfg["xi_min"], cfg["xi_max"],
-                                          cfg["xi_steps"]),
-                         g_grid=GridAxis(cfg["g_min"], cfg["g_max"],
-                                         cfg["g_steps"]),
-                         rng_seed=cfg["rng_seed"])
-        cells = phase_diagram(spec, workers=workers)
-        phase_diagram_csv(cells, spec, cfg["out"])
-        _write_config(cfg, cfg["out"])
-        n_bad = sum(1 for c in cells if c.error)
-        print(f"wrote {cfg['out']} ({len(cells)} cells, {n_bad} failed)")
-    elif mode == "cut":
-        g_values = GridAxis(cfg["g_min"], cfg["g_max"], cfg["g_steps"]).values()
-        rows = order_parameter_cut(params, cfg["xi"], g_values,
-                                   rng_seed=cfg["rng_seed"], workers=workers)
-        cut_csv(rows, params, cfg["xi"], cfg["out"])
-        _write_config(cfg, cfg["out"])
-        print(f"wrote {cfg['out']} ({len(rows)} rows)")
-    else:                               # profile
+    if mode == "profile":
         params_g = replace(params, g=cfg["g_cut"])
         try:
             profile = site_profile(params, cfg["g_cut"],
@@ -304,6 +285,26 @@ def cmd_sweep(cfg: dict, params: LatticeParams) -> int:
         profile_csv(profile, params_g, cfg["out"])
         _write_config(cfg, cfg["out"])
         print(f"wrote {cfg['out']} (homogeneity={profile.homogeneity:.3e})")
+        return 0
+    if mode == "phase":
+        spec = SweepSpec(params_base=params,
+                         xi_grid=GridAxis(cfg["xi_min"], cfg["xi_max"],
+                                          cfg["xi_steps"]),
+                         g_grid=GridAxis(cfg["g_min"], cfg["g_max"],
+                                         cfg["g_steps"]),
+                         rng_seed=cfg["rng_seed"])
+        cells = phase_diagram(spec, workers=workers)
+        phase_diagram_csv(cells, spec, cfg["out"])
+        what = "cells"
+    else:                               # cut: its rows are phase cells
+        g_values = GridAxis(cfg["g_min"], cfg["g_max"], cfg["g_steps"]).values()
+        cells = order_parameter_cut(params, cfg["xi"], g_values,
+                                    rng_seed=cfg["rng_seed"], workers=workers)
+        cut_csv(cells, params, cfg["xi"], cfg["out"])
+        what = "rows"
+    _write_config(cfg, cfg["out"])
+    n_bad = sum(1 for c in cells if c.error)
+    print(f"wrote {cfg['out']} ({len(cells)} {what}, {n_bad} failed)")
     return 0
 
 

@@ -110,7 +110,7 @@ def rhs_sup_norm(state: MeanFieldState, params: LatticeParams) -> float:
 _BILINEAR = ((3, 0, 4.0, 4), (3, 4, 4.0, 0), (4, 0, -4.0, 3), (4, 3, -4.0, 0))
 
 
-def jacobian_packed(y, params: LatticeParams, t_hop=None) -> np.ndarray:
+def jacobian_packed(y, params: LatticeParams) -> np.ndarray:
     """Analytic 5N x 5N derivative of rhs_packed at one packed state y,
     or at each row of a stack y of shape (S, 5N) as (S, 5N, 5N); each
     matrix gets exactly the bits of a one-state call."""
@@ -118,8 +118,7 @@ def jacobian_packed(y, params: LatticeParams, t_hop=None) -> np.ndarray:
     n = params.n_sites
     if y.shape != (5 * n,) and (y.ndim != 2 or y.shape[1] != 5 * n):
         raise ShapeError(f"expected packed length {5 * n}, got shape {y.shape}")
-    if t_hop is None:
-        t_hop = hop_matrix(params)
+    t_hop = hop_matrix(params)
     wc, wa, g, kap = params.omega_c, params.omega_a, params.g, params.kappa
     i_n = np.eye(n)
     # (block row, block column, value) of the state-independent blocks,

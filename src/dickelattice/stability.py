@@ -11,7 +11,6 @@ spectral abscissa of that matrix.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass, replace
 
@@ -118,15 +117,6 @@ def _report(w) -> StabilityReport:
     order = np.lexsort((w.imag, -w.real))
     return StabilityReport(verdict=verdict, spectral_abscissa=abscissa,
                            eigenvalues=w[order])
-
-
-def eigenvalue_csv(report: StabilityReport, path) -> None:
-    """Dump the physical spectrum: Re, Im."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re_lambda", "im_lambda"])
-        for lam in report.eigenvalues:
-            writer.writerow([repr(float(lam.real)), repr(float(lam.imag))])
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Grid sweeps over (xi, g): phase diagrams, order-parameter cuts,
 critical lines, and site profiles.
 
-Cells are independent tasks; each derives its own random stream from
-(rng_seed, i, j), so output is bit-identical for any worker count.  All
-CSV files start with a '#' comment carrying the parameter set and the
-package version.
+A phase-grid cell and a cut row are one record, PhaseCell, computed by
+one task; each derives its own random stream from (rng_seed, i, j), so
+output is bit-identical for any worker count.  All CSV files start with
+a '#' comment carrying the parameter set and the package version.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,18 +75,17 @@ class SweepSpec:
 
 @dataclass
 class PhaseCell:
+    """The stable classes at one (xi, g) point of a phase grid or a cut."""
+
     xi: float
     g: float
-    stable_classes: dict          # label kind -> multiplicity
+    # (label kind, |a_j| of the canonical row) per distinct stable class,
+    # first seen first; the |a_j| are a tuple, so cells compare with ==
+    classes: tuple
     n_roots_total: int
     marginal_flag: bool
-    no_stable_state: bool
     seed_metadata: dict
     error: str = ""
-
-    @property
-    def n_stable(self) -> int:
-        return sum(self.stable_classes.values())
 
 
 def _cell_seed(rng_seed, i, j) -> int:
@@ -96,65 +96,56 @@ def _cell_seed(rng_seed, i, j) -> int:
 def _compute_cell(job):
     # a pool task: its root search keeps the serial default (workers=1),
     # so that a worker never opens a pool of its own
-    spec, i, j, xi, g = job
-    params = replace(spec.params_base, xi=float(xi), g=float(g))
+    params, seed, n_random_seeds = job
     try:
-        result = find_all(params, n_random_seeds=spec.n_random_seeds,
-                          rng_seed=_cell_seed(spec.rng_seed, i, j))
+        result = find_all(params, n_random_seeds=n_random_seeds, rng_seed=seed)
         found = stable_class_set(result, params)
-        return PhaseCell(xi=float(xi), g=float(g),
-                         stable_classes=dict(found.counts),
+        classes = tuple(
+            (kind, tuple(np.abs(MeanFieldState.from_packed(y).a).tolist()))
+            for kind, y in found.classes)
+        return PhaseCell(xi=params.xi, g=params.g, classes=classes,
                          n_roots_total=len(result.roots),
                          marginal_flag=found.marginal,
-                         no_stable_state=not found.classes,
                          seed_metadata=result.seed_metadata)
     except Exception as exc:    # record and keep sweeping
-        return PhaseCell(xi=float(xi), g=float(g), stable_classes={},
-                         n_roots_total=0, marginal_flag=False,
-                         no_stable_state=True, seed_metadata={},
+        return PhaseCell(xi=params.xi, g=params.g, classes=(), n_roots_total=0,
+                         marginal_flag=False, seed_metadata={},
                          error=f"{type(exc).__name__}: {exc}")
+
+
+def _cells(points, params_base: LatticeParams, rng_seed: int,
+           n_random_seeds: int, workers: int):
+    """One PhaseCell per point (i, j, xi, g), in order, seeded from
+    (rng_seed, i, j)."""
+    jobs = [(replace(params_base, xi=float(xi), g=float(g)),
+             _cell_seed(rng_seed, i, j), n_random_seeds)
+            for i, j, xi, g in points]
+    if workers and workers > 1:
+        return list(worker_pool(workers).map(_compute_cell, jobs))
+    return [_compute_cell(job) for job in jobs]
 
 
 def phase_diagram(spec: SweepSpec, workers: int = 1):
     """One PhaseCell per grid point, in grid order (xi outer, g inner).
-
     With workers > 1 the cells run on the process's shared worker pool,
-    which lives until the process exits or calls shutdown_pool.
-    """
+    which lives until the process exits or calls shutdown_pool."""
     validate(spec.params_base)
     validate_rng_seed(spec.rng_seed)
-    jobs = [(spec, i, j, xi, g)
-            for i, xi in enumerate(spec.xi_grid.values())
-            for j, g in enumerate(spec.g_grid.values())]
-    if workers and workers > 1:
-        cells = list(worker_pool(workers).map(_compute_cell, jobs))
-    else:
-        cells = [_compute_cell(job) for job in jobs]
-    return cells
-
-
-# ---------------------------------------------------------------------------
-# order-parameter cut
-
-@dataclass
-class CutRow:
-    g: float
-    branches: dict      # label kind -> per-site |a_j| of the class representative
-    error: str = ""
+    points = [(i, j, xi, g)
+              for i, xi in enumerate(spec.xi_grid.values())
+              for j, g in enumerate(spec.g_grid.values())]
+    return _cells(points, spec.params_base, spec.rng_seed,
+                  spec.n_random_seeds, workers)
 
 
 def order_parameter_cut(params_base: LatticeParams, xi: float, g_values, *,
                         rng_seed: int = 0,
                         n_random_seeds: int = N_RANDOM_SEEDS,
                         workers: int = 1):
-    """Stable-branch amplitudes |a_j| along a fixed-xi cut.
-
-    xi must sit inside the normal-state stability window.  Each row maps
-    every stable class to the site amplitudes of its canonical
-    representative, so multivalued (multistable) ranges stay visible.
-    The rows run one after another; workers goes to each row's root
-    search and verdicts (find_all, stable_class_set).
-    """
+    """One PhaseCell per g along a fixed-xi cut inside the normal-state
+    stability window, row j seeded as the cell (0, j) of a phase grid and
+    run as phase_diagram runs its cells.  Each row keeps the site
+    amplitudes of every stable class, so multistable ranges stay visible."""
     validate(params_base)
     validate_rng_seed(rng_seed)
     lo, hi = xi_stability_window(params_base.n_sites, params_base.omega_c,
@@ -162,27 +153,8 @@ def order_parameter_cut(params_base: LatticeParams, xi: float, g_values, *,
     if not lo < xi < hi:
         raise DomainError(
             f"xi={xi} outside the stability window ({lo:.6g}, {hi:.6g})")
-    rows = []
-    for j, g in enumerate(np.asarray(g_values, float)):
-        params = replace(params_base, xi=float(xi), g=float(g))
-        try:
-            result = find_all(params, n_random_seeds=n_random_seeds,
-                              rng_seed=_cell_seed(rng_seed, 0, j),
-                              workers=workers)
-            found = stable_class_set(result, params, workers=workers)
-            branches = {}
-            for kind, canon in found.classes:
-                key = kind
-                k = 2
-                while key in branches:     # two distinct classes, same kind
-                    key = f"{kind}#{k}"
-                    k += 1
-                branches[key] = np.abs(MeanFieldState.from_packed(canon).a)
-            rows.append(CutRow(g=float(g), branches=branches))
-        except Exception as exc:
-            rows.append(CutRow(g=float(g), branches={},
-                               error=f"{type(exc).__name__}: {exc}"))
-    return rows
+    points = [(0, j, xi, g) for j, g in enumerate(np.asarray(g_values, float))]
+    return _cells(points, params_base, rng_seed, n_random_seeds, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +278,18 @@ def _polish(res: RelaxResult, params: LatticeParams, settle_tol: float):
 # ---------------------------------------------------------------------------
 # CSV output
 
-def _comment(params: LatticeParams, extra: dict) -> str:
+def _write_csv(path, params: LatticeParams, extra: dict, header,
+               rows) -> None:
+    """A '#' comment with the package version, params and extra, then the
+    header and the rows."""
     fields = [f"dickelattice {__version__}"]
     fields += [f"{k}={v}" for k, v in params_to_jsonable(params).items()]
     fields += [f"{k}={v}" for k, v in extra.items()]
-    return "# " + " ".join(fields)
+    with open(path, "w", newline="") as fh:
+        fh.write("# " + " ".join(fields) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def phase_diagram_csv(cells, spec: SweepSpec, path) -> None:
@@ -319,65 +298,53 @@ def phase_diagram_csv(cells, spec: SweepSpec, path) -> None:
     extra = {"rng_seed": spec.rng_seed,
              "xi_grid": f"{spec.xi_grid.min}:{spec.xi_grid.max}:{spec.xi_grid.steps}",
              "g_grid": f"{spec.g_grid.min}:{spec.g_grid.max}:{spec.g_grid.steps}"}
-    with open(path, "w", newline="") as fh:
-        fh.write(_comment(spec.params_base, extra) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["xi", "g", "n_stable", "labels", "marginal_flag",
-                         "no_stable_state", "n_roots_total"])
-        for c in cells:
-            labels = ";".join(sorted(
-                k for k, m in c.stable_classes.items() for _ in range(m)))
-            writer.writerow([repr(c.xi), repr(c.g), c.n_stable, labels,
-                             int(c.marginal_flag), int(c.no_stable_state),
-                             c.n_roots_total])
+    _write_csv(path, spec.params_base, extra,
+               ["xi", "g", "n_stable", "labels", "marginal_flag",
+                "no_stable_state", "n_roots_total"],
+               ([repr(c.xi), repr(c.g), len(c.classes),
+                 ";".join(sorted(kind for kind, _ in c.classes)),
+                 int(c.marginal_flag), int(not c.classes), c.n_roots_total]
+                for c in cells))
 
 
 def cut_csv(rows, params_base: LatticeParams, xi: float, path) -> None:
-    """Columns: g, then |a_1|..|a_N| per stable class label."""
+    """Columns: g, then |a_1|..|a_N| per branch, blank in a row without
+    it.  A branch is a class kind; a row's second class of one kind is
+    the branch kind#2, its third kind#3."""
     n = params_base.n_sites
-    labels = []
+    branches = []       # per row: branch -> |a_j|
     for row in rows:
-        for key in row.branches:
-            if key not in labels:
-                labels.append(key)
-    labels.sort()
-    with open(path, "w", newline="") as fh:
-        fh.write(_comment(replace(params_base, xi=xi), {"cut": "fixed xi"}) + "\n")
-        writer = csv.writer(fh)
-        header = ["g"]
-        for lab in labels:
-            header += [f"{lab}_abs_a_{j}" for j in range(1, n + 1)]
-        writer.writerow(header)
-        for row in rows:
-            line = [repr(row.g)]
-            for lab in labels:
-                if lab in row.branches:
-                    line += [repr(float(x)) for x in row.branches[lab]]
-                else:
-                    line += [""] * n
-            writer.writerow(line)
+        seen, amps = Counter(), {}
+        for kind, abs_a in row.classes:
+            seen[kind] += 1
+            amps[kind if seen[kind] == 1 else f"{kind}#{seen[kind]}"] = abs_a
+        branches.append(amps)
+    keys = sorted({key for amps in branches for key in amps})
+    lines = []
+    for row, amps in zip(rows, branches):
+        line = [repr(row.g)]
+        for key in keys:
+            line += [repr(x) for x in amps[key]] if key in amps else [""] * n
+        lines.append(line)
+    _write_csv(path, replace(params_base, xi=xi), {"cut": "fixed xi"},
+               ["g"] + [f"{key}_abs_a_{j}" for key in keys
+                        for j in range(1, n + 1)], lines)
 
 
 def critical_csv(points, params_base: LatticeParams, path) -> None:
     """Columns: N, xi, g_c_numeric, g_c_analytic, abs_error."""
-    with open(path, "w", newline="") as fh:
-        fh.write(_comment(params_base, {"bracket": BISECT_BRACKET,
-                                        "bisect_tol": BISECT_TOL}) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["N", "xi", "g_c_numeric", "g_c_analytic", "abs_error"])
-        for pt in points:
-            writer.writerow([pt.n_sites, repr(pt.xi), repr(pt.g_c_numeric),
-                             repr(pt.g_c_analytic), repr(pt.abs_error)])
+    _write_csv(path, params_base, {"bracket": BISECT_BRACKET,
+                                   "bisect_tol": BISECT_TOL},
+               ["N", "xi", "g_c_numeric", "g_c_analytic", "abs_error"],
+               ([pt.n_sites, repr(pt.xi), repr(pt.g_c_numeric),
+                 repr(pt.g_c_analytic), repr(pt.abs_error)] for pt in points))
 
 
 def profile_csv(profile: SiteProfile, params: LatticeParams, path) -> None:
     """Columns: j, Re a_j, Im a_j, z_j."""
-    with open(path, "w", newline="") as fh:
-        fh.write(_comment(params, {"homogeneity": profile.homogeneity,
-                                   "settled": profile.settled}) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["j", "re_a", "im_a", "z"])
-        for j in range(profile.a.size):
-            writer.writerow([j + 1, repr(float(profile.a[j].real)),
-                             repr(float(profile.a[j].imag)),
-                             repr(float(profile.z[j]))])
+    _write_csv(path, params, {"homogeneity": profile.homogeneity,
+                              "settled": profile.settled},
+               ["j", "re_a", "im_a", "z"],
+               ([j + 1, repr(float(a.real)), repr(float(a.imag)),
+                 repr(float(z))] for j, (a, z) in
+                enumerate(zip(profile.a, profile.z))))

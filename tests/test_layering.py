@@ -65,6 +65,15 @@ def test_only_the_pool_sizes_stacks():
     assert wrong == []
 
 
+def test_sweep_runs_the_root_pipeline_once():
+    # phase cells and cut rows share one task: roots -> verdicts -> stable
+    # classes is written once in sweep
+    calls = [node.func.id for node in ast.walk(_tree("sweep"))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert [calls.count(name) for name in ("find_all", "stable_class_set")] \
+        == [1, 1]
+
+
 def test_no_module_imports_scipy_at_import_time():
     # scipy.integrate is ~0.6 s of import: scipy is imported inside the
     # functions that need it (_blas, the integrators)

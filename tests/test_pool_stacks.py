@@ -147,6 +147,8 @@ CUT = ["sweep", "--mode", "cut", "--n", "30", "--bc", "obc", "--xi", "0.2",
 
 
 def test_cut_csv_bytes_at_one_and_two_workers(tmp_path, capsys):
+    # at two workers the rows run on the pool, each root search serial
+    # inside its task
     out = {}
     for workers in ("1", "2"):
         _pool.shutdown_pool()

@@ -4,7 +4,7 @@ import pytest
 from dickelattice import (BisectionFailure, BoundaryCondition,
                           LatticeParams, MeanFieldState, Verdict,
                           bisect_np_threshold, critical_coupling_np,
-                          eigenvalue_csv, find_all, homogeneous_srp_branch,
+                          find_all, homogeneous_srp_branch,
                           jacobian_packed, normal_state, normal_state_abscissa,
                           projected_jacobian, tangent_basis)
 from dickelattice._blas import one_thread
@@ -187,17 +187,6 @@ def test_normal_state_abscissa_matches_full_spectrum():
             p = _params(g, bc=bc)
             block = stability_reference.normal_state_block_abscissa(p)
             assert normal_state_abscissa(p) == pytest.approx(block, abs=1e-9)
-
-
-def test_eigenvalue_csv(tmp_path):
-    rep = _classify(normal_state(3), _params(0.3))
-    path = tmp_path / "eigs.csv"
-    eigenvalue_csv(rep, path)
-    rows = path.read_text().strip().split("\n")
-    assert rows[0] == "re_lambda,im_lambda"
-    assert len(rows) == 13
-    assert [complex(float(re), float(im)) for re, im in
-            (r.split(",") for r in rows[1:])] == list(rep.eigenvalues)
 
 
 # ---------------------------------------------------------------------------

@@ -59,17 +59,16 @@ def test_only_integrating_commands_load_the_integrator(tmp_path):
 CELL_SCRIPT = """
 import json, sys
 import dickelattice.cli
-from dickelattice import (BoundaryCondition, GridAxis, LatticeParams,
-                          SweepSpec, _blas, sweep)
+from dickelattice import BoundaryCondition, LatticeParams, _blas, sweep
 # a pool worker runs this initializer before its first cell
 _blas.pin_one_thread()
 added = []
 for bc in (BoundaryCondition.Periodic, BoundaryCondition.Open):
-    spec = SweepSpec(LatticeParams(n_sites=3, kappa=0.4, bc=bc),
-                     GridAxis(0.2, 0.2, 1), GridAxis(0.8, 0.8, 1))
+    job = (LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.8, bc=bc),
+           sweep._cell_seed(0, 0, 0), sweep.N_RANDOM_SEEDS)
     before = set(sys.modules)
-    cell = sweep._compute_cell((spec, 0, 0, 0.2, 0.8))
-    assert not cell.error and cell.n_stable, cell
+    cell = sweep._compute_cell(job)
+    assert not cell.error and cell.classes, cell
     added.append(sorted(set(sys.modules) - before))
 print(json.dumps(added))
 """

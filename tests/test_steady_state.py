@@ -412,7 +412,10 @@ def _augmented_one(y, params, t_hop):
 
 def _augmented_jacobian_one(y, params, t_hop):
     n = params.n_sites
-    j = jacobian_packed(y, params, t_hop)
+    # the Jacobian without hopping, then the two hopping blocks of t_hop
+    j = jacobian_packed(y, replace(params, xi=0.0))
+    j[:n, n:2 * n] -= t_hop
+    j[n:2 * n, :n] += t_hop
     p, q, z = y[2 * n:3 * n], y[3 * n:4 * n], y[4 * n:5 * n]
     grad = np.hstack([np.zeros((n, 2 * n)),
                       np.diag(2.0 * p), np.diag(2.0 * q), np.diag(2.0 * z)])

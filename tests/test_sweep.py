@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from dickelattice import (BoundaryCondition, GridAxis, LatticeParams,
-                          MeanFieldState, NotSettled, PatternKind, SweepSpec, Verdict,
-                          critical_coupling_np, critical_csv,
+                          MeanFieldState, NotSettled, PatternKind, PhaseCell,
+                          SweepSpec, Verdict, critical_coupling_np, critical_csv,
                           critical_line_scan, cut_csv, find_all,
                           homogeneous_srp_branch, label, order_parameter_cut,
                           phase_diagram, phase_diagram_csv, profile_csv,
@@ -21,6 +21,10 @@ OBC = BoundaryCondition.Open
 
 BASE = LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.5, bc=PBC)
 DATA = Path(__file__).parent / "data"
+
+
+def _kinds(cell):
+    return [kind for kind, _ in cell.classes]
 
 
 def test_grid_axis_values():
@@ -70,12 +74,12 @@ def test_phase_diagram_grid_order_and_content(small_spec, small_cells):
     assert [(c.xi, c.g) for c in cells] == expected
     for c in cells:
         assert c.error == ""
-        assert not c.no_stable_state
-        assert c.n_roots_total >= c.n_stable >= 1
+        assert c.classes
+        assert c.n_roots_total >= len(c.classes) >= 1
     # below threshold only the dark state holds; above it the uniform class
-    assert cells[3].stable_classes == {"NP": 1}
-    assert cells[4].stable_classes == {"P1": 1}
-    assert cells[4].n_stable == 1
+    assert _kinds(cells[3]) == ["NP"]
+    assert _kinds(cells[4]) == ["P1"]
+    assert len(cells[4].classes) == 1
 
 
 def test_phase_diagram_workers_bit_identical(tmp_path, small_spec, small_cells):
@@ -109,8 +113,8 @@ def test_onset_cell_is_marginal_not_an_error():
                      g_grid=GridAxis(g, g, 1))
     [cell] = phase_diagram(spec)
     [row] = order_parameter_cut(params, 0.48, [g])
-    assert cell.stable_classes == {} and row.branches == {}
-    assert cell.marginal_flag and cell.no_stable_state
+    assert cell.classes == () and row.classes == ()
+    assert cell.marginal_flag and row.marginal_flag
     assert cell.error == "" and row.error == ""
     at = replace(params, g=g)
     result = find_all(at, rng_seed=_cell_seed(0, 0, 0))
@@ -132,7 +136,7 @@ def test_free_photon_mode_cell_is_an_error():
     [cell] = phase_diagram(spec)
     assert cell.error.startswith("DomainError: ")
     assert "free photon mode" in cell.error
-    assert cell.stable_classes == {} and cell.seed_metadata == {}
+    assert cell.classes == () and cell.seed_metadata == {}
 
 
 def test_phase_diagram_csv_layout(tmp_path, small_spec, small_cells):
@@ -156,12 +160,13 @@ def test_cut_branches_and_csv(tmp_path):
     rows = order_parameter_cut(BASE, 0.2, [0.4, 0.6], n_random_seeds=16)
     assert [r.g for r in rows] == [0.4, 0.6]
     assert rows[0].error == "" and rows[1].error == ""
-    assert set(rows[0].branches) == {"NP"}
-    assert np.all(rows[0].branches["NP"] == 0.0)
-    assert set(rows[1].branches) == {"P1"}
+    [(kind, abs_a)] = rows[0].classes
+    assert kind == "NP" and abs_a == (0.0, 0.0, 0.0)
+    [(kind, abs_a)] = rows[1].classes
+    assert kind == "P1" and type(abs_a) is tuple
     plus, _ = homogeneous_srp_branch(
         LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.6, bc=PBC))
-    assert np.max(np.abs(rows[1].branches["P1"] - np.abs(plus.a))) < 1e-9
+    assert np.max(np.abs(np.array(abs_a) - np.abs(plus.a))) < 1e-9
 
     path = tmp_path / "cut.csv"
     cut_csv(rows, BASE, 0.2, path)
@@ -179,7 +184,36 @@ def test_cut_branches_and_csv(tmp_path):
     [row_o] = order_parameter_cut(replace(BASE, bc=OBC), 0.2, [0.8],
                                   n_random_seeds=16)
     assert row_o.error == ""
-    assert set(row_o.branches) == {"O1", "O3", "O4"}
+    assert sorted(_kinds(row_o)) == ["O1", "O3", "O4"]
+
+
+def test_cut_csv_numbers_classes_of_one_kind(tmp_path):
+    # two distinct classes of one kind in a row are two branches, kind and
+    # kind#2, in the order the row holds them
+    rows = [PhaseCell(xi=0.2, g=0.7, classes=(("O1", (0.5, 0.25)),
+                                              ("O3", (0.125, 0.0)),
+                                              ("O1", (0.25, 0.5))),
+                      n_roots_total=9, marginal_flag=False, seed_metadata={}),
+            PhaseCell(xi=0.2, g=0.8, classes=(), n_roots_total=0,
+                      marginal_flag=False, seed_metadata={}, error="failed")]
+    path = tmp_path / "cut.csv"
+    cut_csv(rows, replace(BASE, n_sites=2), 0.2, path)
+    assert path.read_text().splitlines()[1:] == [
+        "g,O1_abs_a_1,O1_abs_a_2,O1#2_abs_a_1,O1#2_abs_a_2,"
+        "O3_abs_a_1,O3_abs_a_2",
+        "0.7,0.5,0.25,0.25,0.5,0.125,0.0",
+        "0.8,,,,,,"]
+
+
+def test_cut_rows_are_the_cells_of_a_one_row_grid():
+    g_values = np.linspace(0.4, 0.8, 3)
+    spec = SweepSpec(params_base=BASE, xi_grid=GridAxis(0.2, 0.2, 1),
+                     g_grid=GridAxis(0.4, 0.8, 3), rng_seed=7,
+                     n_random_seeds=16)
+    rows = order_parameter_cut(BASE, 0.2, g_values, rng_seed=7,
+                               n_random_seeds=16)
+    assert rows == phase_diagram(spec)
+    assert [row.classes[0][0] for row in rows] == ["NP", "P1", "P1"]
 
 
 def test_critical_line_scan_and_csv(tmp_path):

@@ -9,9 +9,13 @@ which holds each command's exit code and its stdout and stderr.  The set:
 - cut CSVs: ring and open chain at xi = 0.2, ring at xi = 0.48;
 - steady dossiers: open chain N = 3 and 30, ring N = 6, ring N = 10 at
   g = 0.6, 0.8 and 1.0, ring N = 30, and ring N = 3 at kappa = 0;
-- profile CSVs: the default N = 3 profile, and the large_n benchmark's
-  N = 50 ring and open-chain profiles at xi = 0.2, g_cut = 0.6;
-- a trajectory CSV, and a critical CSV with its `_infinite` file.
+- profile CSVs: the default N = 3 profile, the large_n benchmark's
+  N = 50 ring and open-chain profiles at xi = 0.2, g_cut = 0.6, and the
+  N = 50 open chain at xi = 0.45, g_cut = 0.5, whose Newton polish is
+  refused;
+- trajectory CSVs: the default N = 3 ring, and the N = 10 open chain
+  recorded every 0.37, so that records fall inside integration steps;
+- a critical CSV with its `_infinite` file.
 
 The outputs are named relative to the directory, so the configs of two
 runs name the same files.  The 2-worker sweeps fork the process's worker
@@ -64,7 +68,13 @@ def _commands():
         runs.append((f"profile_{bc}_n50.csv",
                      ["sweep", "--mode", "profile", "--n", "50", "--bc", bc,
                       "--xi", "0.2", "--g-cut", "0.6"]))
+    runs.append(("profile_obc_n50_refused.csv",
+                 ["sweep", "--mode", "profile", "--n", "50", "--bc", "obc",
+                  "--xi", "0.45", "--g-cut", "0.5"]))
     runs += [("trajectory.csv", ["trajectory", "--n", "3", "--t-end", "20"]),
+             ("trajectory_obc_n10.csv",
+              ["trajectory", "--n", "10", "--bc", "obc", "--t-end", "40",
+               "--record-every", "0.37"]),
              ("critical.csv", ["critical", "--n-list", "3,4,6",
                                "--infinite"])]
     return runs

@@ -52,21 +52,33 @@ class PatternLabel:
 
 
 def _fingerprint(a, eps):
-    """Site-equality classes of the amplitude profile, dark sites as 0."""
+    """Site-equality classes of the amplitude profile, dark sites as 0:
+    each site takes the letter of the first letter's first site within
+    eps of it, or a new letter."""
+    # np.hypot, not np.abs: on complex arrays np.abs rounds differently
+    # from the scalar abs of the templates in the last bit, and a site
+    # at eps would change its letter
+    diff = a[:, None] - a[None, :]
+    dark = (np.hypot(a.real, a.imag) < eps).tolist()
+    close = np.hypot(diff.real, diff.imag) < eps
+    np.fill_diagonal(close, True)   # each site is its own match, NaN too
     letters = []
-    reps = []        # (letter, amplitude) in first-occurrence order
-    for aj in a:
-        if abs(aj) < eps:
+    firsts = {}      # the first site of each letter -> the letter's number
+    for j, f in enumerate(np.argmax(close, axis=1).tolist()):
+        # f <= j is the first site within eps of site j
+        if dark[j]:
             letters.append("0")
             continue
-        for letter, rep in reps:
-            if abs(aj - rep) < eps:
-                letters.append(letter)
-                break
-        else:
-            letter = chr(ord("a") + len(reps))
-            reps.append((letter, aj))
-            letters.append(letter)
+        if f in firsts:
+            k = firsts[f]
+        elif f == j:
+            k = firsts[j] = len(firsts)
+        else:   # f is no first site, but a first site after f may be close
+            k = next((firsts[r] for r in firsts if r > f and close[j, r]),
+                     len(firsts))
+            if k == len(firsts):
+                firsts[j] = k
+        letters.append(chr(ord("a") + k))
     return "".join(letters)
 
 

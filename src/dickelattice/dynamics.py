@@ -21,15 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _dop853
 from .errors import DomainError, ShapeError, StepFailure
 from .model import (LatticeParams, MeanFieldState, validate_n_sites,
                     validate_rng_seed)
 
 # Chosen so that the spin-sphere drift over a t = 400 run stays below 1e-8
-# (measured 4.9e-10); at these tolerances order 8 halves RK45's flow calls.
+# (measured 4.9e-10); at these tolerances the order-8 stepper (_dop853)
+# halves RK45's flow calls.
 RTOL = 1e-9
 ATOL = 1e-11
-METHOD = "DOP853"
 SETTLE_TOL = 1e-9
 T_MAX = 400.0
 RELAX_CHECKPOINT = 25.0     # time between relax_to_steady's settle checks
@@ -173,13 +174,25 @@ class Trajectory:
 
 
 def _flow(state0: MeanFieldState, params: LatticeParams):
-    """The flow f(t, y) that solve_ivp integrates, for states of params;
-    a state0 of another site count raises ShapeError."""
+    """The flow f(t, y) that the stepper integrates, for states of params;
+    a state0 of another site count raises ShapeError, a non-finite one
+    DomainError."""
     if state0.n != params.n_sites:
         raise ShapeError(
             f"state has {state0.n} sites, params expect {params.n_sites}")
+    if not np.all(np.isfinite(state0.pack())):
+        raise DomainError("initial state must be finite")
     t_hop = hop_matrix(params)
     return lambda _t, y: rhs_packed(y, params, t_hop)
+
+
+def _solve(f, t0, y0, t_eval, rtol, atol):
+    """_dop853.solve, with the state of a StepFailure as a MeanFieldState."""
+    try:
+        return _dop853.solve(f, t0, y0, t_eval, rtol, atol)
+    except StepFailure as exc:
+        raise StepFailure(str(exc), t=exc.t,
+                          state=MeanFieldState.from_packed(exc.state)) from None
 
 
 def integrate(state0: MeanFieldState, params: LatticeParams, t_end: float, *,
@@ -204,8 +217,11 @@ def integrate(state0: MeanFieldState, params: LatticeParams, t_end: float, *,
 
     Raises
     ------
+    DomainError
+        If state0 is not finite, or a limit is out of range.
     StepFailure
-        If the step size underflows; carries the last good state.
+        If the step size underflows; carries the time and state of the
+        last accepted step.
     """
     f = _flow(state0, params)
     for name, value in (("t_end", t_end), ("rtol", rtol), ("atol", atol)):
@@ -216,26 +232,15 @@ def integrate(state0: MeanFieldState, params: LatticeParams, t_end: float, *,
     if not t_end / record_every <= MAX_RECORDS:
         raise DomainError(f"t_end / record_every must be <= {MAX_RECORDS}, "
                           f"got {t_end / record_every:.6g}")
-    # imported here: scipy.integrate is most of the package's import time
-    from scipy.integrate import solve_ivp
-
     t_eval = np.arange(0.0, t_end, record_every)
     if t_eval.size == 0 or t_eval[-1] < t_end:
         t_eval = np.append(t_eval, t_end)
 
-    y0 = state0.pack()
-    sol = solve_ivp(f, (0.0, t_end), y0, method=METHOD, rtol=rtol, atol=atol,
-                    t_eval=t_eval)
-    if not sol.success:
-        t_last = float(sol.t[-1]) if sol.t.size else 0.0
-        y_last = sol.y[:, -1] if sol.t.size else y0
-        raise StepFailure(f"integration failed at t={t_last:.6g}: {sol.message}",
-                          t=t_last, state=MeanFieldState.from_packed(y_last))
-
-    states = [MeanFieldState.from_packed(y) for y in sol.y.T]
+    rows = _solve(f, 0.0, state0.pack(), t_eval, rtol, atol)
+    states = [MeanFieldState.from_packed(y) for y in rows]
     drift = max(st.spin_defect() for st in states)
-    return Trajectory(times=np.asarray(sol.t, float), states=states,
-                      params=params, spin_drift=drift)
+    return Trajectory(times=t_eval, states=states, params=params,
+                      spin_drift=drift)
 
 
 @dataclass
@@ -259,25 +264,22 @@ def relax_to_steady(state0: MeanFieldState, params: LatticeParams, *,
     mode of decay rate lambda that distance is up to about rhs_norm /
     |lambda| (the N = 50 open chain at xi = 0.45, g = 0.5, kappa = 0.4 has
     lambda = -1.6e-3: its flow of 9.5e-7 lies 1.5e-4 from the root).
-    StepFailure propagates; a t_max or settle_tol that is not finite and
-    positive raises DomainError.
+    StepFailure propagates, with the time and state of the last accepted
+    step; a non-finite state0, or a t_max or settle_tol that is not finite
+    and positive, raises DomainError.
     """
     f = _flow(state0, params)
     for name, value in (("t_max", t_max), ("settle_tol", settle_tol)):
         if not 0 < value < np.inf:
             raise DomainError(f"{name} must be finite and > 0, got {value}")
-    from scipy.integrate import solve_ivp
     y = state0.pack()
     t = 0.0
     norm = float(np.max(np.abs(f(t, y))))
     while norm >= settle_tol and t < t_max:
         t_next = min(t + RELAX_CHECKPOINT, t_max)
-        sol = solve_ivp(f, (t, t_next), y, method=METHOD, rtol=RTOL,
-                        atol=ATOL, t_eval=[t_next])
-        if not sol.success:
-            raise StepFailure(f"relaxation failed near t={t:.6g}: {sol.message}",
-                              t=t, state=MeanFieldState.from_packed(y))
-        y = sol.y[:, -1]
+        # the checkpoint state is the step's interpolant at its end, which
+        # can differ from the step's own end state in the last bits
+        [y] = _solve(f, t, y, np.array([t_next]), RTOL, ATOL)
         t = t_next
         norm = float(np.max(np.abs(f(t, y))))
     return RelaxResult(state=MeanFieldState.from_packed(y),

@@ -79,6 +79,42 @@ def test_other_fingerprint():
     assert "aa0" in lab.detail
 
 
+def _fingerprint_reference(a, eps):
+    # the double loop over sites and first occurrences that the pairwise
+    # matrix of classify._fingerprint replaced
+    letters, reps = [], []
+    for aj in a:
+        if abs(aj) < eps:
+            letters.append("0")
+            continue
+        for letter, rep in reps:
+            if abs(aj - rep) < eps:
+                letters.append(letter)
+                break
+        else:
+            letter = chr(ord("a") + len(reps))
+            reps.append((letter, aj))
+            letters.append(letter)
+    return "".join(letters)
+
+
+def test_fingerprint_matches_the_double_loop():
+    # sites within eps of two classes, chains of near-ties that are not
+    # transitive, dark and NaN sites, and more than 26 classes
+    rng = np.random.default_rng(11)
+    eps = classify_module.EPS_PATTERN
+    centres = np.array([0, 1, -1, 1j, 0.5 + 0.5j, 3e-6, np.nan])
+    for _ in range(2000):
+        n = int(rng.integers(1, 40))
+        a = (rng.choice(centres, n)
+             + rng.choice([0, 4e-6, 6e-6, 1e-5, 1e-3], n)
+             * np.exp(2j * np.pi * rng.uniform(size=n)))
+        assert classify_module._fingerprint(a, eps) \
+            == _fingerprint_reference(a, eps)
+    a = np.linspace(0.1, 1, 40) + 0j
+    assert classify_module._fingerprint(a, eps) == _fingerprint_reference(a, eps)
+
+
 def test_eps_shrink_moves_toward_other(monkeypatch):
     st = _state([0.4, 1e-6, -0.4])
     assert classify_module.EPS_PATTERN == 1e-5

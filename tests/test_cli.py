@@ -205,6 +205,10 @@ NEGATIVE_SEED = "rng_seed must be >= 0, got -1"
      "state is missing keys ['re_a', 'im_a', 're_s', 'im_s', 'z']"),
     (["trajectory", "--init", IN], None, 5,
      "state must be a JSON object, got int"),
+    (["trajectory", "--init", IN], None,
+     {"re_a": [float("nan"), 0, 0], "im_a": [0, 0, 0], "re_s": [0, 0, 0],
+      "im_s": [0, 0, 0], "z": [-0.5, -0.5, -0.5]},
+     "initial state must be finite"),
     (["steady", "--rng-seed", "-1"], None, None, NEGATIVE_SEED),
     (["trajectory", "--rng-seed", "-1"], None, None, NEGATIVE_SEED),
     (SWEEP_1x1 + ["--rng-seed", "-1"], None, None, NEGATIVE_SEED),
@@ -241,7 +245,7 @@ NEGATIVE_SEED = "rng_seed must be >= 0, got -1"
         "profile-negative-t-end", "negative-dedup-tol",
         "profile-infinite-settle-tol", "profile-infinite-t-end",
         "trajectory-infinite-t-end", "infinite-dedup-tol", "init-missing-keys",
-        "init-not-object", "steady-negative-rng-seed",
+        "init-not-object", "init-nan", "steady-negative-rng-seed",
         "trajectory-negative-rng-seed", "phase-negative-rng-seed",
         "cut-negative-rng-seed", "profile-negative-rng-seed", "phase-nan-xi-max",
         "cut-nan-g-min", "phase-infinite-g-max", "trajectory-nan-scale",

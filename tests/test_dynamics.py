@@ -3,14 +3,14 @@ import re
 
 import numpy as np
 import pytest
-import scipy.integrate
 
 from dickelattice import (BoundaryCondition, DomainError, LatticeParams,
-                          MeanFieldState, ShapeError, hop_matrix, integrate,
+                          MeanFieldState, ShapeError, StepFailure,
+                          hop_matrix, integrate,
                           jacobian_packed, normal_state, inverted_normal_state,
                           perturbed_normal_state, relax_to_steady,
                           rhs_packed, rhs_sup_norm, site_profile)
-from dickelattice import dynamics, steady_state
+from dickelattice import _dop853, dynamics, steady_state
 from dickelattice.sweep import PROFILE_SETTLE_TOL, profile_start
 from symmetry_reference import cyclic_shift, reflect, z2_flip
 
@@ -153,11 +153,39 @@ def test_relax_below_threshold_returns_to_dark_state():
     {"settle_tol": np.inf}, {"settle_tol": np.nan}, {"settle_tol": -1.0}])
 def test_relax_rejects_bad_limits_before_integrating(kwargs, monkeypatch):
     # an infinite t_max on a state that never settles would loop forever,
-    # so the check must come before any integration; dynamics imports
-    # solve_ivp from scipy.integrate on each call
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", None)
+    # so the check must come before any integration
+    monkeypatch.setattr(_dop853, "solve", None)
     with pytest.raises(DomainError):
         relax_to_steady(perturbed_normal_state(3), P, **kwargs)
+
+
+@pytest.mark.parametrize("block, bad", [(b, np.nan) for b in range(5)]
+                         + [(0, np.inf), (4, -np.inf)])
+def test_integrators_reject_non_finite_states(block, bad, monkeypatch):
+    monkeypatch.setattr(_dop853, "solve", None)
+    y = perturbed_normal_state(3).pack()
+    y[3 * block + 1] = bad
+    state = MeanFieldState.from_packed(y)
+    with pytest.raises(DomainError, match="initial state must be finite"):
+        integrate(state, P, 1.0)
+    with pytest.raises(DomainError, match="initial state must be finite"):
+        relax_to_steady(state, P)
+
+
+def test_step_failure_carries_the_last_accepted_step(monkeypatch):
+    # y' = y^2 from y(0) = 1 blows up at t = 1, after the record at 0.5
+    # and inside relax_to_steady's first checkpoint
+    monkeypatch.setattr(dynamics, "rhs_packed", lambda y, *args: y * y)
+    state = MeanFieldState(a=[1.0, 0.0, 0.0], s=np.zeros(3), z=np.zeros(3))
+    for run in (lambda: integrate(state, P, 2.0, record_every=0.5),
+                lambda: relax_to_steady(state, P)):
+        with pytest.raises(StepFailure) as exc:
+            run()
+        t, last = exc.value.t, exc.value.state
+        assert abs(t - 1.0) < 1e-6
+        assert isinstance(last, MeanFieldState)
+        assert last.a[0].real > 1e6 and np.all(last.a[1:] == 0)
+        assert f"t={t:.6g}" in str(exc.value)
 
 
 # the N = 50 ring profile of the large_n benchmark
@@ -193,21 +221,6 @@ def test_site_profile_flow_calls(monkeypatch):
     profile = site_profile(PROFILE_50, 0.6)
     assert profile.settled and profile.t_final == 25.0
     assert len(calls) <= 1_100
-
-
-def test_integrators_read_the_method_constant(monkeypatch):
-    seen = []
-    solve_ivp = scipy.integrate.solve_ivp
-
-    def spy(*args, method, **kwargs):
-        seen.append(method)
-        return solve_ivp(*args, method=method, **kwargs)
-
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", spy)
-    monkeypatch.setattr(dynamics, "METHOD", "RK23")
-    integrate(perturbed_normal_state(3), P, 1.0)
-    relax_to_steady(perturbed_normal_state(3), P, t_max=1.0)
-    assert seen == ["RK23", "RK23"]
 
 
 def test_perturbed_normal_state_properties():

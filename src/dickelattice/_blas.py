@@ -1,13 +1,14 @@
 """One BLAS thread per process.
 
-The 150 x 150 solves and eigendecompositions of a 30-site lattice run
-several times slower under OpenBLAS's default threading than on one
-thread, so the command line, the sweep pool workers and
-steady_state.find_all's Newton solves pin the OpenBLAS builds bundled
-with numpy (ILP64, symbol suffix 64_) and scipy to one thread and take
-their parallelism from worker processes.  A missing library or symbol is
-skipped.  Nothing is loaded at import time; the libraries are looked up
-once, on first use.
+The command line, the sweep pool workers and steady_state.find_all's
+Newton solves pin the OpenBLAS bundled with numpy (ILP64, symbol suffix
+64_) to one thread and take their parallelism from worker processes.  On
+a 2-CPU x86-64 host with no *_NUM_THREADS variable set (median of 4
+processes x 3 warm calls), `steady --n 30 --bc obc` took 0.40 s pinned
+and 0.77 s on OpenBLAS's default threads, single calls up to 3.4 s, and
+an N = 50 site profile 0.043 s against 0.046 s, with identical output.
+A missing library or symbol is skipped.  The library is looked up once,
+on first use, not at import time.
 """
 
 from __future__ import annotations
@@ -22,25 +23,22 @@ import threading
 
 @functools.cache
 def _openblas():
-    """(set, get) thread-count functions of each bundled OpenBLAS found."""
+    """(set, get) thread-count functions of numpy's OpenBLAS, if found."""
     import numpy
-    import scipy
 
+    site = os.path.dirname(os.path.dirname(numpy.__file__))
     found = []
-    for pkg, suffix in ((numpy, "64_"), (scipy, "")):
-        site = os.path.dirname(os.path.dirname(pkg.__file__))
-        pattern = os.path.join(site, pkg.__name__ + ".libs",
-                               "libscipy_openblas*")
-        for path in sorted(glob.glob(pattern)):
-            try:
-                lib = ctypes.CDLL(path)
-                setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-                getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-            except (OSError, AttributeError):
-                continue
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            found.append((setter, getter))
+    for path in sorted(glob.glob(os.path.join(site, "numpy.libs",
+                                              "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            setter = lib.scipy_openblas_set_num_threads64_
+            getter = lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        found.append((setter, getter))
     return found
 
 

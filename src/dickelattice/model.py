@@ -48,7 +48,7 @@ class LatticeParams:
 def validate(params: LatticeParams) -> None:
     """Raise DomainError naming the violated invariant; return None if ok."""
     n = params.n_sites
-    _check_integer_sites(n)
+    _check_integer("n_sites", n)
     if n < 2:
         raise DomainError(f"n_sites must be >= 2, got {n}")
     for name in ("omega_c", "omega_a", "g", "xi", "kappa"):
@@ -67,13 +67,14 @@ def validate(params: LatticeParams) -> None:
         raise DomainError(f"bc must be a BoundaryCondition, got {params.bc!r}")
 
 
-def _check_integer_sites(n_sites) -> None:
-    if isinstance(n_sites, bool) or not isinstance(n_sites, (int, np.integer)):
-        raise DomainError(f"n_sites must be an integer, got {n_sites!r}")
+def _check_integer(name, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def validate_rng_seed(rng_seed) -> None:
-    """Raise DomainError for a negative seed, which numpy's generators reject."""
+    """Raise DomainError unless rng_seed is an integer >= 0."""
+    _check_integer("rng_seed", rng_seed)
     if rng_seed < 0:
         raise DomainError(f"rng_seed must be >= 0, got {rng_seed}")
 
@@ -128,7 +129,7 @@ class MeanFieldState:
 
 def validate_n_sites(n_sites) -> None:
     """Raise DomainError unless a state's site count is an integer >= 1."""
-    _check_integer_sites(n_sites)
+    _check_integer("n_sites", n_sites)
     if n_sites < 1:
         raise DomainError(f"n_sites must be >= 1, got {n_sites}")
 

@@ -23,8 +23,9 @@ from .errors import (BoundaryError, DomainError, NotConverged, ShapeError,
                      SingularJacobian, UnstableWindowError)
 from .dynamics import hop_matrix, matvec_rows, rhs_packed
 from .model import (BoundaryCondition, LatticeParams, MeanFieldState,
-                    inverted_normal_state, normal_state, symmetry_group,
-                    symmetry_orbit, validate, validate_rng_seed)
+                    _check_integer, inverted_normal_state, normal_state,
+                    symmetry_group, symmetry_orbit, validate,
+                    validate_rng_seed)
 
 NEWTON_TOL = 1e-11
 MAX_ITER = 100
@@ -490,11 +491,12 @@ def find_all(params: LatticeParams, *, n_random_seeds: int = N_RANDOM_SEEDS,
     All seeds go to one newton_solve call, run with BLAS on one thread
     whatever the caller's threading, so the roots do not depend on it;
     workers goes to it too, and the roots do not depend on that either.
-    Non-convergent seeds are dropped and counted in seed_metadata.  A
-    negative n_random_seeds or rng_seed, or a dedup_tol that is not
-    finite and non-negative, raises DomainError.
+    Non-convergent seeds are dropped and counted in seed_metadata.  An
+    n_random_seeds or rng_seed that is not an integer >= 0, or a
+    dedup_tol that is not finite and non-negative, raises DomainError.
     """
     validate(params)
+    _check_integer("n_random_seeds", n_random_seeds)
     if n_random_seeds < 0:
         raise DomainError(f"n_random_seeds must be >= 0, got {n_random_seeds}")
     validate_rng_seed(rng_seed)

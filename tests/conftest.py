@@ -5,10 +5,10 @@ from dickelattice import _blas
 
 @pytest.fixture
 def two_blas_threads():
-    """Both bundled OpenBLAS libraries at 2 threads; the old counts after."""
+    """numpy's bundled OpenBLAS at 2 threads; the old count after."""
     before = _blas.thread_counts()
-    if len(before) < 2:
-        pytest.skip("numpy and scipy do not both bundle OpenBLAS here")
+    if not before:
+        pytest.skip("numpy bundles no OpenBLAS here")
     _blas.set_thread_counts([2] * len(before))
     yield [2] * len(before)
     _blas.set_thread_counts(before)

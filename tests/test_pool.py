@@ -162,7 +162,7 @@ print(json.dumps({"parent": _blas._openblas.cache_info().misses,
 
 def test_the_parent_looks_up_blas_before_the_pool_forks(tmp_path):
     # a worker inherits the parent's filled cache, miss count included, so
-    # no worker repeats the scipy import and the library lookups
+    # no worker repeats the lookup of numpy's OpenBLAS
     assert _run(LOOKUP_SCRIPT, tmp_path) == {"parent": 1, "workers": [1],
                                              "in_parent": False}
 

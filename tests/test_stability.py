@@ -158,7 +158,10 @@ def test_tangent_verdict_matches_zero_mode_reference(bc, n, xi, g):
     p = _params(g, xi=xi, bc=bc, n=n)
     roots = find_all(p, rng_seed=0).roots
     compared = 0
-    with one_thread():     # the left eigensolve is slow on two threads
+    # numpy's BLAS on one thread, for the package's classify at N = 30
+    # (and the reference's eigvals); the reference's scipy.linalg.eig runs
+    # on scipy's own BLAS, which is not pinned
+    with one_thread():
         for y, got in zip(roots, classify(roots, p)):
             try:
                 want = stability_reference.classify(

@@ -9,8 +9,9 @@ from dickelattice import (BoundaryCondition, GridAxis, LatticeParams,
                           SweepSpec, Verdict, critical_coupling_np, critical_csv,
                           critical_line_scan, cut_csv, find_all,
                           homogeneous_srp_branch, label, order_parameter_cut,
-                          phase_diagram, phase_diagram_csv, profile_csv,
-                          relax_to_steady, site_profile, stable_class_set)
+                          perturbed_normal_state, phase_diagram,
+                          phase_diagram_csv, profile_csv, relax_to_steady,
+                          site_profile, stable_class_set)
 from dickelattice import sweep
 from dickelattice.errors import DomainError
 from dickelattice.stability import classify as stability_classify
@@ -38,6 +39,10 @@ def test_grid_axis_values():
             GridAxis(lo, hi, 1).values()
 
 
+GRID_2X2 = SweepSpec(params_base=BASE, xi_grid=GridAxis(0.1, 0.2, 2),
+                     g_grid=GridAxis(0.4, 0.8, 2))
+
+
 def test_sweeps_reject_a_negative_seed_before_any_cell(monkeypatch):
     # a negative seed used to fail inside every cell, which then read as
     # "no stable state"; no cell may run now
@@ -45,12 +50,30 @@ def test_sweeps_reject_a_negative_seed_before_any_cell(monkeypatch):
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr(sweep, "find_all", no_cell)
-    spec = SweepSpec(params_base=BASE, xi_grid=GridAxis(0.1, 0.2, 2),
-                     g_grid=GridAxis(0.4, 0.8, 2), rng_seed=-1)
     with pytest.raises(DomainError, match="rng_seed must be >= 0, got -1"):
-        phase_diagram(spec)
+        phase_diagram(replace(GRID_2X2, rng_seed=-1))
     with pytest.raises(DomainError, match="rng_seed must be >= 0, got -1"):
         order_parameter_cut(BASE, 0.2, [0.5], rng_seed=-1)
+
+
+@pytest.mark.parametrize("call, name, value", [
+    (lambda: phase_diagram(replace(GRID_2X2, rng_seed=1.5)), "rng_seed", 1.5),
+    (lambda: order_parameter_cut(BASE, 0.2, [0.5], rng_seed=1.5),
+     "rng_seed", 1.5),
+    (lambda: find_all(BASE, rng_seed=1.5), "rng_seed", 1.5),
+    (lambda: find_all(BASE, rng_seed=True), "rng_seed", True),
+    (lambda: find_all(BASE, n_random_seeds=2.5), "n_random_seeds", 2.5),
+    (lambda: find_all(BASE, n_random_seeds=True), "n_random_seeds", True),
+    (lambda: perturbed_normal_state(3, rng_seed=1.5), "rng_seed", 1.5),
+], ids=["phase", "cut", "find_all", "find_all-bool", "n_random_seeds",
+        "n_random_seeds-bool", "perturbed"])
+def test_seeds_and_seed_counts_must_be_integers(call, name, value):
+    # a sweep would run every cell on the integer part of a fractional
+    # seed while its CSV comment records the fraction, and a bool would
+    # run as 0 or 1; the rest would end in numpy's own TypeError
+    with pytest.raises(DomainError,
+                       match=f"{name} must be an integer, got {value!r}"):
+        call()
 
 
 @pytest.fixture(scope="module")

@@ -38,7 +38,7 @@ def main():
                 g_grid=GridAxis(0.3, 1.1, steps))
             xi, g = spec.xi_grid.values(), spec.g_grid.values()
             jobs = [(replace(spec.params_base, xi=float(xi[i]), g=float(g[j])),
-                     _cell_seed(spec.rng_seed, i, j), spec.n_random_seeds)
+                     _cell_seed(spec.rng_seed, i, j))
                     for i in range(XI_START, steps, STRIDE)
                     for j in range(G_START, steps, STRIDE)]
             times, errors = [], 0

@@ -6,9 +6,9 @@ boundary conditions.
 """
 
 from ._version import __version__
-from .errors import (BisectionFailure, BoundaryError, DomainError,
-                     NotConverged, NotSettled, ShapeError, SingularJacobian,
-                     StepFailure, UnstableWindowError, ZeroModeMismatch)
+from .errors import (BisectionFailure, BoundaryError, DomainError, NotSettled,
+                     ShapeError, StepFailure, UnstableWindowError,
+                     ZeroModeMismatch)
 from .model import (BoundaryCondition, LatticeParams, MeanFieldState,
                     inverted_normal_state, normal_state, symmetry_orbit,
                     validate)
@@ -19,8 +19,9 @@ from .dynamics import (Trajectory, RelaxResult, hop_matrix, integrate,
                        jacobian_packed, perturbed_normal_state,
                        relax_to_steady, rhs_packed, rhs_sup_norm)
 from .steady_state import (NO_BRANCH, HomogeneityWitness, NoBranch,
-                           RootSearchResult, find_all, homogeneous_srp_branch,
-                           newton_solve, no_homogeneous_witness)
+                           RootSearchResult, SeedOutcome, find_all,
+                           homogeneous_srp_branch, newton_solve,
+                           no_homogeneous_witness)
 # the stability-report op stays at stability.classify: the top-level name
 # `classify` belongs to the pattern-label module
 from .stability import (StabilityReport, Verdict, bisect_np_threshold,

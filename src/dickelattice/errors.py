@@ -26,18 +26,6 @@ class StepFailure(RuntimeError):
         self.state = state
 
 
-class NotConverged(RuntimeError):
-    """Newton iteration exhausted its budget or rejected a step."""
-
-
-class SingularJacobian(RuntimeError):
-    """Newton linear solve hit a rank-deficient Jacobian."""
-
-    def __init__(self, message, cond=None):
-        super().__init__(message)
-        self.cond = cond
-
-
 class ZeroModeMismatch(RuntimeError):
     """A site's spin vanished (no tangent plane)."""
 

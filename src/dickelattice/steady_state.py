@@ -12,6 +12,7 @@ Newton step eliminates them and factors only a 2N x 2N matrix per seed.
 
 from __future__ import annotations
 
+import enum
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -19,8 +20,7 @@ import numpy as np
 
 from ._blas import one_thread
 from ._pool import map_stacks
-from .errors import (BoundaryError, DomainError, NotConverged, ShapeError,
-                     SingularJacobian, UnstableWindowError)
+from .errors import BoundaryError, DomainError, ShapeError, UnstableWindowError
 from .dynamics import hop_matrix, matvec_rows, rhs_packed
 from .model import (BoundaryCondition, LatticeParams, MeanFieldState,
                     _check_integer, inverted_normal_state, normal_state,
@@ -143,6 +143,17 @@ def no_homogeneous_witness(params: LatticeParams) -> HomogeneityWitness:
 SEED_SPIN_TOL = 1e-3    # largest spin-sphere defect of a Newton seed
 
 
+class SeedOutcome(enum.IntEnum):
+    """How newton_solve left a seed: at a root, or what stopped it."""
+
+    ROOT = 0          # converged, and the inversion post-check passed
+    BUDGET = 1        # MAX_ITER steps without converging
+    BACKTRACK = 2     # no halving of the step lowered the residual
+    SINGULAR = 3      # the Newton matrix was singular
+    NON_FINITE = 4    # the Newton step was not finite
+    INVERSION = 5     # converged, but a replaced inversion equation failed
+
+
 def _augmented(y, params, t_hop):
     """The flow at each row of the stack y, with the inversion-rate
     components replaced by the spin constraint |s|^2 + z^2 - 1/4."""
@@ -228,53 +239,46 @@ def _row_norms(f):
 def _newton_stack(y, params, t_hop, photon, newton_tol, max_iter, damping):
     """Newton iteration on the stack y of packed seeds, in place.
 
-    Each row of y ends at its seed's last iterate.  Returns y and one
-    entry per seed, in order: None once its augmented residual is within
-    newton_tol, else the NotConverged or SingularJacobian that stopped
-    it.  Each step makes one batched 2N x 2N solve over the seeds still
-    iterating (_newton_steps, with the photon solvers (R, K)) and at most
-    two stacked flow evaluations, one for the full steps and one for all
-    the halvings of the seeds that reject theirs; each seed backtracks on
-    its own.  A seed leaves the stack once it has converged or failed.
+    Each row of y ends at its seed's last iterate.  Returns y and the
+    SeedOutcome of each seed: ROOT once its augmented residual is within
+    newton_tol, else BUDGET, BACKTRACK, SINGULAR or NON_FINITE, for what
+    stopped it.  Each step makes one batched 2N x 2N solve over the seeds
+    still iterating (_newton_steps, with the photon solvers (R, K)) and at
+    most two stacked flow evaluations, one for the full steps and one for
+    all the halvings of the seeds that reject theirs; each seed backtracks
+    on its own.  A seed leaves the stack once it has converged or failed.
     """
-    errors = [None] * len(y)
+    outcome = np.full(len(y), SeedOutcome.ROOT, dtype=int)
     # step lengths 1, 1/2, ..., 2**-damping, exact powers of two, so that
     # x - alpha * step rounds as each halving did one at a time
     alphas = np.ldexp(1.0, -np.arange(damping + 1))
     live = np.arange(len(y))               # seed index of each stack row
     x, f = y[live], _augmented(y, params, t_hop)
     for it in range(max_iter + 1):
-        res = np.max(np.abs(f), axis=1)
-        ok = res <= newton_tol
+        ok = np.max(np.abs(f), axis=1) <= newton_tol
         if it >= max_iter:
-            for k, r in zip(live[~ok], res[~ok]):
-                errors[k] = NotConverged(f"residual {r:.3g} > {newton_tol:g} "
-                                         f"after {max_iter} iterations")
+            outcome[live[~ok]] = SeedOutcome.BUDGET
             break
         live, x, f = live[~ok], x[~ok], f[~ok]
         if not live.size:
             break
         m = _spin_matrices(x, params, photon[1])
-        keep = np.ones(live.size, bool)     # rows that stay in the stack
         try:
             step = _newton_steps(x, f, m, params, photon)
         except np.linalg.LinAlgError:
-            # find the singular matrices one at a time
+            # find the singular matrices one at a time; their steps stay NaN
             step = np.full_like(f, np.nan)
             for r in range(live.size):
                 rows = slice(r, r + 1)
                 try:
                     step[rows] = _newton_steps(x[rows], f[rows], m[rows],
                                                params, photon)
-                except np.linalg.LinAlgError as exc:
-                    errors[live[r]] = SingularJacobian(
-                        f"singular Newton matrix: {exc}",
-                        cond=float(np.linalg.cond(m[r])))
-                    keep[r] = False
-        for r in np.flatnonzero(keep & ~np.isfinite(step).all(axis=1)):
-            errors[live[r]] = SingularJacobian(
-                "non-finite Newton step", cond=float(np.linalg.cond(m[r])))
-            keep[r] = False
+                except np.linalg.LinAlgError:
+                    outcome[live[r]] = SeedOutcome.SINGULAR
+        keep = np.isfinite(step).all(axis=1)    # rows that stay in the stack
+        lost = live[~keep]      # a singular row has its code already
+        outcome[lost[outcome[lost] == SeedOutcome.ROOT]] = \
+            SeedOutcome.NON_FINITE
 
         # backtracking: each seed takes its longest step alpha * step that
         # lowers the 2-norm of its residual; the full steps are evaluated
@@ -294,12 +298,10 @@ def _newton_stack(y, params, t_hop, photon, newton_tol, max_iter, damping):
             x[trial[hit]], f[trial[hit]] = x_new[pick], f_new[pick]
             y[live[trial[hit]]] = x_new[pick]
             trial = trial[~hit]
-        for r in trial:
-            errors[live[r]] = NotConverged(
-                "backtracking could not reduce the residual")
+        outcome[live[trial]] = SeedOutcome.BACKTRACK
         keep[trial] = False
         live, x, f = live[keep], x[keep], f[keep]
-    return y, errors
+    return y, outcome
 
 
 def newton_solve(seeds, params: LatticeParams, *, workers: int = 1):
@@ -314,22 +316,22 @@ def newton_solve(seeds, params: LatticeParams, *, workers: int = 1):
     Each step is the solve with the 5N x 5N augmented Jacobian J, done
     by elimination (_newton_steps): with A = omega_c - T, R =
     (A^2 + kappa^2)^-1 and K = A R built once per call, only a 2N x 2N
-    matrix M in (Re s, z) is factored per seed, and SingularJacobian
-    reports M's condition number.  Given a regular A^2 + kappa^2, M is
-    singular exactly when J is.
+    matrix M in (Re s, z) is factored per seed.  Given a regular
+    A^2 + kappa^2, M is singular exactly when J is.
 
     seeds is a stack of packed states (S, 5N), solved in stacks of
     matrices M, which _pool.map_stacks sizes and, with workers > 1 on a
     large lattice, runs on the process's worker pool; each seed takes
     exactly the steps it would take alone, with the same bits.  Returns
-    (y, residual, errors): the final row of each seed (S, 5N), the sup
-    norm of the full flow at each row (S,), and per seed None for a root
-    or the NotConverged (budget exhausted, step rejected, or the replaced
-    inversion equation fails the post-check) or SingularJacobian that
-    stopped it.  A stack of the wrong shape raises ShapeError, and a seed
-    off the spin sphere by more than SEED_SPIN_TOL, or with a NaN spin
-    coordinate, raises DomainError, for the whole call; so does a
-    singular A^2 + kappa^2 (kappa = 0 and omega_c an eigenvalue of T).
+    (y, residual, outcome): the final row of each seed (S, 5N), the sup
+    norm of the full flow at each row (S,), and the SeedOutcome code of
+    each seed (S,) ints: ROOT for a root, else BUDGET (budget exhausted),
+    BACKTRACK (step rejected), SINGULAR, NON_FINITE (the Newton step), or
+    INVERSION (the replaced inversion equation fails the post-check).  A
+    stack of the wrong shape raises ShapeError, and a seed off the spin
+    sphere by more than SEED_SPIN_TOL, or with a NaN spin coordinate,
+    raises DomainError, for the whole call; so does a singular
+    A^2 + kappa^2 (kappa = 0 and omega_c an eigenvalue of T).
     """
     validate(params)
     n = params.n_sites
@@ -349,19 +351,17 @@ def newton_solve(seeds, params: LatticeParams, *, workers: int = 1):
     stacks = map_stacks(_newton_stack, y, 2 * n, workers, params, t_hop,
                         _photon_solvers(params, t_hop), NEWTON_TOL, MAX_ITER,
                         DAMPING)
+    outcome = np.full(len(y), SeedOutcome.ROOT, dtype=int)
     if stacks:
         y = np.concatenate([rows for rows, _ in stacks])
-    errors = [err for _, stack_errors in stacks for err in stack_errors]
+        outcome = np.concatenate([codes for _, codes in stacks])
 
     # the replaced inversion equations must vanish on their own
     full = rhs_packed(y, params, t_hop)
     inversion = np.max(np.abs(full[:, 4 * n:]), axis=1)
-    for k in np.flatnonzero(inversion > NEWTON_TOL):
-        if errors[k] is None:
-            errors[k] = NotConverged(
-                f"inversion-rate residual {inversion[k]:.3g} survives the "
-                "constraint substitution (z = 0 degeneracy)")
-    return y, np.max(np.abs(full), axis=1), errors
+    outcome[(outcome == SeedOutcome.ROOT) & (inversion > NEWTON_TOL)] = \
+        SeedOutcome.INVERSION
+    return y, np.max(np.abs(full), axis=1), outcome
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +505,8 @@ def find_all(params: LatticeParams, *, n_random_seeds: int = N_RANDOM_SEEDS,
     seeds, tags = _seed_list(params, n_random_seeds,
                              np.random.default_rng(rng_seed))
     with one_thread():
-        y, residual, errors = newton_solve(seeds, params, workers=workers)
-    converged = np.flatnonzero([err is None for err in errors])
+        y, residual, outcome = newton_solve(seeds, params, workers=workers)
+    converged = np.flatnonzero(outcome == SeedOutcome.ROOT)
 
     # the roots as MeanFieldState stores them: u + 1j v turns a -0.0 into
     # +0.0, so every kept row has the bits of its state's pack()

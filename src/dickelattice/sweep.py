@@ -28,13 +28,12 @@ from .errors import DomainError, NotSettled
 # stays until that test drops it
 from .classify import label as pattern_label, stable_class_set  # noqa: F401
 from .dynamics import T_MAX, RelaxResult, relax_to_steady
-from .model import (LatticeParams, MeanFieldState, params_to_jsonable,
-                    validate, validate_rng_seed)
+from .model import (LatticeParams, MeanFieldState, _check_integer,
+                    params_to_jsonable, validate, validate_rng_seed)
 from .spectrum import critical_coupling_np, xi_stability_window
 from .stability import BISECT_BRACKET, BISECT_TOL, Verdict, \
     bisect_np_threshold, classify as stability_classify
-from .steady_state import N_RANDOM_SEEDS, _dressed_seeds, find_all, \
-    newton_solve
+from .steady_state import SeedOutcome, _dressed_seeds, find_all, newton_solve
 
 DEFAULT_STEPS = 140     # per axis, matching the phase-diagram resolution
 PROFILE_SETTLE_TOL = 1e-6   # flow sup norm at which a site profile has settled
@@ -52,6 +51,7 @@ class GridAxis:
     steps: int
 
     def values(self) -> np.ndarray:
+        _check_integer("steps", self.steps)
         if self.steps < 1:
             raise DomainError(f"steps must be >= 1, got {self.steps}")
         if not np.isfinite([self.min, self.max]).all():
@@ -70,7 +70,6 @@ class SweepSpec:
     xi_grid: GridAxis
     g_grid: GridAxis
     rng_seed: int = 0
-    n_random_seeds: int = N_RANDOM_SEEDS
 
 
 @dataclass
@@ -96,9 +95,9 @@ def _cell_seed(rng_seed, i, j) -> int:
 def _compute_cell(job):
     # a pool task: its root search keeps the serial default (workers=1),
     # so that a worker never opens a pool of its own
-    params, seed, n_random_seeds = job
+    params, seed = job
     try:
-        result = find_all(params, n_random_seeds=n_random_seeds, rng_seed=seed)
+        result = find_all(params, rng_seed=seed)
         found = stable_class_set(result, params)
         classes = tuple(
             (kind, tuple(np.abs(MeanFieldState.from_packed(y).a).tolist()))
@@ -113,13 +112,11 @@ def _compute_cell(job):
                          error=f"{type(exc).__name__}: {exc}")
 
 
-def _cells(points, params_base: LatticeParams, rng_seed: int,
-           n_random_seeds: int, workers: int):
+def _cells(points, params_base: LatticeParams, rng_seed: int, workers: int):
     """One PhaseCell per point (i, j, xi, g), in order, seeded from
     (rng_seed, i, j)."""
     jobs = [(replace(params_base, xi=float(xi), g=float(g)),
-             _cell_seed(rng_seed, i, j), n_random_seeds)
-            for i, j, xi, g in points]
+             _cell_seed(rng_seed, i, j)) for i, j, xi, g in points]
     if workers and workers > 1:
         return list(worker_pool(workers).map(_compute_cell, jobs))
     return [_compute_cell(job) for job in jobs]
@@ -134,14 +131,11 @@ def phase_diagram(spec: SweepSpec, workers: int = 1):
     points = [(i, j, xi, g)
               for i, xi in enumerate(spec.xi_grid.values())
               for j, g in enumerate(spec.g_grid.values())]
-    return _cells(points, spec.params_base, spec.rng_seed,
-                  spec.n_random_seeds, workers)
+    return _cells(points, spec.params_base, spec.rng_seed, workers)
 
 
 def order_parameter_cut(params_base: LatticeParams, xi: float, g_values, *,
-                        rng_seed: int = 0,
-                        n_random_seeds: int = N_RANDOM_SEEDS,
-                        workers: int = 1):
+                        rng_seed: int = 0, workers: int = 1):
     """One PhaseCell per g along a fixed-xi cut inside the normal-state
     stability window, row j seeded as the cell (0, j) of a phase grid and
     run as phase_diagram runs its cells.  Each row keeps the site
@@ -154,7 +148,7 @@ def order_parameter_cut(params_base: LatticeParams, xi: float, g_values, *,
         raise DomainError(
             f"xi={xi} outside the stability window ({lo:.6g}, {hi:.6g})")
     points = [(0, j, xi, g) for j, g in enumerate(np.asarray(g_values, float))]
-    return _cells(points, params_base, rng_seed, n_random_seeds, workers)
+    return _cells(points, params_base, rng_seed, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -178,20 +172,23 @@ def critical_line_scan(params_base: LatticeParams, n_list, xi_values):
 
     The shared fixed bracket keeps the bisection decision sequence, and
     hence the numeric value, identical across any N with the same
-    threshold.  Failures are recorded per point, not raised.
+    threshold.  Failures are recorded per point, not raised; a site count
+    that fails validate raises DomainError before any point runs.
     """
+    for n in n_list:
+        validate(replace(params_base, n_sites=n))
     out = []
     for n in n_list:
         for xi in np.asarray(xi_values, float):
-            params = replace(params_base, n_sites=int(n), xi=float(xi))
+            params = replace(params_base, n_sites=n, xi=float(xi))
             try:
                 analytic = critical_coupling_np(params).g_c
                 numeric = bisect_np_threshold(params)
-                out.append(CriticalPoint(n_sites=int(n), xi=float(xi),
+                out.append(CriticalPoint(n_sites=n, xi=float(xi),
                                          g_c_numeric=numeric,
                                          g_c_analytic=analytic))
             except Exception as exc:
-                out.append(CriticalPoint(n_sites=int(n), xi=float(xi),
+                out.append(CriticalPoint(n_sites=n, xi=float(xi),
                                          g_c_numeric=float("nan"),
                                          g_c_analytic=float("nan"),
                                          error=f"{type(exc).__name__}: {exc}"))
@@ -266,9 +263,9 @@ def _polish(res: RelaxResult, params: LatticeParams, settle_tol: float):
     RelaxResult at res's time, or None unless Newton converged to a Stable
     root whose flow norm is below settle_tol."""
     with one_thread():
-        y, residual, errors = newton_solve(res.state.pack()[None], params)
+        y, residual, outcome = newton_solve(res.state.pack()[None], params)
         [report] = stability_classify(y, params)
-    if (errors[0] is not None or report.verdict is not Verdict.Stable
+    if (outcome[0] != SeedOutcome.ROOT or report.verdict is not Verdict.Stable
             or not residual[0] < settle_tol):
         return None
     return RelaxResult(state=MeanFieldState.from_packed(y[0]), settled=True,

@@ -339,8 +339,8 @@ def test_phase_diagram_workers_run_on_one_blas_thread(two_blas_threads,
                                                       monkeypatch):
     spec = SweepSpec(params_base=LatticeParams(n_sites=3, kappa=0.4,
                                                bc=BoundaryCondition.Periodic),
-                     xi_grid=GridAxis(0.2, 0.2, 1), g_grid=GridAxis(0.4, 0.6, 2),
-                     n_random_seeds=4)
+                     xi_grid=GridAxis(0.2, 0.2, 1),
+                     g_grid=GridAxis(0.4, 0.6, 2))
     # the pool is forked (unless an earlier test did) before the probe is
     # patched in, which its workers would otherwise keep for good; the
     # cells then report for themselves

@@ -1,6 +1,7 @@
 """The package's import layering, read from the import statements of its
 modules: the root pipeline's stages import only stages below them, and no
-module imports scipy."""
+module imports scipy.  Also read from the source: every error class is
+raised somewhere."""
 
 import ast
 import glob
@@ -74,6 +75,26 @@ def test_sweep_runs_the_root_pipeline_once():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
     assert [calls.count(name) for name in ("find_all", "stable_class_set")] \
         == [1, 1]
+
+
+def _raised_names(module):
+    """The name of each class that a raise statement of module raises."""
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
+def test_every_error_class_is_raised():
+    # an exception class that nothing raises is dead code, and an except
+    # clause naming it handles nothing
+    classes = {node.name for node in _tree("errors").body
+               if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        raised.update(_raised_names(os.path.basename(path)[:-3]))
+    assert classes and classes - raised == set()
 
 
 def _absolute_imports(nodes):

@@ -32,8 +32,7 @@ def _worker_pids():
 def test_sweeps_share_one_pool_until_the_count_changes():
     spec = SweepSpec(LatticeParams(n_sites=3, kappa=0.4,
                                    bc=BoundaryCondition.Periodic),
-                     GridAxis(0.1, 0.2, 2), GridAxis(0.4, 0.8, 2),
-                     n_random_seeds=8)
+                     GridAxis(0.1, 0.2, 2), GridAxis(0.4, 0.8, 2))
     serial = phase_diagram(spec, workers=1)
     assert phase_diagram(spec, workers=2) == serial
     first = _worker_pids()
@@ -47,8 +46,7 @@ def test_sweeps_share_one_pool_until_the_count_changes():
 def test_shutdown_pool_stops_the_workers_and_the_next_sweep_forks_anew():
     spec = SweepSpec(LatticeParams(n_sites=3, kappa=0.4,
                                    bc=BoundaryCondition.Open),
-                     GridAxis(0.1, 0.2, 2), GridAxis(0.4, 0.8, 2),
-                     n_random_seeds=8)
+                     GridAxis(0.1, 0.2, 2), GridAxis(0.4, 0.8, 2))
     serial = phase_diagram(spec, workers=1)
     assert phase_diagram(spec, workers=2) == serial
     first = _worker_pids()
@@ -89,7 +87,7 @@ from dickelattice import (BoundaryCondition, GridAxis, LatticeParams,
 
 spec = SweepSpec(LatticeParams(n_sites=3, kappa=0.4,
                                bc=BoundaryCondition.Periodic),
-                 GridAxis(0.1, 0.2, 2), GridAxis(0.4, 0.8, 2), n_random_seeds=8)
+                 GridAxis(0.1, 0.2, 2), GridAxis(0.4, 0.8, 2))
 serial = phase_diagram(spec, workers=1)
 out = []
 for victim in (0, 1):           # the two workers wait on the queue unalike
@@ -174,7 +172,7 @@ from dickelattice.sweep import phase_diagram
 
 spec = SweepSpec(LatticeParams(n_sites=3, kappa=0.4,
                                bc=BoundaryCondition.Open),
-                 GridAxis(0.1, 0.2, 2), GridAxis(0.4, 0.8, 2), n_random_seeds=8)
+                 GridAxis(0.1, 0.2, 2), GridAxis(0.4, 0.8, 2))
 
 def child(results):
     os.setpgrp()        # so that a hung child goes with its workers
@@ -263,8 +261,7 @@ chain = LatticeParams(n_sites=30, kappa=0.4, xi=0.2, g=0.8,
                       bc=BoundaryCondition.Open)
 result = steady_state.find_all(chain, workers=2)
 stable_class_set(result, chain, workers=2)
-spec = SweepSpec(chain, GridAxis(0.2, 0.2, 1), GridAxis(0.8, 0.9, 2),
-                 n_random_seeds=8)
+spec = SweepSpec(chain, GridAxis(0.2, 0.2, 1), GridAxis(0.8, 0.9, 2))
 cells = sweep.phase_diagram(spec, workers=2)
 assert [c.error for c in cells] == ["", ""], cells
 with open(LOG) as fh:

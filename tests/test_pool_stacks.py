@@ -13,8 +13,7 @@ from dickelattice import (BoundaryCondition, LatticeParams, MeanFieldState,
                           _blas, _pool, normal_state, stability)
 from dickelattice.cli import main
 from dickelattice._pool import stack_size
-from dickelattice.errors import SingularJacobian
-from dickelattice.steady_state import _seed_list, newton_solve
+from dickelattice.steady_state import SeedOutcome, _seed_list, newton_solve
 
 PBC, OBC = BoundaryCondition.Periodic, BoundaryCondition.Open
 CHAIN = LatticeParams(n_sites=30, kappa=0.4, xi=0.2, g=0.8, bc=OBC)
@@ -60,29 +59,22 @@ def serial():
         for name, (params, seeds) in CASES.items():
             assert stack_size(2 * params.n_sites) > 1
             assert stack_size(5 * params.n_sites) == 1
-            y, residual, errors = newton_solve(seeds, params)
-            roots = y[[err is None for err in errors]]
-            out[name] = (y, residual, errors), roots, stability.classify(roots, params)
-    errors = out["singular-30"][0][2]
-    assert [type(e) for e in errors] == [type(None), SingularJacobian,
-                                         type(None)]
-    # at g = 0 the equator site's z column of the Newton matrix is exactly
-    # zero, so its condition number is infinite (the 5N x 5N augmented
-    # Jacobian's read finite, by rounding)
-    assert errors[1].cond == np.inf
+            y, residual, outcome = newton_solve(seeds, params)
+            roots = y[outcome == SeedOutcome.ROOT]
+            out[name] = ((y, residual, outcome), roots,
+                         stability.classify(roots, params))
+    assert out["singular-30"][0][2].tolist() == [
+        SeedOutcome.ROOT, SeedOutcome.SINGULAR, SeedOutcome.ROOT]
     return out
 
 
 def _assert_same_newton(got, want):
-    (y, residual, errors), (y_want, residual_want, errors_want) = got, want
+    (y, residual, outcome), (y_want, residual_want, outcome_want) = got, want
     # tobytes compares every bit, the signs of zeros included
     assert y.tobytes() == y_want.tobytes()
     assert residual.tobytes() == residual_want.tobytes()
-    assert len(errors) == len(errors_want) == len(y)
-    for g, w in zip(errors, errors_want):
-        assert type(g) is type(w) and str(g) == str(w)
-        if isinstance(w, SingularJacobian):
-            assert g.cond == w.cond
+    assert outcome.shape == (len(y),)
+    assert outcome.tolist() == outcome_want.tolist()
 
 
 @pytest.mark.parametrize("workers", [2, 3])

@@ -82,7 +82,7 @@ _blas.pin_one_thread()
 added = []
 for bc in (BoundaryCondition.Periodic, BoundaryCondition.Open):
     job = (LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.8, bc=bc),
-           sweep._cell_seed(0, 0, 0), sweep.N_RANDOM_SEEDS)
+           sweep._cell_seed(0, 0, 0))
     before = set(sys.modules)
     cell = sweep._compute_cell(job)
     assert not cell.error and cell.classes, cell

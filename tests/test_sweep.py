@@ -76,12 +76,31 @@ def test_seeds_and_seed_counts_must_be_integers(call, name, value):
         call()
 
 
+@pytest.mark.parametrize("call, name, value", [
+    (lambda: GridAxis(0.0, 1.0, 2.5).values(), "steps", 2.5),
+    (lambda: GridAxis(0.0, 1.0, True).values(), "steps", True),
+    (lambda: critical_line_scan(BASE, [2.5], [0.2]), "n_sites", 2.5),
+    (lambda: critical_line_scan(BASE, [True], [0.2]), "n_sites", True),
+    (lambda: critical_line_scan(BASE, [3, 2.5], [0.2]), "n_sites", 2.5),
+], ids=["steps", "steps-bool", "n_sites", "n_sites-bool", "n_sites-second"])
+def test_grid_steps_and_site_counts_must_be_integers(call, name, value,
+                                                     monkeypatch):
+    # steps=2.5 ended in numpy's own TypeError and steps=True gave one
+    # point; a critical scan ran a fractional or bool site count as its
+    # integer part.  No critical point runs before every N is checked
+    ran = []
+    monkeypatch.setattr(sweep, "bisect_np_threshold", ran.append)
+    with pytest.raises(DomainError,
+                       match=f"{name} must be an integer, got {value!r}"):
+        call()
+    assert ran == []
+
+
 @pytest.fixture(scope="module")
 def small_spec():
     return SweepSpec(params_base=BASE,
                      xi_grid=GridAxis(0.1, 0.2, 2),
-                     g_grid=GridAxis(0.4, 0.8, 3),
-                     rng_seed=0, n_random_seeds=16)
+                     g_grid=GridAxis(0.4, 0.8, 3), rng_seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +199,7 @@ def test_cut_rejects_xi_outside_window():
 
 
 def test_cut_branches_and_csv(tmp_path):
-    rows = order_parameter_cut(BASE, 0.2, [0.4, 0.6], n_random_seeds=16)
+    rows = order_parameter_cut(BASE, 0.2, [0.4, 0.6])
     assert [r.g for r in rows] == [0.4, 0.6]
     assert rows[0].error == "" and rows[1].error == ""
     [(kind, abs_a)] = rows[0].classes
@@ -204,8 +223,7 @@ def test_cut_branches_and_csv(tmp_path):
     assert float(row1["P1_abs_a_1"]) == pytest.approx(np.abs(plus.a[0]))
 
     # the tristable open-chain point of test_stable_class_sets_at_reference_points
-    [row_o] = order_parameter_cut(replace(BASE, bc=OBC), 0.2, [0.8],
-                                  n_random_seeds=16)
+    [row_o] = order_parameter_cut(replace(BASE, bc=OBC), 0.2, [0.8])
     assert row_o.error == ""
     assert sorted(_kinds(row_o)) == ["O1", "O3", "O4"]
 
@@ -231,10 +249,8 @@ def test_cut_csv_numbers_classes_of_one_kind(tmp_path):
 def test_cut_rows_are_the_cells_of_a_one_row_grid():
     g_values = np.linspace(0.4, 0.8, 3)
     spec = SweepSpec(params_base=BASE, xi_grid=GridAxis(0.2, 0.2, 1),
-                     g_grid=GridAxis(0.4, 0.8, 3), rng_seed=7,
-                     n_random_seeds=16)
-    rows = order_parameter_cut(BASE, 0.2, g_values, rng_seed=7,
-                               n_random_seeds=16)
+                     g_grid=GridAxis(0.4, 0.8, 3), rng_seed=7)
+    rows = order_parameter_cut(BASE, 0.2, g_values, rng_seed=7)
     assert rows == phase_diagram(spec)
     assert [row.classes[0][0] for row in rows] == ["NP", "P1", "P1"]
 

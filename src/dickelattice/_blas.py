@@ -1,10 +1,10 @@
 """One BLAS thread per process.
 
-The command line, the sweep pool workers and steady_state.find_all's
-Newton solves pin the OpenBLAS bundled with numpy (ILP64, symbol suffix
-64_) to one thread and take their parallelism from worker processes.  On
-a 2-CPU x86-64 host with no *_NUM_THREADS variable set (median of 4
-processes x 3 warm calls), `steady --n 30 --bc obc` took 0.40 s pinned
+The command line, the sweep pool workers and steady_state.newton_solve
+pin the OpenBLAS bundled with numpy (ILP64, symbol suffix 64_) to one
+thread and take their parallelism from worker processes.  On a 2-CPU
+x86-64 host with no *_NUM_THREADS variable set (median of 4 processes x
+3 warm calls), `steady --n 30 --bc obc` took 0.40 s pinned
 and 0.77 s on OpenBLAS's default threads, single calls up to 3.4 s, and
 an N = 50 site profile 0.043 s against 0.046 s, with identical output.
 A missing library or symbol is skipped.  The library is looked up once,

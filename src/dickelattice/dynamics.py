@@ -58,46 +58,27 @@ def rhs_packed(y, params: LatticeParams, t_hop=None) -> np.ndarray:
     shape (S, 5N); each row gets exactly the bits of a one-state call."""
     y = np.asarray(y, dtype=float)
     n = params.n_sites
-    if y.shape != (5 * n,):
-        if y.ndim != 2 or y.shape[1] != 5 * n:
-            raise ShapeError(f"expected packed length {5 * n}, got shape {y.shape}")
-        return _rhs_rows(y, params, hop_matrix(params) if t_hop is None else t_hop)
+    if y.shape != (5 * n,) and (y.ndim != 2 or y.shape[1] != 5 * n):
+        raise ShapeError(f"expected packed length {5 * n}, got shape {y.shape}")
     if t_hop is None:
         t_hop = hop_matrix(params)
-    u, v, p, q, z = y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n:4 * n], y[4 * n:]
-    wc, wa, g, kap = params.omega_c, params.omega_a, params.g, params.kappa
-    out = np.empty(5 * n)
-    out[:n] = -kap * u + wc * v - t_hop @ v
-    out[n:2 * n] = -kap * v - wc * u + t_hop @ u - 2.0 * g * p
-    out[2 * n:3 * n] = wa * q
-    out[3 * n:4 * n] = -wa * p + 4.0 * g * u * z
-    out[4 * n:] = -4.0 * g * u * q
-    return out
-
-
-def _rhs_rows(y, params, t_hop):
-    # rhs_packed's expressions on the rows of a stack.  One body for both
-    # shapes would need y[..., :n] slicing, which made each one-state call
-    # 5-9% slower at N = 3 and 50 (2-CPU x86-64, OpenBLAS on one thread),
-    # and time integration makes tens of thousands of those calls.
-    n = params.n_sites
-    u, v, p, q, z = (y[:, :n], y[:, n:2 * n], y[:, 2 * n:3 * n],
-                     y[:, 3 * n:4 * n], y[:, 4 * n:])
+    u, v, p, q, z = (y[..., :n], y[..., n:2 * n], y[..., 2 * n:3 * n],
+                     y[..., 3 * n:4 * n], y[..., 4 * n:])
     wc, wa, g, kap = params.omega_c, params.omega_a, params.g, params.kappa
     out = np.empty(y.shape)
-    out[:, :n] = -kap * u + wc * v - matvec_rows(t_hop, v)
-    out[:, n:2 * n] = -kap * v - wc * u + matvec_rows(t_hop, u) - 2.0 * g * p
-    out[:, 2 * n:3 * n] = wa * q
-    out[:, 3 * n:4 * n] = -wa * p + 4.0 * g * u * z
-    out[:, 4 * n:] = -4.0 * g * u * q
+    out[..., :n] = -kap * u + wc * v - matvec_rows(t_hop, v)
+    out[..., n:2 * n] = -kap * v - wc * u + matvec_rows(t_hop, u) - 2.0 * g * p
+    out[..., 2 * n:3 * n] = wa * q
+    out[..., 3 * n:4 * n] = -wa * p + 4.0 * g * u * z
+    out[..., 4 * n:] = -4.0 * g * u * q
     return out
 
 
 def matvec_rows(mat, rows):
-    """mat @ row for each row of the stack rows, each as its own
+    """mat @ row for one row or each row of a stack, each as its own
     matrix-vector product: a row's bits do not depend on the stack it
     shares (one matrix-matrix product rounds differently)."""
-    return np.matmul(mat, rows[:, :, None])[:, :, 0]
+    return np.matmul(mat, rows[..., None])[..., 0]
 
 
 def rhs_sup_norm(state: MeanFieldState, params: LatticeParams) -> float:

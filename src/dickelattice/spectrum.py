@@ -115,17 +115,10 @@ def critical_coupling_np_infinite(omega_a: float, omega_c: float,
 
     Piecewise in xi with a kink at (omega_c - kappa)/2, where the band
     minimum omega_c - 2 xi crosses kappa.  Valid for 0 < xi < omega_c / 2.
+    omega_a, omega_c and kappa are checked as validate checks them.
     """
-    for name, value in (("omega_a", omega_a), ("omega_c", omega_c),
-                        ("kappa", kappa)):
-        if not np.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
-    if omega_a <= 0:
-        raise DomainError(f"omega_a must be > 0, got {omega_a}")
-    if omega_c <= 0:
-        raise DomainError(f"omega_c must be > 0, got {omega_c}")
-    if kappa < 0:
-        raise DomainError(f"kappa must be >= 0, got {kappa}")
+    validate(LatticeParams(n_sites=2, omega_c=omega_c, omega_a=omega_a,
+                           kappa=kappa))
     if not 0 < xi < omega_c / 2:
         raise DomainError(
             f"xi must lie in (0, omega_c/2) = (0, {omega_c / 2:.6g}), got {xi}")

@@ -322,7 +322,9 @@ def newton_solve(seeds, params: LatticeParams, *, workers: int = 1):
     seeds is a stack of packed states (S, 5N), solved in stacks of
     matrices M, which _pool.map_stacks sizes and, with workers > 1 on a
     large lattice, runs on the process's worker pool; each seed takes
-    exactly the steps it would take alone, with the same bits.  Returns
+    exactly the steps it would take alone, with the same bits.  BLAS
+    runs on one thread inside the call, whatever the caller's threading,
+    so from N = 50 up the rows do not depend on it either.  Returns
     (y, residual, outcome): the final row of each seed (S, 5N), the sup
     norm of the full flow at each row (S,), and the SeedOutcome code of
     each seed (S,) ints: ROOT for a root, else BUDGET (budget exhausted),
@@ -348,16 +350,16 @@ def newton_solve(seeds, params: LatticeParams, *, workers: int = 1):
                           f"(> SEED_SPIN_TOL = {SEED_SPIN_TOL:g})")
 
     t_hop = hop_matrix(params)
-    stacks = map_stacks(_newton_stack, y, 2 * n, workers, params, t_hop,
-                        _photon_solvers(params, t_hop), NEWTON_TOL, MAX_ITER,
-                        DAMPING)
-    outcome = np.full(len(y), SeedOutcome.ROOT, dtype=int)
-    if stacks:
-        y = np.concatenate([rows for rows, _ in stacks])
-        outcome = np.concatenate([codes for _, codes in stacks])
-
-    # the replaced inversion equations must vanish on their own
-    full = rhs_packed(y, params, t_hop)
+    with one_thread():
+        stacks = map_stacks(_newton_stack, y, 2 * n, workers, params, t_hop,
+                            _photon_solvers(params, t_hop), NEWTON_TOL,
+                            MAX_ITER, DAMPING)
+        outcome = np.full(len(y), SeedOutcome.ROOT, dtype=int)
+        if stacks:
+            y = np.concatenate([rows for rows, _ in stacks])
+            outcome = np.concatenate([codes for _, codes in stacks])
+        # the replaced inversion equations must vanish on their own
+        full = rhs_packed(y, params, t_hop)
     inversion = np.max(np.abs(full[:, 4 * n:]), axis=1)
     outcome[(outcome == SeedOutcome.ROOT) & (inversion > NEWTON_TOL)] = \
         SeedOutcome.INVERSION
@@ -504,8 +506,7 @@ def find_all(params: LatticeParams, *, n_random_seeds: int = N_RANDOM_SEEDS,
         raise DomainError(f"dedup_tol must be finite and >= 0, got {dedup_tol}")
     seeds, tags = _seed_list(params, n_random_seeds,
                              np.random.default_rng(rng_seed))
-    with one_thread():
-        y, residual, outcome = newton_solve(seeds, params, workers=workers)
+    y, residual, outcome = newton_solve(seeds, params, workers=workers)
     converged = np.flatnonzero(outcome == SeedOutcome.ROOT)
 
     # the roots as MeanFieldState stores them: u + 1j v turns a -0.0 into

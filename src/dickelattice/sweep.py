@@ -17,7 +17,6 @@ import numpy as np
 # numpy 2 loads it lazily; imported here, no forked pool worker imports it
 import numpy.random
 
-from ._blas import one_thread
 # shutdown_pool is not called here; sweep.shutdown_pool is where scripts
 # and callers have found it
 from ._pool import shutdown_pool, worker_pool  # noqa: F401
@@ -262,9 +261,8 @@ def _polish(res: RelaxResult, params: LatticeParams, settle_tol: float):
     """The Newton root reached from the relaxed state res, as a settled
     RelaxResult at res's time, or None unless Newton converged to a Stable
     root whose flow norm is below settle_tol."""
-    with one_thread():
-        y, residual, outcome = newton_solve(res.state.pack()[None], params)
-        [report] = stability_classify(y, params)
+    y, residual, outcome = newton_solve(res.state.pack()[None], params)
+    [report] = stability_classify(y, params)
     if (outcome[0] != SeedOutcome.ROOT or report.verdict is not Verdict.Stable
             or not residual[0] < settle_tol):
         return None
@@ -291,16 +289,16 @@ def _write_csv(path, params: LatticeParams, extra: dict, header,
 
 def phase_diagram_csv(cells, spec: SweepSpec, path) -> None:
     """Columns: xi, g, n_stable, labels, marginal_flag, no_stable_state,
-    n_roots_total."""
+    n_roots_total; a failed cell's row is xi and g with the rest blank."""
     extra = {"rng_seed": spec.rng_seed,
              "xi_grid": f"{spec.xi_grid.min}:{spec.xi_grid.max}:{spec.xi_grid.steps}",
              "g_grid": f"{spec.g_grid.min}:{spec.g_grid.max}:{spec.g_grid.steps}"}
     _write_csv(path, spec.params_base, extra,
                ["xi", "g", "n_stable", "labels", "marginal_flag",
                 "no_stable_state", "n_roots_total"],
-               ([repr(c.xi), repr(c.g), len(c.classes),
-                 ";".join(sorted(kind for kind, _ in c.classes)),
-                 int(c.marginal_flag), int(not c.classes), c.n_roots_total]
+               ([repr(c.xi), repr(c.g)] + ([""] * 5 if c.error else
+                [len(c.classes), ";".join(sorted(kind for kind, _ in c.classes)),
+                 int(c.marginal_flag), int(not c.classes), c.n_roots_total])
                 for c in cells))
 
 

@@ -279,7 +279,7 @@ def _same_bits(x, ref):
 
 
 @pytest.mark.parametrize("bc", [PBC, OBC])
-@pytest.mark.parametrize("n", [2, 3, 30])
+@pytest.mark.parametrize("n", [2, 3, 30, 50])
 def test_packed_rhs_and_jacobian_match_block_formulas(bc, n):
     rng = np.random.default_rng(n)
     for g, kappa in ((0.6, 0.4), (0.0, 0.0), (1.3, 0.05)):
@@ -299,7 +299,7 @@ def test_packed_rhs_and_jacobian_match_block_formulas(bc, n):
 
 
 @pytest.mark.parametrize("bc", [PBC, OBC])
-@pytest.mark.parametrize("n", [2, 3, 30])
+@pytest.mark.parametrize("n", [2, 3, 30, 50])
 def test_stacked_rhs_and_jacobian_match_one_state_calls(bc, n):
     rng = np.random.default_rng(100 + n)
     rows = [_random_sphere_state(rng, n).pack() for _ in range(5)]

@@ -720,6 +720,18 @@ def test_find_all_runs_newton_on_one_blas_thread(two_blas_threads):
     assert at_two.orbit.tolist() == at_one.orbit.tolist()
 
 
+def test_newton_solve_runs_on_one_blas_thread(two_blas_threads):
+    # from N = 50 up a multi-threaded BLAS rounds the solves differently
+    params = LatticeParams(n_sites=50, kappa=0.4, xi=0.2, g=0.8, bc=PBC)
+    seeds, _ = _seed_list(params, N_RANDOM_SEEDS, np.random.default_rng(0))
+    at_two = newton_solve(seeds, params)
+    assert _blas.thread_counts() == two_blas_threads
+    with _blas.one_thread():
+        at_one = newton_solve(seeds, params)
+    for got, want in zip(at_two, at_one):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_one_thread_blocks_open_in_two_threads(two_blas_threads):
     # thread a enters, thread b enters, a leaves while b is still inside:
     # b must stay on one thread, and the counts come back when b leaves

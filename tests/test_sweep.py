@@ -167,10 +167,10 @@ def test_onset_cell_is_marginal_not_an_error():
     assert lit and all(rep.verdict is Verdict.Marginal for rep in lit)
 
 
-def test_free_photon_mode_cell_is_an_error():
+def test_free_photon_mode_cell_is_an_error(tmp_path):
     # open chain N = 2 at xi = omega_c = 1 and kappa = 0 has a free photon
     # mode: the root search raises, and the cell reads as failed, not as a
-    # cell without a stable state
+    # cell without a stable state, in the CSV too
     params = LatticeParams(n_sites=2, kappa=0.0, xi=1.0, omega_c=1.0, g=0.8,
                            bc=OBC)
     spec = SweepSpec(params_base=params, xi_grid=GridAxis(1.0, 1.0, 1),
@@ -179,6 +179,9 @@ def test_free_photon_mode_cell_is_an_error():
     assert cell.error.startswith("DomainError: ")
     assert "free photon mode" in cell.error
     assert cell.classes == () and cell.seed_metadata == {}
+    path = tmp_path / "phase.csv"
+    phase_diagram_csv([cell], spec, path)
+    assert path.read_text().splitlines()[2] == "1.0,0.8,,,,,"
 
 
 def test_phase_diagram_csv_layout(tmp_path, small_spec, small_cells):

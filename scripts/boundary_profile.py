@@ -27,7 +27,7 @@ def main():
                          (BoundaryCondition.Open, "profile_obc.csv")]:
             params = LatticeParams(n_sites=args.n, kappa=0.4, g=args.g, xi=0.2,
                                    bc=bc)
-            prof = site_profile(params, args.g)
+            prof = site_profile(params)
             path = os.path.join(args.out_dir, name)
             profile_csv(prof, params, path)
             amp = np.abs(prof.a)

@@ -64,7 +64,7 @@ def _pure(base):
 
 
 def _polished(base):
-    prof = sweep.site_profile(base, base.g)
+    prof = sweep.site_profile(base)
     return prof.a, prof.z
 
 

@@ -12,15 +12,14 @@ from .errors import (BisectionFailure, BoundaryError, DomainError, NotSettled,
 from .model import (BoundaryCondition, LatticeParams, MeanFieldState,
                     inverted_normal_state, normal_state, symmetry_orbit,
                     validate)
-from .spectrum import (ModeFrequencies, NPCritical, critical_coupling_hsrp,
-                       critical_coupling_np, critical_coupling_np_infinite,
-                       mode_frequencies, xi_stability_window)
+from .spectrum import (NPCritical, critical_coupling_hsrp, critical_coupling_np,
+                       critical_coupling_np_infinite, mode_frequencies,
+                       xi_stability_window)
 from .dynamics import (Trajectory, RelaxResult, hop_matrix, integrate,
                        jacobian_packed, perturbed_normal_state,
                        relax_to_steady, rhs_packed, rhs_sup_norm)
-from .steady_state import (NO_BRANCH, HomogeneityWitness, NoBranch,
-                           RootSearchResult, SeedOutcome, find_all,
-                           homogeneous_srp_branch, newton_solve,
+from .steady_state import (HomogeneityWitness, RootSearchResult, SeedOutcome,
+                           find_all, homogeneous_srp_branch, newton_solve,
                            no_homogeneous_witness)
 # the stability-report op stays at stability.classify: the top-level name
 # `classify` belongs to the pattern-label module

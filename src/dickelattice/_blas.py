@@ -23,11 +23,10 @@ import threading
 
 @functools.cache
 def _openblas():
-    """(set, get) thread-count functions of numpy's OpenBLAS, if found."""
+    """(set, get) thread-count functions of numpy's OpenBLAS, or None."""
     import numpy
 
     site = os.path.dirname(os.path.dirname(numpy.__file__))
-    found = []
     for path in sorted(glob.glob(os.path.join(site, "numpy.libs",
                                               "libscipy_openblas*"))):
         try:
@@ -38,44 +37,45 @@ def _openblas():
             continue
         setter.argtypes, setter.restype = [ctypes.c_int], None
         getter.argtypes, getter.restype = [], ctypes.c_int
-        found.append((setter, getter))
-    return found
+        return setter, getter
+    return None
 
 
-def thread_counts() -> list:
-    """Current thread count of each bundled OpenBLAS found."""
-    return [getter() for _, getter in _openblas()]
+def thread_count() -> int | None:
+    """The thread count of numpy's OpenBLAS, or None without it."""
+    blas = _openblas()
+    return blas[1]() if blas else None
 
 
-def set_thread_counts(counts) -> None:
-    """Set each bundled OpenBLAS found, in thread_counts order."""
-    for (setter, _), n in zip(_openblas(), counts):
-        setter(int(n))
+def set_thread_count(n) -> None:
+    """Put numpy's OpenBLAS, if found, on n threads."""
+    blas = _openblas()
+    if blas:
+        blas[0](int(n))
 
 
 def pin_one_thread() -> None:
-    """Put every bundled OpenBLAS on one thread (a pool initializer)."""
-    for setter, _ in _openblas():
-        setter(1)
+    """Put numpy's OpenBLAS on one thread (a pool initializer)."""
+    set_thread_count(1)
 
 
-# open one_thread blocks in this process, and the counts the first saw
-_pin = {"depth": 0, "before": []}
+# open one_thread blocks in this process, and the count the first saw
+_pin = {"depth": 0, "before": None}
 _pin_lock = threading.Lock()
 
 
 @contextlib.contextmanager
 def one_thread():
-    """One BLAS thread inside the block; the previous counts after it.
+    """One BLAS thread inside the block; the previous count after it.
 
     Blocks may nest and may be open in several Python threads at once:
-    the counts seen on entering the first open block are restored when
+    the count seen on entering the first open block is restored when
     the last open block exits, so none runs on more than one thread.
-    Counts set by hand while a block is open are overwritten then.
+    A count set by hand while a block is open is overwritten then.
     """
     with _pin_lock:
         if not _pin["depth"]:
-            _pin["before"] = thread_counts()
+            _pin["before"] = thread_count()
             pin_one_thread()
         _pin["depth"] += 1
     try:
@@ -84,4 +84,4 @@ def one_thread():
         with _pin_lock:
             _pin["depth"] -= 1
             if not _pin["depth"]:
-                set_thread_counts(_pin["before"])
+                set_thread_count(_pin["before"])

@@ -183,10 +183,10 @@ def cmd_dispersion(cfg: dict, params: LatticeParams) -> int:
     print(f"# dickelattice {__version__} dispersion n={params.n_sites} "
           f"bc={params.bc.value} omega_c={params.omega_c} xi={params.xi}")
     print("k omega_k")
-    for k, w in enumerate(modes.values, start=1):
+    for k, w in enumerate(modes, start=1):
         print(f"{k} {float(w)!r}")
     print(f"window ({lo!r}, {hi!r})")
-    if modes.min <= 0.0:
+    if modes.min() <= 0.0:
         print("WARNING: outside NP stability window (a mode frequency is <= 0)")
     return 0
 
@@ -268,9 +268,9 @@ def cmd_sweep(cfg: dict, params: LatticeParams) -> int:
     validate_rng_seed(cfg["rng_seed"])      # every mode takes the flag
     mode = cfg["mode"]
     if mode == "profile":
-        params_g = replace(params, g=cfg["g_cut"])
+        params_g = replace(params, g=float(cfg["g_cut"]))
         try:
-            profile = site_profile(params, cfg["g_cut"],
+            profile = site_profile(params_g,
                                    init_amplitude=cfg["init_amplitude"],
                                    t_end=cfg["t_end"],
                                    settle_tol=cfg["settle_tol"])
@@ -296,9 +296,9 @@ def cmd_sweep(cfg: dict, params: LatticeParams) -> int:
         what = "cells"
     else:                               # cut: its rows are phase cells
         g_values = GridAxis(cfg["g_min"], cfg["g_max"], cfg["g_steps"]).values()
-        cells = order_parameter_cut(params, cfg["xi"], g_values,
+        cells = order_parameter_cut(params, g_values,
                                     rng_seed=cfg["rng_seed"], workers=workers)
-        cut_csv(cells, params, cfg["xi"], cfg["out"])
+        cut_csv(cells, params, cfg["out"])
         what = "rows"
     _write_config(cfg, cfg["out"])
     n_bad = sum(1 for c in cells if c.error)

@@ -226,6 +226,17 @@ def state_from_jsonable(d: dict) -> MeanFieldState:
     missing = [k for k in _STATE_KEYS if k not in d]
     if missing:
         raise DomainError(f"state is missing keys {missing}")
-    a = np.asarray(d["re_a"], float) + 1j * np.asarray(d["im_a"], float)
-    s = np.asarray(d["re_s"], float) + 1j * np.asarray(d["im_s"], float)
-    return MeanFieldState(a=a, s=s, z=np.asarray(d["z"], float))
+    blocks = []
+    for key in _STATE_KEYS:
+        try:
+            block = np.asarray(d[key], float)
+        except (TypeError, ValueError):
+            block = None
+        if block is None or block.ndim != 1:
+            raise DomainError(f"state {key} must be a list of numbers")
+        if blocks and block.size != blocks[0].size:
+            raise DomainError(f"state {key} has {block.size} entries, "
+                              f"re_a has {blocks[0].size}")
+        blocks.append(block)
+    re_a, im_a, re_s, im_s, z = blocks
+    return MeanFieldState(a=re_a + 1j * im_a, s=re_s + 1j * im_s, z=z)

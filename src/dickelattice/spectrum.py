@@ -1,11 +1,11 @@
 """Photonic normal modes and closed-form critical couplings.
 
-Mode indexing is 1-based throughout (k = 1..N); values[k-1] holds mode k.
+Mode indexing is 1-based throughout (k = 1..N); entry k-1 of a frequency
+array holds mode k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -21,30 +21,14 @@ def mode_cosines(n_sites: int, bc: BoundaryCondition) -> np.ndarray:
     return np.cos(np.pi * k / (n_sites + 1))
 
 
-@dataclass(frozen=True)
-class ModeFrequencies:
-    values: np.ndarray
-    bc: BoundaryCondition
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self):
-        return self.values.size
-
-    @property
-    def min(self) -> float:
-        return float(np.min(self.values))
-
-
-def mode_frequencies(params: LatticeParams) -> ModeFrequencies:
+def mode_frequencies(params: LatticeParams) -> np.ndarray:
     """omega_k = omega_c - 2 xi cos(2 pi (k-1)/N) on the ring,
-    omega_c - 2 xi cos(pi k/(N+1)) on the open chain, k = 1..N."""
+    omega_c - 2 xi cos(pi k/(N+1)) on the open chain, k = 1..N, as a
+    read-only array."""
     validate(params)
-    cos = mode_cosines(params.n_sites, params.bc)
-    return ModeFrequencies(values=params.omega_c - 2.0 * params.xi * cos, bc=params.bc)
+    w = params.omega_c - 2.0 * params.xi * mode_cosines(params.n_sites, params.bc)
+    w.setflags(write=False)
+    return w
 
 
 def xi_stability_window(n_sites: int, omega_c: float, bc: BoundaryCondition):
@@ -74,7 +58,7 @@ def critical_coupling_np(params: LatticeParams) -> NPCritical:
     Requires every mode frequency positive.
     """
     validate(params)
-    w = mode_frequencies(params).values
+    w = mode_frequencies(params)
     if np.min(w) <= 0:
         raise UnstableWindowError(
             f"mode frequency min {np.min(w):.6g} <= 0 at xi={params.xi}: "
@@ -95,7 +79,7 @@ def critical_coupling_hsrp(params: LatticeParams) -> float:
     validate(params)
     if params.bc is not BoundaryCondition.Periodic:
         raise BoundaryError("homogeneous superradiant branch requires the ring geometry")
-    w = mode_frequencies(params).values
+    w = mode_frequencies(params)
     w1 = float(w[0])
     if w1 <= 0:
         raise UnstableWindowError(f"omega_1 = {w1:.6g} <= 0 at xi={params.xi}")

@@ -36,18 +36,6 @@ DEDUP_WINDOW_SLACK = 1e-8   # widens _dedup's search window past dedup_tol
 N_RANDOM_SEEDS = 64
 
 
-class NoBranch:
-    """Sentinel: the homogeneous branch does not exist at these parameters."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "NoBranch"
-
-
-NO_BRANCH = NoBranch()
-
-
 def homogeneous_srp_branch(params: LatticeParams):
     """Closed-form homogeneous superradiant pair on the ring.
 
@@ -61,7 +49,7 @@ def homogeneous_srp_branch(params: LatticeParams):
         a = +/- (omega_a / (4 g)) (1 + i kappa / w1) sqrt(1/(4 z^2) - 1)
 
     with both signs taken together (the two sign-flip partners).  Returns
-    the pair of MeanFieldState or the NO_BRANCH sentinel when |z| >= 1/2.
+    the pair of MeanFieldState, or () when |z| >= 1/2 or g = 0.
     """
     validate(params)
     if params.bc is not BoundaryCondition.Periodic:
@@ -73,10 +61,10 @@ def homogeneous_srp_branch(params: LatticeParams):
         raise UnstableWindowError(f"omega_1 = {w1:.6g} <= 0 at xi={params.xi}")
     g = params.g
     if g == 0:
-        return NO_BRANCH
+        return ()
     z = -(params.omega_a * w1 / (8.0 * g * g)) * (1.0 + params.kappa ** 2 / w1 ** 2)
     if abs(z) >= 0.5:
-        return NO_BRANCH
+        return ()
     amp = np.sqrt(1.0 / (4.0 * z * z) - 1.0)
     s = z * amp
     a = (params.omega_a / (4.0 * g)) * (1.0 + 1j * params.kappa / w1) * amp
@@ -419,9 +407,8 @@ def _seed_list(params, n_random_seeds, rng):
     tags = ["normal state", "inverted normal state"]
     if params.bc is BoundaryCondition.Periodic:
         branch = homogeneous_srp_branch(params)
-        if not isinstance(branch, NoBranch):
-            rows += [state.pack() for state in branch]
-            tags += ["analytic branch"] * len(branch)
+        rows += [state.pack() for state in branch]
+        tags += ["analytic branch"] * len(branch)
     templates = _dressed_seeds(_profiles(params), _AMPLITUDES, params)
     tags += ["template"] * len(templates)
 

@@ -133,21 +133,22 @@ def phase_diagram(spec: SweepSpec, workers: int = 1):
     return _cells(points, spec.params_base, spec.rng_seed, workers)
 
 
-def order_parameter_cut(params_base: LatticeParams, xi: float, g_values, *,
+def order_parameter_cut(params: LatticeParams, g_values, *,
                         rng_seed: int = 0, workers: int = 1):
-    """One PhaseCell per g along a fixed-xi cut inside the normal-state
-    stability window, row j seeded as the cell (0, j) of a phase grid and
-    run as phase_diagram runs its cells.  Each row keeps the site
-    amplitudes of every stable class, so multistable ranges stay visible."""
-    validate(params_base)
+    """One PhaseCell per g along the cut at params.xi, which must lie
+    inside the normal-state stability window (params.g is ignored); row j
+    is seeded as the cell (0, j) of a phase grid and run as phase_diagram
+    runs its cells.  Each row keeps the site amplitudes of every stable
+    class, so multistable ranges stay visible."""
+    validate(params)
     validate_rng_seed(rng_seed)
-    lo, hi = xi_stability_window(params_base.n_sites, params_base.omega_c,
-                                 params_base.bc)
-    if not lo < xi < hi:
-        raise DomainError(
-            f"xi={xi} outside the stability window ({lo:.6g}, {hi:.6g})")
-    points = [(0, j, xi, g) for j, g in enumerate(np.asarray(g_values, float))]
-    return _cells(points, params_base, rng_seed, workers)
+    lo, hi = xi_stability_window(params.n_sites, params.omega_c, params.bc)
+    if not lo < params.xi < hi:
+        raise DomainError(f"xi={params.xi} outside the stability window "
+                          f"({lo:.6g}, {hi:.6g})")
+    points = [(0, j, params.xi, g)
+              for j, g in enumerate(np.asarray(g_values, float))]
+    return _cells(points, params, rng_seed, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +216,11 @@ def profile_start(params: LatticeParams,
         _dressed_seeds([np.ones(params.n_sites)], [init_amplitude], params)[0])
 
 
-def site_profile(params_base: LatticeParams, g: float,
+def site_profile(params: LatticeParams,
                  init_amplitude: float = INIT_AMPLITUDE, t_end: float = T_MAX, *,
                  settle_tol: float = PROFILE_SETTLE_TOL) -> SiteProfile:
-    """Relax a spatially homogeneous initial amplitude (profile_start) and
-    read the profile.
+    """Relax a spatially homogeneous initial amplitude (profile_start) at
+    params and read the profile.
 
     The flow relaxes to the first checkpoint where its sup norm is below
     POLISH_TOL, and Newton polishes that state.  The root is kept if
@@ -232,7 +233,6 @@ def site_profile(params_base: LatticeParams, g: float,
     init_amplitude that is not finite or a t_end that is not finite and
     positive.
     """
-    params = replace(params_base, g=float(g))
     validate(params)
     if not np.isfinite(init_amplitude):
         raise DomainError(
@@ -302,11 +302,11 @@ def phase_diagram_csv(cells, spec: SweepSpec, path) -> None:
                 for c in cells))
 
 
-def cut_csv(rows, params_base: LatticeParams, xi: float, path) -> None:
+def cut_csv(rows, params: LatticeParams, path) -> None:
     """Columns: g, then |a_1|..|a_N| per branch, blank in a row without
     it.  A branch is a class kind; a row's second class of one kind is
     the branch kind#2, its third kind#3."""
-    n = params_base.n_sites
+    n = params.n_sites
     branches = []       # per row: branch -> |a_j|
     for row in rows:
         seen, amps = Counter(), {}
@@ -321,7 +321,7 @@ def cut_csv(rows, params_base: LatticeParams, xi: float, path) -> None:
         for key in keys:
             line += [repr(x) for x in amps[key]] if key in amps else [""] * n
         lines.append(line)
-    _write_csv(path, replace(params_base, xi=xi), {"cut": "fixed xi"},
+    _write_csv(path, params, {"cut": "fixed xi"},
                ["g"] + [f"{key}_abs_a_{j}" for key in keys
                         for j in range(1, n + 1)], lines)
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from dickelattice.model import (BoundaryCondition, MeanFieldState,
                                 inverted_normal_state, normal_state)
-from dickelattice.steady_state import (_AMPLITUDES, NoBranch, _profiles,
+from dickelattice.steady_state import (_AMPLITUDES, _profiles,
                                        homogeneous_srp_branch)
 
 
@@ -39,9 +39,8 @@ def seed_list(params, n_random_seeds, rng):
     seeds = [(normal_state(n), "normal state"),
              (inverted_normal_state(n), "inverted normal state")]
     if params.bc is BoundaryCondition.Periodic:
-        branch = homogeneous_srp_branch(params)
-        if not isinstance(branch, NoBranch):
-            seeds += [(state, "analytic branch") for state in branch]
+        seeds += [(state, "analytic branch")
+                  for state in homogeneous_srp_branch(params)]
     for prof in _profiles(params):
         for amp in _AMPLITUDES:
             seeds.append((dressed_seed(prof, amp, params), "template"))

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from dickelattice import (BoundaryCondition, LatticeParams, MeanFieldState,
-                          NO_BRANCH, bisect_np_threshold,
+                          bisect_np_threshold,
                           critical_coupling_hsrp, critical_coupling_np,
                           critical_coupling_np_infinite, find_all,
                           homogeneous_srp_branch, integrate, jacobian_packed,
@@ -108,7 +108,7 @@ def test_criterion_02_branch_residual():
         g = float(g_hom * rng.uniform(1.05, 2.5))
         params = LatticeParams(**BASE, g=g, xi=xi, bc=PBC)
         branch = homogeneous_srp_branch(params)
-        assert branch is not NO_BRANCH
+        assert len(branch) == 2
         for state in branch:
             worst = max(worst, rhs_sup_norm(state, params))
     _report(2, worst < 1e-10,
@@ -121,7 +121,7 @@ def test_criterion_03_branch_stability_boundary():
 
     def branch_is_stable(g):
         branch = homogeneous_srp_branch(replace(params, g=g))
-        if branch is NO_BRANCH:
+        if not branch:
             return False
         [rep] = stability_classify(branch[0].pack()[None], replace(params, g=g))
         return rep.verdict is Verdict.Stable
@@ -301,9 +301,9 @@ def test_criterion_08_open_chain_multistability():
 def test_criterion_09_boundary_site_profile():
     base = dict(n_sites=50, omega_c=1.0, omega_a=1.0, kappa=0.4, g=0.5,
                 xi=0.2)
-    prof_ring = site_profile(LatticeParams(**base, bc=PBC), 0.6,
+    prof_ring = site_profile(replace(LatticeParams(**base, bc=PBC), g=0.6),
                              settle_tol=1e-6)
-    prof_open = site_profile(LatticeParams(**base, bc=OBC), 0.6,
+    prof_open = site_profile(replace(LatticeParams(**base, bc=OBC), g=0.6),
                              settle_tol=1e-6)
     amp = np.abs(prof_open.a)
     med = float(np.median(amp))

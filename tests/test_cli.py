@@ -209,6 +209,18 @@ NEGATIVE_SEED = "rng_seed must be >= 0, got -1"
      {"re_a": [float("nan"), 0, 0], "im_a": [0, 0, 0], "re_s": [0, 0, 0],
       "im_s": [0, 0, 0], "z": [-0.5, -0.5, -0.5]},
      "initial state must be finite"),
+    (["trajectory", "--init", IN], None,
+     {"re_a": ["x", 0, 0], "im_a": [0, 0, 0], "re_s": [0, 0, 0],
+      "im_s": [0, 0, 0], "z": [-0.5, -0.5, -0.5]},
+     "state re_a must be a list of numbers"),
+    (["trajectory", "--init", IN], None,
+     {"re_a": {"a": 1}, "im_a": [0, 0, 0], "re_s": [0, 0, 0],
+      "im_s": [0, 0, 0], "z": [-0.5, -0.5, -0.5]},
+     "state re_a must be a list of numbers"),
+    (["trajectory", "--init", IN], None,
+     {"re_a": [0, 0, 0], "im_a": [0.01], "re_s": [0, 0, 0],
+      "im_s": [0, 0, 0], "z": [-0.5, -0.5, -0.5]},
+     "state im_a has 1 entries, re_a has 3"),
     (["steady", "--rng-seed", "-1"], None, None, NEGATIVE_SEED),
     (["trajectory", "--rng-seed", "-1"], None, None, NEGATIVE_SEED),
     (SWEEP_1x1 + ["--rng-seed", "-1"], None, None, NEGATIVE_SEED),
@@ -245,7 +257,8 @@ NEGATIVE_SEED = "rng_seed must be >= 0, got -1"
         "profile-negative-t-end", "negative-dedup-tol",
         "profile-infinite-settle-tol", "profile-infinite-t-end",
         "trajectory-infinite-t-end", "infinite-dedup-tol", "init-missing-keys",
-        "init-not-object", "init-nan", "steady-negative-rng-seed",
+        "init-not-object", "init-nan", "init-text-entry", "init-object-entry",
+        "init-short-block", "steady-negative-rng-seed",
         "trajectory-negative-rng-seed", "phase-negative-rng-seed",
         "cut-negative-rng-seed", "profile-negative-rng-seed", "phase-nan-xi-max",
         "cut-nan-g-min", "phase-infinite-g-max", "trajectory-nan-scale",
@@ -314,25 +327,25 @@ def test_main_runs_on_one_blas_thread_and_restores(two_blas_threads,
     seen = []
 
     def probe(cfg, params):
-        seen.append(_blas.thread_counts())
+        seen.append(_blas.thread_count())
         if params.n_sites == 4:
             raise DomainError("probe failure")
         return 0
 
     monkeypatch.setattr(cli, "cmd_dispersion", probe)
     assert main(["dispersion"]) == 0
-    assert _blas.thread_counts() == two_blas_threads
+    assert _blas.thread_count() == two_blas_threads
     assert main(["dispersion", "--n", "4"]) == 2      # an error exit restores too
-    assert _blas.thread_counts() == two_blas_threads
-    assert seen == [[1] * len(two_blas_threads)] * 2
+    assert _blas.thread_count() == two_blas_threads
+    assert seen == [1, 1]
 
 
 _COMPUTE_CELL = sweep._compute_cell
 
 
 def _probed_cell(job):
-    """A sweep cell, with the pid and BLAS thread counts it ran under."""
-    return os.getpid(), _blas.thread_counts(), _COMPUTE_CELL(job)
+    """A sweep cell, with the pid and BLAS thread count it ran under."""
+    return os.getpid(), _blas.thread_count(), _COMPUTE_CELL(job)
 
 
 def test_phase_diagram_workers_run_on_one_blas_thread(two_blas_threads,
@@ -349,5 +362,5 @@ def test_phase_diagram_workers_run_on_one_blas_thread(two_blas_threads,
     probed = phase_diagram(spec, workers=2)
     assert [cell.error for _, _, cell in probed] == ["", ""]
     assert os.getpid() not in {pid for pid, _, _ in probed}
-    assert [counts for _, counts, _ in probed] == [[1] * len(two_blas_threads)] * 2
-    assert _blas.thread_counts() == two_blas_threads
+    assert [count for _, count, _ in probed] == [1, 1]
+    assert _blas.thread_count() == two_blas_threads

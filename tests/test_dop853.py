@@ -89,9 +89,9 @@ def test_relaxations_match_solve_ivp(n, bc, g, t_max, monkeypatch):
         == (theirs.settled, theirs.t_final, theirs.rhs_norm)
 
 
-def _profile(params, g):
+def _profile(params):
     try:
-        return site_profile(params, g)
+        return site_profile(params)
     except NotSettled as exc:
         return exc.profile
 
@@ -103,7 +103,7 @@ def _profile(params, g):
     (PBC, 0.2, 0.8)])                       # NotSettled at t = 400
 def test_site_profiles_match_solve_ivp(bc, xi, g, monkeypatch):
     params = LatticeParams(n_sites=50, kappa=0.4, xi=xi, g=g, bc=bc)
-    mine, theirs = _both(lambda: _profile(params, g), monkeypatch)
+    mine, theirs = _both(lambda: _profile(params), monkeypatch)
     assert _same_bits(mine.a, theirs.a) and _same_bits(mine.z, theirs.z)
     assert (mine.settled, mine.t_final, mine.homogeneity) \
         == (theirs.settled, theirs.t_final, theirs.homogeneity)

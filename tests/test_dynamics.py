@@ -218,7 +218,7 @@ def test_site_profile_flow_calls(monkeypatch):
     # the profile relaxes to t = 25 and Newton polishes it: 1,039 flow
     # calls of the integrator and 5 of Newton
     calls = _count_flow_calls(monkeypatch, dynamics, steady_state)
-    profile = site_profile(PROFILE_50, 0.6)
+    profile = site_profile(PROFILE_50)
     assert profile.settled and profile.t_final == 25.0
     assert len(calls) <= 1_100
 

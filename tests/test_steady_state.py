@@ -7,8 +7,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from dickelattice import (NO_BRANCH, BoundaryCondition, BoundaryError,
-                          DomainError, GridAxis, LatticeParams,
+from dickelattice import (BoundaryCondition, BoundaryError, DomainError,
+                          GridAxis, LatticeParams,
                           MeanFieldState, SeedOutcome, ShapeError,
                           UnstableWindowError,
                           critical_coupling_np, find_all,
@@ -52,12 +52,12 @@ def test_branch_exists_only_above_threshold():
     g_c = critical_coupling_np(P).g_c
     below = homogeneous_srp_branch(
         LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.999 * g_c, bc=PBC))
-    assert below is NO_BRANCH
+    assert below == ()
     above = homogeneous_srp_branch(
         LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=1.001 * g_c, bc=PBC))
-    assert above is not NO_BRANCH
+    assert len(above) == 2
     assert homogeneous_srp_branch(
-        LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.0, bc=PBC)) is NO_BRANCH
+        LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.0, bc=PBC)) == ()
 
 
 def test_branch_boundary_and_window_errors():
@@ -79,7 +79,7 @@ def test_branch_residual_random_points():
         g = rng.uniform(g_hom + 0.01, max(2.0, g_hom + 1.0))
         params = LatticeParams(n_sites=3, kappa=0.4, xi=xi, g=g, bc=PBC)
         branch = homogeneous_srp_branch(params)
-        assert branch is not NO_BRANCH
+        assert len(branch) == 2
         for state in branch:
             assert rhs_sup_norm(state, params) < 1e-10
 
@@ -712,7 +712,7 @@ def test_find_all_runs_newton_on_one_blas_thread(two_blas_threads):
     at_two = find_all(params, rng_seed=0)
     with _blas.one_thread():
         at_one = find_all(params, rng_seed=0)
-    assert _blas.thread_counts() == two_blas_threads
+    assert _blas.thread_count() == two_blas_threads
     assert at_two.seed_metadata == at_one.seed_metadata
     assert at_two.roots.tobytes() == at_one.roots.tobytes()
     assert at_two.residual.tobytes() == at_one.residual.tobytes()
@@ -725,7 +725,7 @@ def test_newton_solve_runs_on_one_blas_thread(two_blas_threads):
     params = LatticeParams(n_sites=50, kappa=0.4, xi=0.2, g=0.8, bc=PBC)
     seeds, _ = _seed_list(params, N_RANDOM_SEEDS, np.random.default_rng(0))
     at_two = newton_solve(seeds, params)
-    assert _blas.thread_counts() == two_blas_threads
+    assert _blas.thread_count() == two_blas_threads
     with _blas.one_thread():
         at_one = newton_solve(seeds, params)
     for got, want in zip(at_two, at_one):
@@ -734,7 +734,7 @@ def test_newton_solve_runs_on_one_blas_thread(two_blas_threads):
 
 def test_one_thread_blocks_open_in_two_threads(two_blas_threads):
     # thread a enters, thread b enters, a leaves while b is still inside:
-    # b must stay on one thread, and the counts come back when b leaves
+    # b must stay on one thread, and the count comes back when b leaves
     a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
     seen = []
 
@@ -749,15 +749,15 @@ def test_one_thread_blocks_open_in_two_threads(two_blas_threads):
         with _blas.one_thread():
             b_in.set()
             a_out.wait(60)
-            seen.append(_blas.thread_counts())
+            seen.append(_blas.thread_count())
 
     threads = [threading.Thread(target=a), threading.Thread(target=b)]
     for t in threads:
         t.start()
     for t in threads:
         t.join(60)
-    assert seen == [[1] * len(two_blas_threads)]
-    assert _blas.thread_counts() == two_blas_threads
+    assert seen == [1]
+    assert _blas.thread_count() == two_blas_threads
 
 
 def test_find_all_from_two_threads(two_blas_threads):
@@ -779,7 +779,7 @@ def test_find_all_from_two_threads(two_blas_threads):
     for t in threads:
         t.join(120)
     assert got == {0: want, 1: want}
-    assert _blas.thread_counts() == two_blas_threads
+    assert _blas.thread_count() == two_blas_threads
 
 
 def test_inversion_post_check_rejects_converged_seeds(monkeypatch):

@@ -53,12 +53,12 @@ def test_sweeps_reject_a_negative_seed_before_any_cell(monkeypatch):
     with pytest.raises(DomainError, match="rng_seed must be >= 0, got -1"):
         phase_diagram(replace(GRID_2X2, rng_seed=-1))
     with pytest.raises(DomainError, match="rng_seed must be >= 0, got -1"):
-        order_parameter_cut(BASE, 0.2, [0.5], rng_seed=-1)
+        order_parameter_cut(BASE, [0.5], rng_seed=-1)
 
 
 @pytest.mark.parametrize("call, name, value", [
     (lambda: phase_diagram(replace(GRID_2X2, rng_seed=1.5)), "rng_seed", 1.5),
-    (lambda: order_parameter_cut(BASE, 0.2, [0.5], rng_seed=1.5),
+    (lambda: order_parameter_cut(BASE, [0.5], rng_seed=1.5),
      "rng_seed", 1.5),
     (lambda: find_all(BASE, rng_seed=1.5), "rng_seed", 1.5),
     (lambda: find_all(BASE, rng_seed=True), "rng_seed", True),
@@ -154,7 +154,7 @@ def test_onset_cell_is_marginal_not_an_error():
     spec = SweepSpec(params_base=params, xi_grid=GridAxis(0.48, 0.48, 1),
                      g_grid=GridAxis(g, g, 1))
     [cell] = phase_diagram(spec)
-    [row] = order_parameter_cut(params, 0.48, [g])
+    [row] = order_parameter_cut(params, [g])
     assert cell.classes == () and row.classes == ()
     assert cell.marginal_flag and row.marginal_flag
     assert cell.error == "" and row.error == ""
@@ -198,11 +198,11 @@ def test_phase_diagram_csv_layout(tmp_path, small_spec, small_cells):
 
 def test_cut_rejects_xi_outside_window():
     with pytest.raises(DomainError):
-        order_parameter_cut(BASE, 0.6, [0.5])
+        order_parameter_cut(replace(BASE, xi=0.6), [0.5])
 
 
 def test_cut_branches_and_csv(tmp_path):
-    rows = order_parameter_cut(BASE, 0.2, [0.4, 0.6])
+    rows = order_parameter_cut(BASE, [0.4, 0.6])
     assert [r.g for r in rows] == [0.4, 0.6]
     assert rows[0].error == "" and rows[1].error == ""
     [(kind, abs_a)] = rows[0].classes
@@ -214,7 +214,7 @@ def test_cut_branches_and_csv(tmp_path):
     assert np.max(np.abs(np.array(abs_a) - np.abs(plus.a))) < 1e-9
 
     path = tmp_path / "cut.csv"
-    cut_csv(rows, BASE, 0.2, path)
+    cut_csv(rows, BASE, path)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# dickelattice ")
     header = lines[1].split(",")
@@ -226,7 +226,7 @@ def test_cut_branches_and_csv(tmp_path):
     assert float(row1["P1_abs_a_1"]) == pytest.approx(np.abs(plus.a[0]))
 
     # the tristable open-chain point of test_stable_class_sets_at_reference_points
-    [row_o] = order_parameter_cut(replace(BASE, bc=OBC), 0.2, [0.8])
+    [row_o] = order_parameter_cut(replace(BASE, bc=OBC), [0.8])
     assert row_o.error == ""
     assert sorted(_kinds(row_o)) == ["O1", "O3", "O4"]
 
@@ -241,7 +241,7 @@ def test_cut_csv_numbers_classes_of_one_kind(tmp_path):
             PhaseCell(xi=0.2, g=0.8, classes=(), n_roots_total=0,
                       marginal_flag=False, seed_metadata={}, error="failed")]
     path = tmp_path / "cut.csv"
-    cut_csv(rows, replace(BASE, n_sites=2), 0.2, path)
+    cut_csv(rows, replace(BASE, n_sites=2), path)
     assert path.read_text().splitlines()[1:] == [
         "g,O1_abs_a_1,O1_abs_a_2,O1#2_abs_a_1,O1#2_abs_a_2,"
         "O3_abs_a_1,O3_abs_a_2",
@@ -253,7 +253,7 @@ def test_cut_rows_are_the_cells_of_a_one_row_grid():
     g_values = np.linspace(0.4, 0.8, 3)
     spec = SweepSpec(params_base=BASE, xi_grid=GridAxis(0.2, 0.2, 1),
                      g_grid=GridAxis(0.4, 0.8, 3), rng_seed=7)
-    rows = order_parameter_cut(BASE, 0.2, g_values, rng_seed=7)
+    rows = order_parameter_cut(BASE, g_values, rng_seed=7)
     assert rows == phase_diagram(spec)
     assert [row.classes[0][0] for row in rows] == ["NP", "P1", "P1"]
 
@@ -280,8 +280,8 @@ def test_critical_line_scan_records_failures():
 
 
 def test_site_profile_ring_is_homogeneous():
-    params = LatticeParams(n_sites=6, kappa=0.4, xi=0.2, g=0.5, bc=PBC)
-    prof = site_profile(params, 0.6, settle_tol=1e-6)
+    params = LatticeParams(n_sites=6, kappa=0.4, xi=0.2, g=0.6, bc=PBC)
+    prof = site_profile(params, settle_tol=1e-6)
     assert prof.settled
     assert prof.homogeneity < 1e-8
     plus, _ = homogeneous_srp_branch(
@@ -291,9 +291,9 @@ def test_site_profile_ring_is_homogeneous():
 
 
 def test_site_profile_not_settled_carries_partial(tmp_path):
-    params = LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.5, bc=PBC)
+    params = LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.6, bc=PBC)
     with pytest.raises(NotSettled) as exc:
-        site_profile(params, 0.6, t_end=5.0, settle_tol=1e-12)
+        site_profile(params, t_end=5.0, settle_tol=1e-12)
     prof = exc.value.profile
     assert prof is not None
     assert not prof.settled
@@ -314,7 +314,7 @@ def test_site_profile_polish_settles_a_slow_relaxation():
     params = LatticeParams(n_sites=3, kappa=0.4, xi=0.0, g=0.8, bc=PBC)
     state0 = profile_start(params)
     assert not relax_to_steady(state0, params, settle_tol=1e-6).settled
-    prof = site_profile(params, 0.8)
+    prof = site_profile(params)
     assert prof.settled and prof.t_final < 400.0
     far = relax_to_steady(state0, params, t_max=1000.0, settle_tol=1e-6)
     assert far.settled
@@ -332,7 +332,7 @@ def test_site_profile_refused_polish_is_the_pure_relaxation(monkeypatch):
 
     monkeypatch.setattr(sweep, "stability_classify", unstable)
     params = LatticeParams(n_sites=6, kappa=0.4, xi=0.2, g=0.6, bc=PBC)
-    prof = site_profile(params, 0.6)
+    prof = site_profile(params)
     assert polished == [1]
     res = relax_to_steady(profile_start(params), params,
                           settle_tol=PROFILE_SETTLE_TOL)

@@ -20,9 +20,8 @@ which holds each command's exit code and its stdout and stderr.  The set:
 The outputs are named relative to the directory, so the configs of two
 runs name the same files.  The 2-worker sweeps fork the process's worker
 pool; the cuts that follow run whole rows on it, and the steady points
-of N >= 26 their verdict stacks (one worker per CPU unless DLP_WORKERS
-says otherwise; Newton stacks stay in-process below N = 65), and it is
-shut down at the end.  Pin BLAS to one thread for comparable
+of N >= 26 their Newton and verdict stacks (one worker per CPU unless
+DLP_WORKERS says otherwise), and it is shut down at the end.  Pin BLAS to one thread for comparable
 bytes:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/byte_check.py DIR

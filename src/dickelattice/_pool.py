@@ -2,9 +2,9 @@
 mapped over it.
 
 Phase sweeps run their cells on the pool, and a large lattice's root
-search runs its verdict and Newton stacks on it once each stack holds
-one matrix (STACK_BYTES).  Every worker runs BLAS on one thread; the
-pool is the parallelism.
+search runs its verdict and Newton stacks on it once a verdict stack
+holds one matrix (N >= 26, STACK_BYTES).  Every worker runs BLAS on one
+thread; the pool is the parallelism.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ _pools = {}
 
 # Matrix bytes of one stack of Newton solves or verdicts (256 KiB).  A
 # Newton stack holds 2N x 2N matrices (~900 seeds at N = 3, 9 at N = 30),
-# a verdict stack 5N x 5N Jacobians (~145 at N = 3, 13 at N = 10).  The
-# stacks hold one matrix each, and so go to the pool, from N = 26 for
-# verdicts and from N = 65 for Newton.  Larger lattices gain nothing from
+# a verdict stack 5N x 5N Jacobians (~145 at N = 3, 13 at N = 10).  From
+# N = 26 a verdict stack holds one Jacobian, and from there both kinds of
+# stack go to the pool (map_stacks).  Larger lattices gain nothing from
 # stacking BLAS-bound solves, and 2 MiB stacks raised the peak resident
 # memory of the large_n benchmark (N = 30 and 50) by 0.5 MB.
 STACK_BYTES = 2 ** 18
@@ -82,21 +82,25 @@ def shutdown_pool() -> None:
     pool.shutdown()
 
 
-def map_stacks(func, rows, order: int, workers: int, *args) -> list:
+def map_stacks(func, rows, order: int, n_sites: int, workers: int,
+               *args) -> list:
     """[func(stack, *args) for stack in the stacks of rows], where each
     stack holds as many rows as order x order matrices fit in STACK_BYTES.
 
-    The stacks run on the worker pool when workers > 1, each stack holds
-    a single matrix (a BLAS-bound eigendecomposition or chain of solves)
-    and there is more than one of them; otherwise here, in order, where
-    func may write into its stack.  Smaller lattices stay here: their
-    stacks are cheap, and a one-shot command would pay more for forking
-    the pool than it saves.  func must be a module-level function, so
-    that a worker can unpickle it, and must not reach the pool itself.
+    The stacks run on the worker pool when workers > 1, there is more
+    than one of them and a verdict stack of the lattice of n_sites holds
+    a single 5N x 5N Jacobian (N >= 26): there the verdicts are
+    BLAS-bound eigendecompositions and the Newton stacks (9 seeds at
+    N = 30) chains of BLAS-bound solves.  Otherwise they run here, in
+    order, where func may write into its stack.  Smaller lattices stay
+    here: their stacks are cheap, and a one-shot command would pay more
+    for forking the pool than it saves.  func must be a module-level
+    function, so that a worker can unpickle it, and must not reach the
+    pool itself.
     """
     size = stack_size(order)
     stacks = [rows[s:s + size] for s in range(0, len(rows), size)]
-    if workers > 1 and size == 1 and len(stacks) > 1:
+    if workers > 1 and stack_size(5 * n_sites) == 1 and len(stacks) > 1:
         # four stacks a task: fewer round trips through the call queue,
         # and the workers still end within a few stacks of each other
         return list(worker_pool(workers).map(

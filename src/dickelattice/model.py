@@ -228,12 +228,12 @@ def state_from_jsonable(d: dict) -> MeanFieldState:
         raise DomainError(f"state is missing keys {missing}")
     blocks = []
     for key in _STATE_KEYS:
-        try:
-            block = np.asarray(d[key], float)
-        except (TypeError, ValueError):
-            block = None
-        if block is None or block.ndim != 1:
+        # JSON numbers only: no quoted number, no boolean
+        if not (isinstance(d[key], list) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in d[key])):
             raise DomainError(f"state {key} must be a list of numbers")
+        block = np.array(d[key], float)
         if blocks and block.size != blocks[0].size:
             raise DomainError(f"state {key} has {block.size} entries, "
                               f"re_a has {blocks[0].size}")

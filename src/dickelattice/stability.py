@@ -96,13 +96,12 @@ def classify(rows, params: LatticeParams, workers: int = 1) -> list:
     from the 4N eigenvalues of its projected Jacobian.  An abscissa within
     EPS_MARGINAL of 0 gives Marginal.  The matrices go to eigvals in
     stacks of 5N x 5N Jacobians, which _pool.map_stacks sizes and, with
-    workers > 1 on a large lattice, runs on the process's worker pool,
-    with the same bits.
+    workers > 1 from N = 26 up, runs on the process's worker pool, with
+    the same bits.
     """
-    y = np.asarray(rows, dtype=float)
+    y, n = np.asarray(rows, dtype=float), params.n_sites
     return [_report(w) for stack in map_stacks(
-        _stack_eigvals, y, 5 * params.n_sites, workers, params)
-        for w in stack]
+        _stack_eigvals, y, 5 * n, n, workers, params) for w in stack]
 
 
 def _stack_eigvals(rows, params):

@@ -308,9 +308,10 @@ def newton_solve(seeds, params: LatticeParams, *, workers: int = 1):
     A^2 + kappa^2, M is singular exactly when J is.
 
     seeds is a stack of packed states (S, 5N), solved in stacks of
-    matrices M, which _pool.map_stacks sizes and, with workers > 1 on a
-    large lattice, runs on the process's worker pool; each seed takes
-    exactly the steps it would take alone, with the same bits.  BLAS
+    matrices M, which _pool.map_stacks sizes and, with workers > 1 from
+    N = 26 up (9 seeds a stack at N = 30), runs on the process's worker
+    pool, as it does the verdict stacks of the same lattice; each seed
+    takes exactly the steps it would take alone, with the same bits.  BLAS
     runs on one thread inside the call, whatever the caller's threading,
     so from N = 50 up the rows do not depend on it either.  Returns
     (y, residual, outcome): the final row of each seed (S, 5N), the sup
@@ -339,9 +340,9 @@ def newton_solve(seeds, params: LatticeParams, *, workers: int = 1):
 
     t_hop = hop_matrix(params)
     with one_thread():
-        stacks = map_stacks(_newton_stack, y, 2 * n, workers, params, t_hop,
-                            _photon_solvers(params, t_hop), NEWTON_TOL,
-                            MAX_ITER, DAMPING)
+        stacks = map_stacks(_newton_stack, y, 2 * n, n, workers, params,
+                            t_hop, _photon_solvers(params, t_hop),
+                            NEWTON_TOL, MAX_ITER, DAMPING)
         outcome = np.full(len(y), SeedOutcome.ROOT, dtype=int)
         if stacks:
             y = np.concatenate([rows for rows, _ in stacks])

@@ -216,8 +216,8 @@ def profile_start(params: LatticeParams,
         _dressed_seeds([np.ones(params.n_sites)], [init_amplitude], params)[0])
 
 
-def site_profile(params: LatticeParams,
-                 init_amplitude: float = INIT_AMPLITUDE, t_end: float = T_MAX, *,
+def site_profile(params: LatticeParams, *,
+                 init_amplitude: float = INIT_AMPLITUDE, t_end: float = T_MAX,
                  settle_tol: float = PROFILE_SETTLE_TOL) -> SiteProfile:
     """Relax a spatially homogeneous initial amplitude (profile_start) at
     params and read the profile.

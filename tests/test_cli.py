@@ -4,8 +4,8 @@ import os
 import pytest
 
 from dickelattice import (BoundaryCondition, DomainError, GridAxis,
-                          LatticeParams, SweepSpec, _blas, cli, phase_diagram,
-                          sweep)
+                          LatticeParams, SweepSpec, _blas, cli, find_all,
+                          phase_diagram, root_dossier, sweep)
 from dickelattice.cli import main
 from dickelattice.dynamics import MAX_RECORDS, T_MAX
 
@@ -73,6 +73,25 @@ def test_steady_out_file(tmp_path, capsys):
     dossier = json.loads(out.read_text())
     assert dossier["stable_classes"] == {"P1": 1}
     assert (tmp_path / "dossier.config.json").exists()
+
+
+def test_steady_out_file_is_stdout(tmp_path, capsys, monkeypatch):
+    # the file is streamed and stdout printed whole: the same bytes, the
+    # dossier's indented JSON and a newline
+    monkeypatch.delenv("DLP_WORKERS", raising=False)
+    argv = ["steady", "--bc", "obc", "--xi", "0.2", "--g", "0.8",
+            "--n-random-seeds", "8"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "dossier.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    params = LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.8,
+                           bc=BoundaryCondition.Open)
+    with _blas.one_thread():        # as the command line runs it
+        dossier = root_dossier(params, find_all(params, n_random_seeds=8))
+    want = json.dumps(dossier, indent=2, sort_keys=True) + "\n"
+    assert out.read_text() == printed == want
 
 
 # one small run per command and sweep mode, each rerun from its config
@@ -214,6 +233,14 @@ NEGATIVE_SEED = "rng_seed must be >= 0, got -1"
       "im_s": [0, 0, 0], "z": [-0.5, -0.5, -0.5]},
      "state re_a must be a list of numbers"),
     (["trajectory", "--init", IN], None,
+     {"re_a": ["0.5", "1e-1", 0], "im_a": [0, 0, 0], "re_s": [0, 0, 0],
+      "im_s": [0, 0, 0], "z": [-0.5, -0.5, -0.5]},
+     "state re_a must be a list of numbers"),
+    (["trajectory", "--init", IN], None,
+     {"re_a": [0, 0, 0], "im_a": [0, 0, 0], "re_s": [True, 0, 0],
+      "im_s": [0, 0, 0], "z": [-0.5, -0.5, -0.5]},
+     "state re_s must be a list of numbers"),
+    (["trajectory", "--init", IN], None,
      {"re_a": {"a": 1}, "im_a": [0, 0, 0], "re_s": [0, 0, 0],
       "im_s": [0, 0, 0], "z": [-0.5, -0.5, -0.5]},
      "state re_a must be a list of numbers"),
@@ -257,7 +284,8 @@ NEGATIVE_SEED = "rng_seed must be >= 0, got -1"
         "profile-negative-t-end", "negative-dedup-tol",
         "profile-infinite-settle-tol", "profile-infinite-t-end",
         "trajectory-infinite-t-end", "infinite-dedup-tol", "init-missing-keys",
-        "init-not-object", "init-nan", "init-text-entry", "init-object-entry",
+        "init-not-object", "init-nan", "init-text-entry", "init-quoted-number",
+        "init-bool-entry", "init-object-entry",
         "init-short-block", "steady-negative-rng-seed",
         "trajectory-negative-rng-seed", "phase-negative-rng-seed",
         "cut-negative-rng-seed", "profile-negative-rng-seed", "phase-nan-xi-max",

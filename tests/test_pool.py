@@ -255,8 +255,6 @@ def cell(*args):
 
 steady_state._newton_stack, stability._stack_eigvals = newton, eigvals
 sweep._compute_cell = cell
-# one matrix per stack: the N = 30 Newton stacks go to the pool too
-_pool.STACK_BYTES = 1
 chain = LatticeParams(n_sites=30, kappa=0.4, xi=0.2, g=0.8,
                       bc=BoundaryCondition.Open)
 result = steady_state.find_all(chain, workers=2)
@@ -285,8 +283,8 @@ def test_pool_tasks_never_open_a_pool(tmp_path):
 
 @pytest.mark.parametrize("n", [3, 10, 25])
 def test_small_lattice_root_searches_start_no_process(n, monkeypatch):
-    # below N = 26 a verdict stack holds several Jacobians (a Newton stack
-    # several matrices up to N = 64), and the stacks stay in-process
+    # below N = 26 a verdict stack holds several Jacobians, and both the
+    # verdict and the Newton stacks stay in-process
     def refuse(*args, **kwargs):
         raise AssertionError("a process was started")
 

@@ -1,8 +1,8 @@
-"""A large lattice's root search on the worker pool: with one matrix per
-stack and workers > 1, newton_solve (N >= 65, or forced here by shrinking
-STACK_BYTES) and stability.classify (N >= 26) run their stacks on the
-process's kept pool, and every bit of their output, of a steady dossier
-and of a cut CSV is the one serial run's, at any stack size."""
+"""A large lattice's root search on the worker pool: from N = 26, where a
+verdict stack holds one Jacobian, and with workers > 1, newton_solve and
+stability.classify run their stacks on the process's kept pool, and
+every bit of their output, of a steady dossier and of a cut CSV is the
+one serial run's, at any stack size."""
 
 import os
 
@@ -81,12 +81,31 @@ def _assert_same_newton(got, want):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_newton_stacks_on_the_pool_match_serial(case, workers, serial,
                                                 monkeypatch):
-    # one matrix per stack, so that the stacks go to the pool
+    # one seed per stack, so that even the three seeds of singular-30
+    # make several stacks and go to the pool
     monkeypatch.setattr(_pool, "STACK_BYTES", 1)
     params, seeds = CASES[case]
     got = _on_pool(workers,
                    lambda: newton_solve(seeds, params, workers=workers))
     _assert_same_newton(got, serial[case][0])
+
+
+def test_chain_30_newton_stacks_go_to_the_pool_by_default(serial,
+                                                          monkeypatch):
+    # at the default STACK_BYTES a chain N = 30 Newton stack holds 9 seeds,
+    # and the stacks run on the pool as the verdict stacks do
+    params, seeds = CASES["chain-30"]
+    assert 1 < stack_size(2 * params.n_sites) < len(seeds)
+    calls, worker_pool = [], _pool.worker_pool
+
+    def counting(workers):
+        calls.append(workers)
+        return worker_pool(workers)
+
+    monkeypatch.setattr(_pool, "worker_pool", counting)
+    got = _on_pool(2, lambda: newton_solve(seeds, params, workers=2))
+    assert calls == [2]
+    _assert_same_newton(got, serial["chain-30"][0])
 
 
 @pytest.mark.parametrize("stack_bytes", [1, 2 ** 30],

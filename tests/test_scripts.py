@@ -5,7 +5,7 @@ Each script runs in a fresh interpreter, in a temporary directory, with
 the package from src/.  scripts/profile_polish_check.py and
 scripts/cell_sample.py take no size argument and run for minutes, so
 they are left out; scripts/byte_check.py is a comparison tool, not an
-experiment.
+experiment.  scripts/steady_cost.py runs here on the three-site chain.
 """
 
 import os
@@ -26,8 +26,10 @@ ROOT = Path(__file__).resolve().parent.parent
     ("phase_diagrams.py", ["--steps", "2", "--workers", "1"],
      ["phase_obc.config.json", "phase_obc.csv", "phase_pbc.config.json",
       "phase_pbc.csv"]),
+    ("steady_cost.py", ["--n", "3"],
+     ["steady_cost.config.json", "steady_cost.json"]),
 ], ids=["boundary_profile", "window_edge_dynamics", "threshold_vs_size",
-        "phase_diagrams"])
+        "phase_diagrams", "steady_cost"])
 def test_script_writes_its_files(tmp_path, script, args, written):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

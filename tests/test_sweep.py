@@ -290,6 +290,16 @@ def test_site_profile_ring_is_homogeneous():
     assert np.max(np.abs(prof.z - plus.z)) < 1e-6
 
 
+def test_site_profile_takes_amplitude_and_t_end_by_keyword_only():
+    # a call written for the old site_profile(params, g) fails instead of
+    # relaxing from start amplitude g
+    params = LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.6, bc=PBC)
+    with pytest.raises(TypeError):
+        site_profile(params, 0.6)
+    with pytest.raises(TypeError):
+        site_profile(params, 0.6, 5.0)
+
+
 def test_site_profile_not_settled_carries_partial(tmp_path):
     params = LatticeParams(n_sites=3, kappa=0.4, xi=0.2, g=0.6, bc=PBC)
     with pytest.raises(NotSettled) as exc:
